@@ -10,17 +10,14 @@ Three subcommands:
   value; invalid points get a status column instead of aborting the sweep.
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical failure, 4 statistical
-mismatch.  Equal rates route to the Erlang-C reduction.  ``VQT_THREADS``
-caps sweep/grid parallelism (0 or unset = auto).
+mismatch.  Equal rates route to the Erlang-C reduction.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +38,6 @@ _EXIT_STATISTICAL = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
-
-
-def _threads() -> int:
-    raw = os.environ.get("VQT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -146,15 +134,30 @@ class OutputRecord:
     pdf: float
 
 
-def _solve_or_route(args) -> tuple[object, str]:
+def _solve_or_route(c: int, lam: float, mu1: float, mu2: float,
+                    k: float) -> tuple[object, str]:
     """Return (solution, model_tag); equal rates go to the Erlang reduction."""
-    if args.mu1 == args.mu2:
-        params = inspect_params(args.c, args.lam, args.mu1, args.mu2, args.k)
+    if mu1 == mu2:
+        params = inspect_params(c, lam, mu1, mu2, k)
         if not params.stable:
             raise Unstable(f"lambda/(c*mu2) = {params.rho:.6g} >= 1")
         return erlang_c(params), "erlang_c"
-    params = validate_params(args.c, args.lam, args.mu1, args.mu2, args.k)
-    return solver.solve(params), "threshold"
+    return solver.solve(validate_params(c, lam, mu1, mu2, k)), "threshold"
+
+
+def _mixture_payload(mix: solver.ScalarMixture) -> dict:
+    """The mixture's terms per branch, as emitted in both output formats."""
+    out = {
+        branch: {
+            "terms": [{"rate": t.rate, "weights": list(map(float, t.weights))}
+                      for t in terms],
+            "constant": list(map(float, const)),
+        }
+        for branch, terms, const in (("below", mix.lower_terms, mix.lower_constant),
+                                     ("above", mix.upper_terms, mix.upper_constant))
+    }
+    out["above"]["rate_offset"] = mix.k
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -166,7 +169,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def run_solve(args) -> int:
-    sol, model = _solve_or_route(args)
+    sol, model = _solve_or_route(args.c, args.lam, args.mu1, args.mu2, args.k)
     spec = GridSpec(
         x_max=10.0 * args.k if args.grid_max is None else args.grid_max,
         points=args.grid_points,
@@ -180,6 +183,7 @@ def run_solve(args) -> int:
         payload_extra = {"model": "erlang_c", "p_wait": sol.c_prob}
         pi_nested = None
         b_c = None
+        mixture = None
     else:
         rows = []
         for x in grid:
@@ -194,6 +198,7 @@ def run_solve(args) -> int:
             for i in range(args.c)
         ]
         b_c = sol.b_c
+        mixture = _mixture_payload(sol.mixture()) if args.mixture else None
 
     if args.format == "csv":
         lines = []
@@ -210,17 +215,12 @@ def run_solve(args) -> int:
                 lines.append(f"{_fmt(r.x)},{comp_txt},{_fmt(r.cdf)},{_fmt(r.pdf)}")
         if mean is not None:
             lines.append(f"# mean={_fmt(mean)}")
-        if args.mixture and model == "threshold":
-            mix = solver.scalar_mixture(sol)
-            for branch, terms, const in (
-                ("below", mix.lower_terms, mix.lower_constant),
-                ("above", mix.upper_terms, mix.upper_constant),
-            ):
-                for t in terms:
-                    w = ";".join(_fmt(v) for v in t.weights)
-                    lines.append(f"# mixture,{branch},rate={_fmt(t.rate)},weights={w}")
-                w = ";".join(_fmt(v) for v in const)
-                lines.append(f"# mixture,{branch},constant,weights={w}")
+        for branch, part in (mixture or {}).items():
+            for t in part["terms"]:
+                w = ";".join(_fmt(v) for v in t["weights"])
+                lines.append(f"# mixture,{branch},rate={_fmt(t['rate'])},weights={w}")
+            w = ";".join(_fmt(v) for v in part["constant"])
+            lines.append(f"# mixture,{branch},constant,weights={w}")
         if args.verify and model == "threshold":
             rep = solver.verify_solution(sol)
             for name, value in rep.residuals.items():
@@ -245,21 +245,8 @@ def run_solve(args) -> int:
         payload["warnings"] = list(sol.warnings)
     if mean is not None:
         payload["mean"] = mean
-    if args.mixture and model == "threshold":
-        mix = solver.scalar_mixture(sol)
-        payload["mixture"] = {
-            "below": {
-                "terms": [{"rate": t.rate, "weights": list(map(float, t.weights))}
-                          for t in mix.lower_terms],
-                "constant": list(map(float, mix.lower_constant)),
-            },
-            "above": {
-                "terms": [{"rate": t.rate, "weights": list(map(float, t.weights))}
-                          for t in mix.upper_terms],
-                "constant": list(map(float, mix.upper_constant)),
-                "rate_offset": mix.k,
-            },
-        }
+    if mixture is not None:
+        payload["mixture"] = mixture
     if args.verify and model == "threshold":
         payload["residuals"] = solver.verify_solution(sol).residuals
     _emit(json.dumps(payload, indent=1) + "\n", args.out)
@@ -271,7 +258,7 @@ def _default_validate_grid(k: float) -> tuple[float, ...]:
 
 
 def run_validate(args) -> int:
-    sol, model = _solve_or_route(args)
+    sol, model = _solve_or_route(args.c, args.lam, args.mu1, args.mu2, args.k)
     grid = (tuple(float(v) for v in args.grid.split(","))
             if args.grid else _default_validate_grid(args.k))
     params = inspect_params(args.c, args.lam, args.mu1, args.mu2, args.k)
@@ -322,19 +309,12 @@ def _sweep_point(base: dict, name: str, value: float, metrics: list[str]):
     point[name] = int(round(value)) if name == "c" else value
     row = {"value": value, "status": "ok"}
     try:
-        if point["mu1"] == point["mu2"]:
-            params = inspect_params(point["c"], point["lambda"], point["mu1"],
-                                    point["mu2"], point["k"])
-            if not params.stable:
-                raise Unstable("unstable")
-            ref = erlang_c(params)
-            row["status"] = "erlang_c"
-            evals = {"mean": ref.mean, "p_wait": lambda: ref.c_prob,
-                     "cdf": ref.cdf}
-        else:
-            params = validate_params(point["c"], point["lambda"], point["mu1"],
+        sol, model = _solve_or_route(point["c"], point["lambda"], point["mu1"],
                                      point["mu2"], point["k"])
-            sol = solver.solve(params)
+        if model == "erlang_c":
+            row["status"] = "erlang_c"
+            evals = {"mean": sol.mean, "p_wait": lambda: sol.c_prob, "cdf": sol.cdf}
+        else:
             evals = {"mean": lambda: solver.mean_wait(sol),
                      "p_wait": lambda: 1.0 - sol.p_wait_zero,
                      "cdf": lambda x: solver.eval_cdf(sol, x)[1]}
@@ -359,13 +339,7 @@ def run_sweep(args) -> int:
     base = {"c": args.c, "lambda": args.lam, "mu1": args.mu1,
             "mu2": args.mu2, "k": args.k}
 
-    workers = min(_threads(), len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda v: _sweep_point(base, name, v, metrics), values))
-    else:
-        rows = [_sweep_point(base, name, v, metrics) for v in values]
+    rows = [_sweep_point(base, name, v, metrics) for v in values]
 
     if all(row["status"] not in ("ok", "erlang_c") for row in rows):
         raise ValidationError("every sweep point is invalid")

@@ -125,9 +125,10 @@ class ModelMatrices:
 
     b1/b2 drive the jump kernels below/above the threshold, delta[i] collects
     the aggregate rates on boundary level i, d_tilde_k are the triangular
-    conjugations mu_k I + B_k^{-1} Delta_{c-1} B_k, b_hat[n] are the
-    rectangular downward-coupling matrices of the boundary recursion, and
-    i_hat is the (c-1) x c shift (0 | I).
+    conjugations mu_k I + B_k^{-1} Delta_{c-1} B_k and d_tilde_k_inv their
+    inverses B_k^{-1} diag(1 / (mu_k + delta)) B_k by the same conjugation,
+    b_hat[n] are the rectangular downward-coupling matrices of the boundary
+    recursion, and i_hat is the (c-1) x c shift (0 | I).
     """
 
     params: QueueParams
@@ -136,6 +137,8 @@ class ModelMatrices:
     delta: tuple[np.ndarray, ...]
     d_tilde_1: np.ndarray
     d_tilde_2: np.ndarray
+    d_tilde_1_inv: np.ndarray
+    d_tilde_2_inv: np.ndarray
     b_hat: tuple[np.ndarray, ...]
     i_hat: np.ndarray
     b1_inv: np.ndarray
@@ -174,6 +177,9 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
     b2_inv = inv(b2)
     d_tilde_1 = mu1 * np.eye(c) + b1_inv @ delta[c - 1] @ b1
     d_tilde_2 = mu2 * np.eye(c) + b2_inv @ delta[c - 1] @ b2
+    rates = np.diag(delta[c - 1])
+    d_tilde_1_inv = b1_inv @ (b1 / (mu1 + rates)[:, None])
+    d_tilde_2_inv = b2_inv @ (b2 / (mu2 + rates)[:, None])
 
     b_hat = []
     for n in range(c):
@@ -191,6 +197,8 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
         delta=delta,
         d_tilde_1=d_tilde_1,
         d_tilde_2=d_tilde_2,
+        d_tilde_1_inv=d_tilde_1_inv,
+        d_tilde_2_inv=d_tilde_2_inv,
         b_hat=tuple(b_hat),
         i_hat=hat_i(c - 1),
         b1_inv=b1_inv,

@@ -1,12 +1,12 @@
 """Minimal dense linear-algebra kernel.
 
-Everything the solution pipeline needs reduces to four operations on small
+Everything the solution pipeline needs reduces to three operations on small
 dense matrices: LU solves, eigendecomposition of triangular matrices with
-distinct diagonals, analytic matrix functions through a known eigenbasis, and
-the moment kernel I(a, b; D) = int_a^b D x e^(Dx) dx.  All matrices in this
-package are triangular or similar to a triangular matrix with a spectrum that
-is known in closed form, so matrix functions never need Pade or Schur
-machinery.
+distinct diagonals, and analytic matrix functions through a known
+eigenbasis; plus the scalar moment kernel int_a^b t x e^(tx) dx of one
+exponential term.  All matrices in this package are triangular or similar
+to a triangular matrix with a spectrum that is known in closed form, so
+matrix functions never need Pade or Schur machinery.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "unitri_inv",
     "tri_eigen",
     "mat_func",
-    "i_kernel",
     "cond_1norm",
     "gauss_panels",
 ]
@@ -196,6 +195,7 @@ def _ik_series(th: float, a: float, b: float) -> float:
 
 
 def _ik_scalar(th: float, a: float, b: float) -> float:
+    """int_a^b th x e^(th x) dx for 0 <= a <= b; b = inf needs th < 0."""
     if b == np.inf:
         if th >= 0.0:
             raise DivergentIntegral(f"eigenvalue {th} >= 0 with b = inf")
@@ -204,19 +204,6 @@ def _ik_scalar(th: float, a: float, b: float) -> float:
         return _ik_series(th, a, b)
     ea, eb = np.exp(th * a), np.exp(th * b)
     return (b * eb - a * ea) - (eb - ea) / th
-
-
-def i_kernel(a: float, b: float, es: EigenSystem) -> np.ndarray:
-    """I(a, b; D) = int_a^b D x e^(Dx) dx applied through D's eigenbasis.
-
-    Finite case needs 0 <= a <= b; b = inf needs a strictly negative
-    spectrum (DivergentIntegral otherwise).  Singular D is handled by the
-    continuous extension of the scalar kernel at 0.
-    """
-    if not 0.0 <= a <= b:
-        raise ValueError("need 0 <= a <= b")
-    g = np.array([_ik_scalar(float(th), a, b) for th in es.values])
-    return es.inverse_vectors @ (g[:, None] * es.left_vectors)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)

@@ -110,6 +110,20 @@ def _batch_estimate(batch_sums: np.ndarray, batch_counts: np.ndarray) -> Estimat
     return Estimate(value, max(_Z95 * se, 1e-15))
 
 
+def _indicator_estimate(batch_sums: np.ndarray, batch_counts: np.ndarray) -> Estimate:
+    """Batch-means estimate of a probability.
+
+    Its standard error is floored at the binomial resolution sqrt(q(1-q)/N)
+    of the N customers counted, with q kept one count away from 0 and 1: when
+    every batch sees the same 0 or 1 the batch means carry no spread, yet the
+    estimate is still only resolved to about 1/N.
+    """
+    est = _batch_estimate(batch_sums, batch_counts)
+    n = float(batch_counts.sum())
+    q = min(max(est.value, 1.0 / n), 1.0 - 1.0 / n)
+    return Estimate(est.value, max(est.half_width, _Z95 * math.sqrt(q * (1.0 - q) / n)))
+
+
 def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     """Single event-driven FCFS run; statistics by batch means (32 batches).
 
@@ -192,8 +206,8 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
 
     horizon = max(t_last - t_first, 1e-300)
     return SimEstimate(
-        p_wait_zero=_batch_estimate(sum_zero, counts),
-        cdf_points=tuple(_batch_estimate(sum_le[g], counts) for g in range(len(grid))),
+        p_wait_zero=_indicator_estimate(sum_zero, counts),
+        cdf_points=tuple(_indicator_estimate(sum_le[g], counts) for g in range(len(grid))),
         mean_wait=_batch_estimate(sum_w, counts),
         class2_fraction=n_class2 / used,
         seed_used=config.seed,

@@ -7,24 +7,22 @@ the threshold, glued by continuity of F and F'.  Twenty auxiliary matrices
 reduce the boundary conditions to a single scalar unknown, the tail constant
 b_c, which the normalization fixes.  Boundary (W = 0) probabilities follow
 from a backward recursion over occupancy levels.
+
+``solve`` expands F once into its explicit exponential mixture and stores it
+on the solution; every evaluator (F, F', E[W], the residual report) reads
+that mixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DivergentIntegral, NegativeProbability
 from .model import ModelMatrices, QueueParams, build_matrices, hat_i, tilde_q
-from .numerics import (
-    gauss_panels,
-    i_kernel,
-    inv,
-    lu_solve,
-    mat_func,
-    solve_right,
-)
+from .numerics import _ik_scalar, gauss_panels, inv, lu_solve, mat_func, solve_right
 from .spectral import SpectralData, build_spectral
 
 __all__ = [
@@ -108,7 +106,7 @@ def h_chain(
     h7 = h5 - d1 @ h6
     h8 = lam * b1 @ h6
 
-    d1_inv, d2_inv = inv(d1), inv(d2)
+    d1_inv, d2_inv = matrices.d_tilde_1_inv, matrices.d_tilde_2_inv
     dm2 = (d1 - d2) @ m2
     h9 = dm2 @ u2m.mat + d1 @ dm2
     h10 = u2m.mat - lam * (eye - b2 @ d2_inv) @ h9
@@ -142,24 +140,42 @@ class MixtureTerm:
 
 @dataclass(frozen=True)
 class ScalarMixture:
-    """F(x) expanded into explicit exponential terms on both branches."""
+    """F(x) expanded into explicit exponential terms on both branches.
+
+    Below the threshold F(x) = lower_constant + sum_i lower_weights[i]
+    e^{lower_rates[i] x}, above it upper_constant + sum_i upper_weights[i]
+    e^{upper_rates[i] (x - k)}; row i of a weight array multiplies rate i.
+    """
 
     k: float
-    lower_terms: tuple[MixtureTerm, ...]
+    lower_rates: np.ndarray
+    lower_weights: np.ndarray
     lower_constant: np.ndarray
-    upper_terms: tuple[MixtureTerm, ...]   # rates apply to (x - k)
+    upper_rates: np.ndarray              # apply to (x - k)
+    upper_weights: np.ndarray
     upper_constant: np.ndarray
 
+    @property
+    def lower_terms(self) -> tuple[MixtureTerm, ...]:
+        return tuple(map(MixtureTerm, self.lower_rates.tolist(), self.lower_weights))
+
+    @property
+    def upper_terms(self) -> tuple[MixtureTerm, ...]:
+        return tuple(map(MixtureTerm, self.upper_rates.tolist(), self.upper_weights))
+
     def components(self, x: float) -> np.ndarray:
+        """F(x).  Since F(0) = 0, the lower constant is minus the sum of the
+        lower weights, so the lower branch sums w (e^{rx} - 1) and vanishes
+        exactly at x = 0."""
         if x <= self.k:
-            acc = self.lower_constant.copy()
-            for t in self.lower_terms:
-                acc = acc + np.exp(t.rate * x) * t.weights
-        else:
-            acc = self.upper_constant.copy()
-            for t in self.upper_terms:
-                acc = acc + np.exp(t.rate * (x - self.k)) * t.weights
-        return acc
+            return np.expm1(self.lower_rates * x) @ self.lower_weights
+        return self.upper_constant + np.exp(self.upper_rates * (x - self.k)) @ self.upper_weights
+
+    def density(self, x: float) -> np.ndarray:
+        """F'(x); at x = k the lower branch is used."""
+        if x <= self.k:
+            return (self.lower_rates * np.exp(self.lower_rates * x)) @ self.lower_weights
+        return (self.upper_rates * np.exp(self.upper_rates * (x - self.k))) @ self.upper_weights
 
 
 @dataclass(frozen=True)
@@ -183,12 +199,13 @@ class StationarySolution:
     h: AuxChain
     h_hat: tuple[np.ndarray, ...]
     f_infinity: np.ndarray
+    expansion: ScalarMixture            # F as explicit exponential terms
     warnings: tuple[str, ...] = ()
 
     def pi(self, i: int, j: int) -> float:
         return float(self.pi_levels[i + j][i])
 
-    @property
+    @cached_property
     def p_wait_zero(self) -> float:
         return float(sum(level.sum() for level in self.pi_levels))
 
@@ -206,6 +223,53 @@ class StationarySolution:
 
     def verify(self, rng=None) -> "ResidualReport":
         return verify_solution(self, rng=rng)
+
+
+def _expand(
+    params: QueueParams,
+    matrices: ModelMatrices,
+    spectral: SpectralData,
+    f_prime_0: np.ndarray,
+    alpha0_m0: np.ndarray,
+    f_at_k: np.ndarray,
+    f_infinity: np.ndarray,
+    alpha2: np.ndarray,
+    m2: np.ndarray,
+) -> ScalarMixture:
+    """Expand both branches into explicit (rate, weight-vector) terms.
+
+    Lower branch: F(x) = w (e^{U1+ x} - e^{U1- x}) + alpha0 M0 (I - e^{U1- x})
+    with w = (F'(0) + alpha0 M0 U1-) (U1+ - U1-)^{-1}, one term per root of
+    the below-threshold pencil.  Upper branch: the c decaying tail modes of
+    U2-, the threshold-memory modes (one per diagonal entry of D_tilde_1) and
+    the constant F(inf).
+    """
+    sp, m, c = spectral, matrices, params.c
+    w = solve_right(f_prime_0 + alpha0_m0 @ sp.u1_minus.mat,
+                    sp.u1_plus.mat - sp.u1_minus.mat)
+    a_minus = (-w - alpha0_m0) @ sp.u1_minus.eig.inverse_vectors
+    a_plus = w @ sp.u1_plus.eig.inverse_vectors
+    lower_weights = np.concatenate([a_minus, a_plus])[:, None] * sp.phi
+
+    # Coefficient row of e^{U2- (x-k)}; the tail constant is F(inf) itself
+    # (the b_c convention cancels there).
+    dm2 = (m.d_tilde_1 - m.d_tilde_2) @ m2
+    tail_head = f_at_k - f_infinity - alpha2 @ dm2
+    b_minus = tail_head @ sp.u2_minus.eig.inverse_vectors
+    # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
+    # eigenvectors of D_tilde_1 by its defining conjugation.
+    memory = (alpha2 @ m.b1_inv)[:, None] * (m.b1 @ dm2)
+    upper_rates = np.concatenate([sp.beta[:c], -(params.mu1 + np.diag(m.delta[c - 1]))])
+
+    return ScalarMixture(
+        k=params.k,
+        lower_rates=sp.theta.copy(),
+        lower_weights=lower_weights,
+        lower_constant=alpha0_m0,
+        upper_rates=upper_rates,
+        upper_weights=np.concatenate([b_minus[:, None] * sp.psi[:c], memory]),
+        upper_constant=f_infinity.copy(),
+    )
 
 
 def solve(params: QueueParams) -> StationarySolution:
@@ -254,11 +318,12 @@ def solve(params: QueueParams) -> StationarySolution:
     f_infinity = pi_top @ h.h20 + b_c * (psi_c @ h.h19)
 
     d1, d2 = matrices.d_tilde_1, matrices.d_tilde_2
+    d1_inv, d2_inv = matrices.d_tilde_1_inv, matrices.d_tilde_2_inv
     alpha0 = f_prime_0 @ d1 - lam * pi_top @ matrices.b1
-    bridge = solve_right(alpha0, d1) @ d2
-    alpha1 = bridge - lam * f_at_k @ (matrices.b1 @ inv(d1) @ d2 - matrices.b2)
-    alpha2 = solve_right(alpha1, d2) - f_prime_at_k \
-        + lam * f_at_k @ (np.eye(c) - matrices.b2 @ inv(d2))
+    bridge = alpha0 @ d1_inv @ d2
+    alpha1 = bridge - lam * f_at_k @ (matrices.b1 @ d1_inv @ d2 - matrices.b2)
+    alpha2 = alpha1 @ d2_inv - f_prime_at_k \
+        + lam * f_at_k @ (np.eye(c) - matrices.b2 @ d2_inv)
 
     return StationarySolution(
         params=params,
@@ -278,46 +343,17 @@ def solve(params: QueueParams) -> StationarySolution:
         h=h,
         h_hat=tuple(h_hat),
         f_infinity=f_infinity,
+        expansion=_expand(params, matrices, spectral, f_prime_0, alpha0 @ m0,
+                          f_at_k, f_infinity, alpha2, m2),
         warnings=spectral.warnings,
     )
-
-
-def _lower_prefactors(sol: StationarySolution) -> tuple[np.ndarray, np.ndarray]:
-    """(v (U1+ - U1-)^{-1}, alpha0 M0) with v = F'(0) + alpha0 M0 U1-."""
-    sp = sol.spectral
-    a0m0 = sol.alpha0 @ sol.m0
-    v = sol.f_prime_0 + a0m0 @ sp.u1_minus.mat
-    w = solve_right(v, sp.u1_plus.mat - sp.u1_minus.mat)
-    return w, a0m0
-
-
-def _tail_head(sol: StationarySolution) -> np.ndarray:
-    """Coefficient row of e^{U2-(x-k)} on the tail branch.
-
-    The tail constant is F(inf) itself (the b_c convention cancels there).
-    """
-    return (sol.f_at_k - sol.f_infinity
-            - sol.alpha2 @ (sol.matrices.d_tilde_1 - sol.matrices.d_tilde_2) @ sol.m2)
 
 
 def eval_cdf(sol: StationarySolution, x: float) -> tuple[np.ndarray, float]:
     """Component vector F(x) and the total P(W <= x)."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    sp, m = sol.spectral, sol.matrices
-    if x <= sol.params.k:
-        w, a0m0 = _lower_prefactors(sol)
-        e_p = _expm(sp.u1_plus, x)
-        e_m = _expm(sp.u1_minus, x)
-        comps = w @ (e_p - e_m) + a0m0 @ (np.eye(sol.params.c) - e_m)
-    else:
-        y = x - sol.params.k
-        e2 = _expm(sp.u2_minus, y)
-        const = sol.f_infinity
-        dm2 = (m.d_tilde_1 - m.d_tilde_2) @ sol.m2
-        comps = (sol.f_at_k @ e2 + const @ (np.eye(sol.params.c) - e2)
-                 - sol.alpha2 @ dm2 @ e2
-                 + sol.alpha2 @ tilde_q(1, y, m) @ dm2)
+    comps = sol.expansion.components(x)
     return comps, sol.p_wait_zero + float(comps.sum())
 
 
@@ -325,71 +361,24 @@ def eval_density(sol: StationarySolution, x: float) -> np.ndarray:
     """Component vector F'(x); at x = k both one-sided limits agree."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    sp, m = sol.spectral, sol.matrices
-    if x <= sol.params.k:
-        w, a0m0 = _lower_prefactors(sol)
-        de_p = mat_func(sp.u1_plus.eig, lambda v: v * np.exp(v * x))
-        de_m = mat_func(sp.u1_minus.eig, lambda v: v * np.exp(v * x))
-        return w @ (de_p - de_m) - a0m0 @ de_m
-    y = x - sol.params.k
-    dm2 = (m.d_tilde_1 - m.d_tilde_2) @ sol.m2
-    return (_tail_head(sol) @ mat_func(sp.u2_minus.eig, lambda v: v * np.exp(v * y))
-            - sol.alpha2 @ m.d_tilde_1 @ tilde_q(1, y, m) @ dm2)
+    return sol.expansion.density(x)
 
 
 def mean_wait(sol: StationarySolution) -> float:
-    """E[W]: moment kernel on [0, k], closed forms for the tail."""
-    sp, m, k = sol.spectral, sol.matrices, sol.params.k
-    if max(sp.u2_minus.eig.values) >= 0.0:
+    """E[W] = int x dF, term by term: the moment kernel on [0, k], and
+    int_k^inf x r e^{r(x-k)} dx = 1/r - k for each decaying tail term."""
+    mix = sol.expansion
+    if mix.upper_rates.max() >= 0.0:
         raise DivergentIntegral("tail matrix has a nonnegative eigenvalue")
-    ones = np.ones(sol.params.c)
-    w, a0m0 = _lower_prefactors(sol)
-    below = (w @ i_kernel(0.0, k, sp.u1_plus.eig) @ ones
-             - (w + a0m0) @ i_kernel(0.0, k, sp.u1_minus.eig) @ ones)
-    dm2 = (m.d_tilde_1 - m.d_tilde_2) @ sol.m2
-    above = (_tail_head(sol) @ (inv(sp.u2_minus.mat) - k * np.eye(sol.params.c)) @ ones
-             - sol.alpha2 @ (inv(m.d_tilde_1) + k * np.eye(sol.params.c)) @ dm2 @ ones)
+    below = sum(_ik_scalar(r, 0.0, mix.k) * w.sum()
+                for r, w in zip(mix.lower_rates.tolist(), mix.lower_weights))
+    above = (1.0 / mix.upper_rates - mix.k) @ mix.upper_weights.sum(axis=1)
     return float(below + above)
 
 
 def scalar_mixture(sol: StationarySolution) -> ScalarMixture:
-    """Expand both branches into explicit (rate, weight-vector) terms.
-
-    Lower branch: one term per root of the below-threshold pencil plus the
-    constant particular part.  Upper branch: the c decaying tail modes plus
-    the threshold-memory modes (one per diagonal entry of D_tilde_1) and the
-    constant F(inf).  Evaluating the expansion reproduces eval_cdf.
-    """
-    sp, m = sol.spectral, sol.matrices
-    c = sol.params.c
-    w, a0m0 = _lower_prefactors(sol)
-    a_plus = w @ sp.u1_plus.eig.inverse_vectors
-    a_minus = (-w - a0m0) @ sp.u1_minus.eig.inverse_vectors
-    lower = [
-        MixtureTerm(float(sp.theta[i]), a_minus[i] * sp.phi[i]) for i in range(c)
-    ] + [
-        MixtureTerm(float(sp.theta[i + c]), a_plus[i] * sp.phi[i + c]) for i in range(c)
-    ]
-
-    b_minus = _tail_head(sol) @ sp.u2_minus.eig.inverse_vectors
-    upper = [
-        MixtureTerm(float(sp.beta[i]), b_minus[i] * sp.psi[i]) for i in range(c)
-    ]
-    # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
-    # eigenvectors of D_tilde_1 by its defining conjugation.
-    dm2 = (m.d_tilde_1 - m.d_tilde_2) @ sol.m2
-    rates = sol.params.mu1 + np.diag(m.delta[c - 1])
-    coeff = sol.alpha2 @ m.b1_inv
-    for j in range(c):
-        upper.append(MixtureTerm(-float(rates[j]), coeff[j] * (m.b1[j] @ dm2)))
-
-    return ScalarMixture(
-        k=sol.params.k,
-        lower_terms=tuple(lower),
-        lower_constant=a0m0.copy(),
-        upper_terms=tuple(upper),
-        upper_constant=sol.f_infinity.copy(),
-    )
+    """The explicit exponential terms of F that ``solve`` expanded."""
+    return sol.expansion
 
 
 @dataclass(frozen=True)
@@ -422,22 +411,13 @@ def _balance_residual(sol: StationarySolution) -> float:
     return worst
 
 
-def _mixture_derivative(mix: ScalarMixture, x: float, branch: str) -> np.ndarray:
-    terms = mix.lower_terms if branch == "lower" else mix.upper_terms
-    shift = 0.0 if branch == "lower" else mix.k
-    acc = np.zeros_like(mix.lower_constant)
-    for t in terms:
-        acc = acc + t.rate * np.exp(t.rate * (x - shift)) * t.weights
-    return acc
-
-
 def _integro_residual(sol: StationarySolution, xs: np.ndarray) -> float:
     # Residual of the renewal-style identity below the threshold:
     # F'(x) = lam F(x) - lam int_0^x F(y) B1 Q1(x-y) dy + F'(0)
     #         - lam pi_top B1 (I - Q1(x)) D1^{-1}.
     m, lam = sol.matrices, sol.params.lam
     pi_top = sol.pi_levels[-1]
-    d1_inv = inv(m.d_tilde_1)
+    d1_inv = m.d_tilde_1_inv
     worst = 0.0
     for x in xs:
         conv = gauss_panels(
@@ -459,25 +439,22 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     """
     rng = np.random.default_rng(rng)
     p, m, sp = sol.params, sol.matrices, sol.spectral
-    mix = scalar_mixture(sol)
+    mix = sol.expansion
     res: dict[str, float] = {}
 
-    res["con1_F0"] = float(np.max(np.abs(mix.components(0.0))))
+    res["con1_F0"] = float(np.max(np.abs(mix.lower_constant + mix.lower_weights.sum(axis=0))))
     res["con2_value_at_k"] = float(np.max(np.abs(
-        mix.components(p.k) - (mix.upper_constant
-                               + sum(np.exp(0.0) * t.weights for t in mix.upper_terms))
+        mix.components(p.k) - (mix.upper_constant + mix.upper_weights.sum(axis=0))
     )))
     res["con3_slope_at_k"] = float(np.max(np.abs(
-        _mixture_derivative(mix, p.k, "lower") - _mixture_derivative(mix, p.k, "upper")
+        mix.density(p.k) - mix.upper_rates @ mix.upper_weights
     )))
 
     pi_top = sol.pi_levels[-1]
     slope0 = pi_top @ (p.lam * np.eye(p.c) + m.delta[p.c - 1])
     if p.c > 1:
         slope0 = slope0 - p.lam * sol.pi_levels[-2] @ m.i_hat
-    res["con4_slope_at_0"] = float(np.max(np.abs(
-        _mixture_derivative(mix, 0.0, "lower") - slope0
-    )))
+    res["con4_slope_at_0"] = float(np.max(np.abs(mix.density(0.0) - slope0)))
 
     res["con5_balance"] = _balance_residual(sol)
     # b_c enters with a flipped sign under the stored convention.

@@ -3,9 +3,10 @@
 Both pencils are triangular, so the 2c eigenvalues split into c scalar
 quadratics, one per diagonal position.  Pairing each eigenvalue with the
 quadratic it came from (instead of sorting by value) keeps the null-mode
-eigenvectors identified even when magnitudes cross.  The four solution
+eigenvectors identified even when magnitudes cross.  The three solution
 matrices of the quadratic matrix equations are assembled from the sign-split
-eigenvector bases, which are unitriangular by construction.
+eigenvector bases, which are unitriangular by construction; above the
+threshold only the decaying solution U2- is needed, since F stays bounded.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class SpectralData:
     u1_minus: SolutionMatrix
     u1_plus: SolutionMatrix
     u2_minus: SolutionMatrix
-    u2_plus: SolutionMatrix
     warnings: tuple[str, ...] = ()
 
 
@@ -198,13 +198,12 @@ def build_u_matrices(
     beta: np.ndarray,
     psi: np.ndarray,
 ) -> SpectralData:
-    """Assemble the sign-split solution matrices and the null vectors."""
+    """Assemble the sign-split solution matrices (U1-, U1+, U2-) and the null vectors."""
     c = params.c
     warnings: list[str] = []
     u1_minus = _assemble_u(theta[:c], phi[:c], "upper", warnings, "u1_minus")
     u1_plus = _assemble_u(theta[c:], phi[c:], "upper", warnings, "u1_plus")
     u2_minus = _assemble_u(beta[:c], psi[:c], "lower", warnings, "u2_minus")
-    u2_plus = _assemble_u(beta[c:], psi[c:], "lower", warnings, "u2_plus")
     # the increasing modes grow by exp(theta_max * k) across the threshold
     # interval; past e^25 that cancellation visibly erodes the matching of
     # the two branches at the threshold
@@ -231,7 +230,6 @@ def build_u_matrices(
         u1_minus=u1_minus,
         u1_plus=u1_plus,
         u2_minus=u2_minus,
-        u2_plus=u2_plus,
         warnings=tuple(warnings),
     )
 

