@@ -10,7 +10,6 @@ from .errors import (
     NullSpaceDimension,
     NumericalError,
     PoleParameter,
-    RepeatedDiagonal,
     Singular,
     Unstable,
     ValidationError,
@@ -42,6 +41,6 @@ __all__ = [
     "single_server", "erlang_c", "SingleServerSolution", "ErlangCSolution",
     "simulate", "simulate_replicated", "SimConfig", "SimEstimate", "Estimate",
     "VqtError", "ValidationError", "NonPositive", "Unstable", "Degenerate",
-    "NumericalError", "Singular", "RepeatedDiagonal", "NullSpaceDimension",
+    "NumericalError", "Singular", "NullSpaceDimension",
     "NegativeProbability", "DivergentIntegral", "PoleParameter",
 ]

@@ -201,6 +201,9 @@ def run_solve(args) -> int:
         mixture = _mixture_payload(sol.mixture()) if args.mixture else None
 
     if args.format == "csv":
+        # JSON carries the warnings in its payload; CSV has no field for them.
+        for w in sol.warnings if model == "threshold" else ():
+            print(f"warning: {w}", file=sys.stderr)
         lines = []
         if model == "erlang_c":
             lines.append("# model=erlang_c")

@@ -43,10 +43,6 @@ class Singular(NumericalError):
     """A pivot fell below the singularity threshold during elimination."""
 
 
-class RepeatedDiagonal(NumericalError):
-    """Triangular eigendecomposition requires pairwise-distinct diagonal entries."""
-
-
 class NullSpaceDimension(NumericalError):
     """Null space of a boundary matrix is not one-dimensional (degeneracy leak)."""
 

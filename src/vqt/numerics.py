@@ -1,8 +1,8 @@
 """Minimal dense linear-algebra kernel.
 
-Everything the solution pipeline needs reduces to three operations on small
-dense matrices: LU solves, eigendecomposition of triangular matrices with
-distinct diagonals, and analytic matrix functions through a known
+Everything the solution pipeline needs reduces to two operations on small
+dense matrices: LU solves (with substitution for the unitriangular
+eigenvector bases) and analytic matrix functions through a known
 eigenbasis; plus the scalar moment kernel int_a^b t x e^(tx) dx of one
 exponential term.  All matrices in this package are triangular or similar
 to a triangular matrix with a spectrum that is known in closed form, so
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentIntegral, RepeatedDiagonal, Singular
+from .errors import DivergentIntegral, Singular
 
 __all__ = [
     "EigenSystem",
@@ -25,17 +25,12 @@ __all__ = [
     "solve_right",
     "inv",
     "unitri_inv",
-    "tri_eigen",
     "mat_func",
     "cond_1norm",
-    "gauss_panels",
 ]
 
 # Pivot threshold: relative to the max-norm of the matrix being factored.
 _PIVOT_TOL = 1e-14
-
-# Relative diagonal gap below which a triangular eigenbasis is meaningless.
-_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,15 +44,6 @@ class EigenSystem:
     values: np.ndarray
     left_vectors: np.ndarray
     inverse_vectors: np.ndarray
-
-    @property
-    def cond(self) -> float:
-        """1-norm condition estimate of the eigenvector basis."""
-        return cond_1norm(self.left_vectors, self.inverse_vectors)
-
-    def matrix(self) -> np.ndarray:
-        """Reassemble the decomposed matrix."""
-        return mat_func(self, lambda v: v)
 
 
 def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
@@ -144,38 +130,6 @@ def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:
     return out
 
 
-def tri_eigen(t: np.ndarray, orientation: str) -> EigenSystem:
-    """Eigendecomposition of a triangular matrix with distinct diagonal.
-
-    Eigenvalues are the diagonal entries; the left eigenvector for the pivot
-    at position i is normalized to 1 there and filled in by substitution
-    toward the open side of the triangle.  The eigenvector matrix is
-    unitriangular, so its inverse always exists.
-    """
-    t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    if orientation not in ("upper", "lower"):
-        raise ValueError("orientation must be 'upper' or 'lower'")
-    d = np.diag(t).copy()
-    scale = max(np.abs(d).max(), 1e-300)
-    gaps = np.abs(d[:, None] - d[None, :]) + np.eye(n) * scale
-    if gaps.min() <= _GAP_TOL * scale:
-        raise RepeatedDiagonal(
-            f"diagonal gap {gaps.min():.3e} below {_GAP_TOL:.0e} * scale"
-        )
-    v = np.eye(n)
-    if orientation == "upper":
-        for i in range(n):
-            for j in range(i + 1, n):
-                v[i, j] = v[i, i:j] @ t[i:j, j] / (d[i] - d[j])
-    else:
-        for i in range(n):
-            for j in range(i - 1, -1, -1):
-                v[i, j] = v[i, j + 1:i + 1] @ t[j + 1:i + 1, j] / (d[i] - d[j])
-    return EigenSystem(values=d, left_vectors=v,
-                       inverse_vectors=unitri_inv(v, orientation))
-
-
 def mat_func(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function through the eigenbasis.
 
@@ -204,36 +158,3 @@ def _ik_scalar(th: float, a: float, b: float) -> float:
         return _ik_series(th, a, b)
     ea, eb = np.exp(th * a), np.exp(th * b)
     return (b * eb - a * ea) - (eb - ea) / th
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def gauss_panels(f, a: float, b: float, tol: float = 1e-10, max_splits: int = 8):
-    """Composite 32-point Gauss-Legendre; panel count doubles until stable.
-
-    ``f`` maps a scalar to an ndarray; returns the converged integral.
-    """
-    if b <= a:
-        first = f(a)
-        return np.zeros_like(first)
-
-    def composite(panels: int):
-        total = None
-        edges = np.linspace(a, b, panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            part = half * sum(
-                w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)
-            )
-            total = part if total is None else total + part
-        return total
-
-    prev = composite(1)
-    panels = 2
-    for _ in range(max_splits):
-        cur = composite(panels)
-        if np.max(np.abs(cur - prev)) <= tol * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev, panels = cur, panels * 2
-    return prev

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergentIntegral, NegativeProbability
 from .model import ModelMatrices, QueueParams, build_matrices, hat_i, tilde_q
-from .numerics import _ik_scalar, gauss_panels, inv, lu_solve, mat_func, solve_right
+from .numerics import _ik_scalar, inv, lu_solve, mat_func, solve_right
 from .spectral import SpectralData, build_spectral
 
 __all__ = [
@@ -65,14 +65,14 @@ class AuxChain:
 
     h1..h8 express F(k) and F'(k-) through F'(0); h9..h14 express F'(k+)
     through F(k), F'(0) and the tail constant; h15/h16 solve the glued system
-    for F'(0); h17..h20 give the limit F(inf).
+    for F'(0); h19/h20 give the limit F(inf).
     """
 
     h1: np.ndarray; h2: np.ndarray; h3: np.ndarray; h4: np.ndarray
     h5: np.ndarray; h6: np.ndarray; h7: np.ndarray; h8: np.ndarray
     h9: np.ndarray; h10: np.ndarray; h11: np.ndarray; h12: np.ndarray
     h13: np.ndarray; h14: np.ndarray; h15: np.ndarray; h16: np.ndarray
-    h17: np.ndarray; h18: np.ndarray; h19: np.ndarray; h20: np.ndarray
+    h19: np.ndarray; h20: np.ndarray
 
 
 def _expm(sm, x: float) -> np.ndarray:
@@ -129,7 +129,7 @@ def h_chain(
     h20 = h16 @ h17 - h18
 
     return AuxChain(h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
-                    h11, h12, h13, h14, h15, h16, h17, h18, h19, h20)
+                    h11, h12, h13, h14, h15, h16, h19, h20)
 
 
 @dataclass(frozen=True)
@@ -192,12 +192,8 @@ class StationarySolution:
     f_prime_at_k: np.ndarray
     alpha0: np.ndarray
     alpha1: np.ndarray
-    alpha2: np.ndarray
-    m0: np.ndarray
     m1: np.ndarray
-    m2: np.ndarray
     h: AuxChain
-    h_hat: tuple[np.ndarray, ...]
     f_infinity: np.ndarray
     expansion: ScalarMixture            # F as explicit exponential terms
     warnings: tuple[str, ...] = ()
@@ -336,12 +332,8 @@ def solve(params: QueueParams) -> StationarySolution:
         f_prime_at_k=f_prime_at_k,
         alpha0=alpha0,
         alpha1=alpha1,
-        alpha2=alpha2,
-        m0=m0,
         m1=m1,
-        m2=m2,
         h=h,
-        h_hat=tuple(h_hat),
         f_infinity=f_infinity,
         expansion=_expand(params, matrices, spectral, f_prime_0, alpha0 @ m0,
                           f_at_k, f_infinity, alpha2, m2),
@@ -411,19 +403,42 @@ def _balance_residual(sol: StationarySolution) -> float:
     return worst
 
 
+def _phi(z: np.ndarray) -> np.ndarray:
+    """expm1(z)/z for z <= 0, continued by 1 at z = 0."""
+    safe = np.where(z < 0.0, z, -1.0)
+    return np.where(z < 0.0, np.expm1(safe) / safe, 1.0)
+
+
+def _lower_convolution(sol: StationarySolution, x: float) -> np.ndarray:
+    """int_0^x F(y) B1 Q1(x-y) dy in closed form.
+
+    B1 Q1(s) = diag(e^{-a s}) B1 with a = mu1 + diag(Delta_{c-1}), and the
+    lower branch of F sums w_i (e^{r_i y} - 1), so the convolution is
+    (sum_i w_i * g_i(x)) @ B1 with
+    g_ij = int_0^x (e^{r_i y} - 1) e^{-a_j (x-y)} dy
+         = x (e^{max(r_i, -a_j) x} phi(-|r_i + a_j| x) - phi(-a_j x)),
+    phi(z) = expm1(z)/z (1 at z = 0).  phi only ever sees nonpositive
+    arguments and the exponential grows no faster than F's own terms.
+    """
+    m, mix = sol.matrices, sol.expansion
+    a = sol.params.mu1 + np.diag(m.delta[sol.params.c - 1])
+    r = mix.lower_rates[:, None]
+    g = x * (np.exp(np.maximum(r, -a) * x) * _phi(-np.abs(r + a) * x) - _phi(-a * x))
+    return (mix.lower_weights * g).sum(axis=0) @ m.b1
+
+
 def _integro_residual(sol: StationarySolution, xs: np.ndarray) -> float:
     # Residual of the renewal-style identity below the threshold:
     # F'(x) = lam F(x) - lam int_0^x F(y) B1 Q1(x-y) dy + F'(0)
     #         - lam pi_top B1 (I - Q1(x)) D1^{-1}.
+    # B1 Q1(s) = diag(e^{-a s}) B1 turns the convolution into scalar
+    # integrals of the mixture's terms, done exactly in _lower_convolution.
     m, lam = sol.matrices, sol.params.lam
     pi_top = sol.pi_levels[-1]
     d1_inv = m.d_tilde_1_inv
     worst = 0.0
     for x in xs:
-        conv = gauss_panels(
-            lambda y: eval_cdf(sol, y)[0] @ m.b1 @ tilde_q(1, x - y, m), 0.0, float(x)
-        )
-        rhs = (lam * eval_cdf(sol, x)[0] - lam * conv + sol.f_prime_0
+        rhs = (lam * eval_cdf(sol, x)[0] - lam * _lower_convolution(sol, x) + sol.f_prime_0
                - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(1, x, m)) @ d1_inv)
         worst = max(worst, float(np.max(np.abs(eval_density(sol, x) - rhs))))
     return worst

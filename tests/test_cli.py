@@ -51,6 +51,14 @@ class TestSolve:
         assert code == 2
         assert "Degenerate" in err and "mu1" in err
 
+    def test_csv_warnings_on_stderr(self, capsys):
+        # degraded c = 24 solve: stdout stays pure CSV, the warning goes to stderr
+        _, out, err = run(capsys, ["solve", "--c", "24", "--lambda", "16.799999999999997",
+                                   "--mu1", "0.8", "--mu2", "1", "--k", "0.5",
+                                   "--grid-points", "5"])
+        assert "warning: IllConditioned" in err
+        assert "IllConditioned" not in out
+
     def test_csv_reemission_idempotent(self, capsys):
         _, out, _ = run(capsys, GOLDEN + ["--grid-points", "9"])
         lines = out.strip().splitlines()

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from vqt.errors import DivergentIntegral, RepeatedDiagonal, Singular
-from vqt.numerics import (
-    _ik_scalar,
-    gauss_panels,
-    inv,
-    lu_solve,
-    mat_func,
-    tri_eigen,
-)
+from vqt.errors import DivergentIntegral, Singular
+from vqt.numerics import EigenSystem, _ik_scalar, inv, lu_solve, mat_func
 
 
 def expm_reference(a: np.ndarray) -> np.ndarray:
@@ -29,6 +22,12 @@ def expm_reference(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def eigen_system(t: np.ndarray) -> EigenSystem:
+    """Left eigendecomposition of t with real spectrum, from numpy."""
+    values, right = np.linalg.eig(t)
+    return EigenSystem(values.real, np.linalg.inv(right).real, right.real)
 
 
 class TestLuSolve:
@@ -66,53 +65,21 @@ class TestLuSolve:
         assert np.abs(a @ lu_solve(a, b) - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
 
 
-class TestTriEigen:
-    def test_diagonal_matrix(self):
-        es = tri_eigen(np.diag([1.0, 2.0, 3.0]), "upper")
-        assert np.array_equal(es.values, [1.0, 2.0, 3.0])
-        assert np.array_equal(es.left_vectors, np.eye(3))
-
-    def test_upper_2x2(self):
-        t = np.array([[1.0, 1.0], [0.0, 2.0]])
-        es = tri_eigen(t, "upper")
-        for v, lam in zip(es.left_vectors, es.values):
-            assert np.abs(v @ t - lam * v).max() < 1e-12
-
-    def test_lower_mirror(self):
-        t = np.array([[1.0, 0.0], [1.0, 2.0]])
-        es = tri_eigen(t, "lower")
-        for v, lam in zip(es.left_vectors, es.values):
-            assert np.abs(v @ t - lam * v).max() < 1e-12
-
-    def test_multiply_back_random(self):
-        rng = np.random.default_rng(3)
-        t = np.triu(rng.normal(size=(6, 6)))
-        t[np.diag_indices(6)] = np.arange(1.0, 7.0)
-        es = tri_eigen(t, "upper")
-        res = es.left_vectors @ t - es.values[:, None] * es.left_vectors
-        assert np.abs(res).max() < 1e-10 * np.abs(t).max()
-        assert np.abs(es.left_vectors @ es.inverse_vectors - np.eye(6)).max() < 1e-10
-
-    def test_repeated_diagonal_raises(self):
-        with pytest.raises(RepeatedDiagonal):
-            tri_eigen(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]]), "upper")
-
-
 class TestMatFunc:
     def test_identity_function_reconstructs(self):
         rng = np.random.default_rng(5)
         t = np.triu(rng.normal(size=(5, 5)))
         t[np.diag_indices(5)] = [1, 2, 3, 4, 5]
-        es = tri_eigen(t, "upper")
+        es = eigen_system(t)
         assert np.abs(mat_func(es, lambda v: v) - t).max() < 1e-10 * np.abs(t).max()
 
     def test_exp_diagonal(self):
-        es = tri_eigen(np.diag([0.0, np.log(2.0)]), "upper")
+        es = eigen_system(np.diag([0.0, np.log(2.0)]))
         assert np.allclose(mat_func(es, np.exp), np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_exp_vs_scaling_squaring(self):
         t = np.array([[0.5, 0.3, -0.2], [0.0, -0.7, 0.4], [0.0, 0.0, 1.1]])
-        es = tri_eigen(t, "upper")
+        es = eigen_system(t)
         got = mat_func(es, np.exp)
         ref = expm_reference(t)
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
@@ -121,7 +88,7 @@ class TestMatFunc:
     @settings(max_examples=40, deadline=None)
     def test_semigroup_property(self, x, y):
         t = np.array([[-0.4, 0.8, 0.1], [0.0, -1.0, 0.3], [0.0, 0.0, -0.2]])
-        es = tri_eigen(t, "upper")
+        es = eigen_system(t)
         exy = mat_func(es, lambda v: np.exp(v * (x + y)))
         ex = mat_func(es, lambda v: np.exp(v * x))
         ey = mat_func(es, lambda v: np.exp(v * y))
@@ -163,11 +130,6 @@ class TestIKernel:
         right = _ik_scalar(value, mid, hi)
         full = _ik_scalar(value, lo, hi)
         assert abs(left + right - full) <= 1e-9 * max(1.0, abs(full))
-
-
-def test_gauss_panels_known_integral():
-    got = gauss_panels(lambda x: np.array([np.sin(x)]), 0.0, np.pi)
-    assert abs(got[0] - 2.0) < 1e-12
 
 
 def test_inv_roundtrip():

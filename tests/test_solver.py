@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vqt.model import build_matrices, validate_params
+from vqt.model import build_matrices, tilde_q, validate_params
 from vqt.numerics import cond_1norm, inv
 from vqt.reference import erlang_c_prob
 from vqt.solver import (
+    _lower_convolution,
     eval_cdf,
     eval_density,
     h_chain,
@@ -282,6 +284,32 @@ class TestVerifySolution:
             + (s.alpha1 @ s.m1).sum() + s.p_wait_zero - 1.0
         )
         assert residual > 1e-5
+
+    @pytest.mark.parametrize("args", [(3, 2.0, 0.8, 0.7, 5.0), (8, 5.6, 0.8, 1.0, 0.5)])
+    def test_exact_convolution_vs_quadrature(self, args):
+        s = solve(validate_params(*args))
+        m, k = s.matrices, s.params.k
+        for x in (0.05 * k, 0.3 * k, 0.71 * k, k):
+            exact = _lower_convolution(s, x)
+            ref = np.array([
+                quad(lambda y: (eval_cdf(s, y)[0] @ m.b1 @ tilde_q(1, x - y, m))[j],
+                     0.0, x, epsabs=1e-16, epsrel=1e-13)[0]
+                for j in range(s.params.c)
+            ])
+            assert np.abs(exact - ref).max() < 1e-11 * np.abs(ref).max()
+
+    def test_wrong_mixture_row_breaks_integro_identity(self, two_server_solution):
+        s = two_server_solution
+        mix = s.expansion
+        base = verify_solution(s, rng=0).residuals["integro_differential"]
+        assert base < 1e-14
+        for i in np.flatnonzero(mix.lower_rates):   # rate-0 rows cancel in F
+            weights = mix.lower_weights.copy()
+            weights[i] *= 1.001
+            wrong = dataclasses.replace(
+                s, expansion=dataclasses.replace(mix, lower_weights=weights))
+            bad = verify_solution(wrong, rng=0).residuals["integro_differential"]
+            assert bad > 1e4 * base
 
 
 class TestTailRate:
