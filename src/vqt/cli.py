@@ -28,8 +28,7 @@ from .model import inspect_params, validate_params
 from .reference import erlang_c
 from .simulator import SimConfig, simulate_replicated
 
-__all__ = ["main", "run_solve", "run_validate", "run_sweep", "GridSpec",
-           "OutputRecord"]
+__all__ = ["main", "run_solve", "run_validate", "run_sweep", "GridSpec"]
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -124,16 +123,6 @@ class GridSpec:
         return grid
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted grid row."""
-
-    x: float
-    components: np.ndarray | None   # None on the Erlang route
-    cdf: float
-    pdf: float
-
-
 def _solve_or_route(c: int, lam: float, mu1: float, mu2: float,
                     k: float) -> tuple[object, str]:
     """Return (solution, model_tag); equal rates go to the Erlang reduction."""
@@ -178,18 +167,17 @@ def run_solve(args) -> int:
     grid = spec.build(args.k)
 
     if model == "erlang_c":
-        rows = [OutputRecord(x, None, sol.cdf(x), sol.density(x)) for x in grid]
+        comps = None
+        cdf = np.array([sol.cdf(x) for x in grid])
+        pdf = np.array([sol.density(x) for x in grid])
         mean = sol.mean() if args.mean else None
         payload_extra = {"model": "erlang_c", "p_wait": sol.c_prob}
         pi_nested = None
         b_c = None
         mixture = None
     else:
-        rows = []
-        for x in grid:
-            comps, total = solver.eval_cdf(sol, x)
-            rows.append(OutputRecord(
-                x, comps, total, float(solver.eval_density(sol, x).sum())))
+        comps, cdf = solver.eval_cdf(sol, grid)
+        pdf = solver.eval_density(sol, grid).sum(axis=1)
         mean = solver.mean_wait(sol) if args.mean else None
         payload_extra = {"model": "threshold"}
         pi_nested = [
@@ -199,23 +187,25 @@ def run_solve(args) -> int:
         ]
         b_c = sol.b_c
         mixture = _mixture_payload(sol.mixture()) if args.mixture else None
+    # The residual report draws its interior points from a fixed seed, so
+    # the same command prints the same residuals.
+    report = (solver.verify_solution(sol, rng=0)
+              if args.verify and model == "threshold" else None)
 
     if args.format == "csv":
         # JSON carries the warnings in its payload; CSV has no field for them.
         for w in sol.warnings if model == "threshold" else ():
             print(f"warning: {w}", file=sys.stderr)
-        lines = []
-        if model == "erlang_c":
-            lines.append("# model=erlang_c")
-            lines.append("x,cdf,pdf")
-            for r in rows:
-                lines.append(f"{_fmt(r.x)},{_fmt(r.cdf)},{_fmt(r.pdf)}")
+        if comps is None:
+            lines = ["# model=erlang_c", "x,cdf,pdf"]
+            table = np.column_stack([grid, cdf, pdf])
         else:
             header = ",".join(f"F_{i}" for i in range(args.c))
-            lines.append(f"x,{header},cdf,pdf")
-            for r in rows:
-                comp_txt = ",".join(_fmt(v) for v in r.components)
-                lines.append(f"{_fmt(r.x)},{comp_txt},{_fmt(r.cdf)},{_fmt(r.pdf)}")
+            lines = [f"x,{header},cdf,pdf"]
+            table = np.column_stack([grid, comps, cdf, pdf])
+        # "%.15g" % v renders exactly as _fmt(v)
+        row = ",".join(["%.15g"] * table.shape[1])
+        lines += [row % tuple(values) for values in table.tolist()]
         if mean is not None:
             lines.append(f"# mean={_fmt(mean)}")
         for branch, part in (mixture or {}).items():
@@ -224,11 +214,10 @@ def run_solve(args) -> int:
                 lines.append(f"# mixture,{branch},rate={_fmt(t['rate'])},weights={w}")
             w = ";".join(_fmt(v) for v in part["constant"])
             lines.append(f"# mixture,{branch},constant,weights={w}")
-        if args.verify and model == "threshold":
-            rep = solver.verify_solution(sol)
-            for name, value in rep.residuals.items():
+        if report is not None:
+            for name, value in report.residuals.items():
                 lines.append(f"# residual,{name},{_fmt(value)}")
-            for w in rep.warnings:
+            for w in report.warnings:
                 lines.append(f"# warning,{w}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
@@ -237,21 +226,21 @@ def run_solve(args) -> int:
         "params": {"c": args.c, "lambda": args.lam, "mu1": args.mu1,
                    "mu2": args.mu2, "k": args.k},
         **payload_extra,
-        "grid": [float(r.x) for r in rows],
-        "cdf": [float(r.cdf) for r in rows],
-        "pdf": [float(r.pdf) for r in rows],
+        "grid": grid.tolist(),
+        "cdf": cdf.tolist(),
+        "pdf": pdf.tolist(),
     }
     if model == "threshold":
         payload["pi"] = pi_nested
         payload["b_c"] = b_c
-        payload["components"] = [[float(v) for v in r.components] for r in rows]
+        payload["components"] = comps.tolist()
         payload["warnings"] = list(sol.warnings)
     if mean is not None:
         payload["mean"] = mean
     if mixture is not None:
         payload["mixture"] = mixture
-    if args.verify and model == "threshold":
-        payload["residuals"] = solver.verify_solution(sol).residuals
+    if report is not None:
+        payload["residuals"] = report.residuals
     _emit(json.dumps(payload, indent=1) + "\n", args.out)
     return 0
 
@@ -274,7 +263,7 @@ def run_validate(args) -> int:
         analytic = [sol.cdf(x) for x in sorted(grid)]
         mean = sol.mean()
     else:
-        analytic = [solver.eval_cdf(sol, x)[1] for x in sorted(grid)]
+        analytic = solver.eval_cdf(sol, sorted(grid))[1].tolist()
         mean = solver.mean_wait(sol)
 
     lines = ["x,analytic_cdf,sim_cdf,half_width,z"]

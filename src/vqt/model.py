@@ -206,15 +206,17 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
     )
 
 
-def tilde_q(kappa: int, x: float, m: ModelMatrices) -> np.ndarray:
-    """exp(-D_tilde_kappa * x) for x >= 0.
+def tilde_q(kappa: int, x, m: ModelMatrices) -> np.ndarray:
+    """exp(-D_tilde_kappa * x) for x >= 0: shape (c, c) for a scalar x,
+    (N, c, c) for an (N,) array of points.
 
     Computed exactly through the defining conjugation: since
     D_tilde_k = mu_k I + B_k^{-1} Delta_{c-1} B_k, the exponential is
     e^{-mu_k x} B_k^{-1} exp(-Delta_{c-1} x) B_k with a purely diagonal
     inner exponential.  No eigensolve, so near-equal rates cost nothing.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)[..., None]
+    if (x < 0).any():
         raise ValueError("x must be >= 0")
     if kappa == 1:
         b, b_inv, mu = m.b1, m.b1_inv, m.params.mu1
@@ -223,7 +225,7 @@ def tilde_q(kappa: int, x: float, m: ModelMatrices) -> np.ndarray:
     else:
         raise ValueError("kappa must be 1 or 2")
     core = np.exp(-np.diag(m.delta[m.c - 1]) * x)
-    return math.exp(-mu * x) * (b_inv @ (core[:, None] * b))
+    return np.exp(-mu * x)[..., None] * (b_inv @ (core[..., None] * b))
 
 
 def class_swap_matrix(params: QueueParams) -> np.ndarray:

@@ -65,14 +65,16 @@ class AuxChain:
 
     h1..h8 express F(k) and F'(k-) through F'(0); h9..h14 express F'(k+)
     through F(k), F'(0) and the tail constant; h15/h16 solve the glued system
-    for F'(0); h19/h20 give the limit F(inf).
+    for F'(0); h19/h20 give the limit F(inf).  dm2 = (D_tilde_1 - D_tilde_2) M2
+    is the threshold-memory factor behind h9, which the mixture's upper
+    branch reuses.
     """
 
     h1: np.ndarray; h2: np.ndarray; h3: np.ndarray; h4: np.ndarray
     h5: np.ndarray; h6: np.ndarray; h7: np.ndarray; h8: np.ndarray
     h9: np.ndarray; h10: np.ndarray; h11: np.ndarray; h12: np.ndarray
     h13: np.ndarray; h14: np.ndarray; h15: np.ndarray; h16: np.ndarray
-    h19: np.ndarray; h20: np.ndarray
+    h19: np.ndarray; h20: np.ndarray; dm2: np.ndarray
 
 
 def _expm(sm, x: float) -> np.ndarray:
@@ -129,7 +131,7 @@ def h_chain(
     h20 = h16 @ h17 - h18
 
     return AuxChain(h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
-                    h11, h12, h13, h14, h15, h16, h19, h20)
+                    h11, h12, h13, h14, h15, h16, h19, h20, dm2)
 
 
 @dataclass(frozen=True)
@@ -163,19 +165,50 @@ class ScalarMixture:
     def upper_terms(self) -> tuple[MixtureTerm, ...]:
         return tuple(map(MixtureTerm, self.upper_rates.tolist(), self.upper_weights))
 
-    def components(self, x: float) -> np.ndarray:
-        """F(x).  Since F(0) = 0, the lower constant is minus the sum of the
-        lower weights, so the lower branch sums w (e^{rx} - 1) and vanishes
-        exactly at x = 0."""
-        if x <= self.k:
-            return np.expm1(self.lower_rates * x) @ self.lower_weights
-        return self.upper_constant + np.exp(self.upper_rates * (x - self.k)) @ self.upper_weights
+    def components(self, x):
+        """F(x): shape (c,) for a scalar x, x.shape + (c,) for an array.
 
-    def density(self, x: float) -> np.ndarray:
-        """F'(x); at x = k the lower branch is used."""
-        if x <= self.k:
-            return (self.lower_rates * np.exp(self.lower_rates * x)) @ self.lower_weights
-        return (self.upper_rates * np.exp(self.upper_rates * (x - self.k))) @ self.upper_weights
+        Since F(0) = 0, the lower constant is minus the sum of the lower
+        weights, so the lower branch sums w (e^{rx} - 1) and vanishes exactly
+        at x = 0.
+        """
+        if isinstance(x, float):        # one-point fast path
+            if x <= self.k:
+                return np.expm1(self.lower_rates * x) @ self.lower_weights
+            return self.upper_constant + np.exp(self.upper_rates * (x - self.k)) @ self.upper_weights
+        out, below, x_lo, x_up = self._split(x)
+        out[below] = _rows(np.expm1(self.lower_rates * x_lo), self.lower_weights)
+        out[~below] = self.upper_constant + _rows(np.exp(self.upper_rates * x_up),
+                                                  self.upper_weights)
+        return out
+
+    def density(self, x):
+        """F'(x), shaped as ``components``; at x = k the lower branch is used."""
+        if isinstance(x, float):
+            if x <= self.k:
+                return (self.lower_rates * np.exp(self.lower_rates * x)) @ self.lower_weights
+            return (self.upper_rates * np.exp(self.upper_rates * (x - self.k))) @ self.upper_weights
+        out, below, x_lo, x_up = self._split(x)
+        out[below] = _rows(self.lower_rates * np.exp(self.lower_rates * x_lo),
+                           self.lower_weights)
+        out[~below] = _rows(self.upper_rates * np.exp(self.upper_rates * x_up),
+                            self.upper_weights)
+        return out
+
+    def _split(self, x):
+        """Output buffer, lower-branch mask, and the points of each branch as
+        columns (the upper ones offset by k)."""
+        x = np.asarray(x, dtype=float)
+        below = x <= self.k
+        out = np.empty(x.shape + self.upper_constant.shape)
+        return out, below, x[below][:, None], (x[~below] - self.k)[:, None]
+
+
+def _rows(e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise e[n] @ w.  The stacked 1 x m @ m x c products take the same
+    gemv as a one-point call, so every row is bit-identical to it; a plain
+    e @ w goes to gemm and moves the last digits."""
+    return (e[:, None, :] @ w)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -230,7 +263,7 @@ def _expand(
     f_at_k: np.ndarray,
     f_infinity: np.ndarray,
     alpha2: np.ndarray,
-    m2: np.ndarray,
+    dm2: np.ndarray,
 ) -> ScalarMixture:
     """Expand both branches into explicit (rate, weight-vector) terms.
 
@@ -249,7 +282,6 @@ def _expand(
 
     # Coefficient row of e^{U2- (x-k)}; the tail constant is F(inf) itself
     # (the b_c convention cancels there).
-    dm2 = (m.d_tilde_1 - m.d_tilde_2) @ m2
     tail_head = f_at_k - f_infinity - alpha2 @ dm2
     b_minus = tail_head @ sp.u2_minus.eig.inverse_vectors
     # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
@@ -336,24 +368,42 @@ def solve(params: QueueParams) -> StationarySolution:
         h=h,
         f_infinity=f_infinity,
         expansion=_expand(params, matrices, spectral, f_prime_0, alpha0 @ m0,
-                          f_at_k, f_infinity, alpha2, m2),
+                          f_at_k, f_infinity, alpha2, h.dm2),
         warnings=spectral.warnings,
     )
 
 
-def eval_cdf(sol: StationarySolution, x: float) -> tuple[np.ndarray, float]:
-    """Component vector F(x) and the total P(W <= x)."""
-    if x < 0:
+def _nonnegative(x):
+    """A float as is, anything else as a float array; raise on any negative
+    point."""
+    if isinstance(x, float):
+        negative = x < 0
+    else:
+        x = np.asarray(x, dtype=float)
+        negative = (x < 0).any()
+    if negative:
         raise ValueError("x must be >= 0")
+    return x
+
+
+def eval_cdf(sol: StationarySolution, x):
+    """Component vector F(x) and the total P(W <= x).
+
+    A scalar x gives shapes (c,) and float; an (N,) array of points gives
+    (N, c) and (N,), each row equal to the one-point call.
+    """
+    x = _nonnegative(x)
     comps = sol.expansion.components(x)
-    return comps, sol.p_wait_zero + float(comps.sum())
+    if comps.ndim == 1:
+        # np.add.reduce is comps.sum() without its Python-level wrapper
+        return comps, sol.p_wait_zero + float(np.add.reduce(comps))
+    return comps, sol.p_wait_zero + comps.sum(axis=-1)
 
 
-def eval_density(sol: StationarySolution, x: float) -> np.ndarray:
-    """Component vector F'(x); at x = k both one-sided limits agree."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return sol.expansion.density(x)
+def eval_density(sol: StationarySolution, x) -> np.ndarray:
+    """Component vector F'(x), shape (c,) or (N, c) as in ``eval_cdf``; at
+    x = k both one-sided limits agree."""
+    return sol.expansion.density(_nonnegative(x))
 
 
 def mean_wait(sol: StationarySolution) -> float:
@@ -409,8 +459,8 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.where(z < 0.0, np.expm1(safe) / safe, 1.0)
 
 
-def _lower_convolution(sol: StationarySolution, x: float) -> np.ndarray:
-    """int_0^x F(y) B1 Q1(x-y) dy in closed form.
+def _lower_convolution(sol: StationarySolution, x) -> np.ndarray:
+    """int_0^x F(y) B1 Q1(x-y) dy in closed form, shaped as ``eval_cdf``'s F.
 
     B1 Q1(s) = diag(e^{-a s}) B1 with a = mu1 + diag(Delta_{c-1}), and the
     lower branch of F sums w_i (e^{r_i y} - 1), so the convolution is
@@ -423,8 +473,9 @@ def _lower_convolution(sol: StationarySolution, x: float) -> np.ndarray:
     m, mix = sol.matrices, sol.expansion
     a = sol.params.mu1 + np.diag(m.delta[sol.params.c - 1])
     r = mix.lower_rates[:, None]
+    x = np.asarray(x, dtype=float)[..., None, None]
     g = x * (np.exp(np.maximum(r, -a) * x) * _phi(-np.abs(r + a) * x) - _phi(-a * x))
-    return (mix.lower_weights * g).sum(axis=0) @ m.b1
+    return (mix.lower_weights * g).sum(axis=-2) @ m.b1
 
 
 def _integro_residual(sol: StationarySolution, xs: np.ndarray) -> float:
@@ -433,15 +484,13 @@ def _integro_residual(sol: StationarySolution, xs: np.ndarray) -> float:
     #         - lam pi_top B1 (I - Q1(x)) D1^{-1}.
     # B1 Q1(s) = diag(e^{-a s}) B1 turns the convolution into scalar
     # integrals of the mixture's terms, done exactly in _lower_convolution.
+    # Every term is evaluated at all points at once, one row per point.
     m, lam = sol.matrices, sol.params.lam
     pi_top = sol.pi_levels[-1]
-    d1_inv = m.d_tilde_1_inv
-    worst = 0.0
-    for x in xs:
-        rhs = (lam * eval_cdf(sol, x)[0] - lam * _lower_convolution(sol, x) + sol.f_prime_0
-               - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(1, x, m)) @ d1_inv)
-        worst = max(worst, float(np.max(np.abs(eval_density(sol, x) - rhs))))
-    return worst
+    rhs = (lam * eval_cdf(sol, xs)[0] - lam * _lower_convolution(sol, xs) + sol.f_prime_0
+           - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(1, xs, m))
+           @ m.d_tilde_1_inv)
+    return float(np.max(np.abs(eval_density(sol, xs) - rhs)))
 
 
 def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from vqt.cli import main
+from vqt.cli import GridSpec, main
+from vqt.model import validate_params
+from vqt.solver import eval_cdf, eval_density, solve
 
 GOLDEN = ["solve", "--c", "2", "--lambda", "2", "--mu1", "0.75", "--mu2", "1.12",
           "--k", "0.45"]
@@ -81,6 +83,42 @@ class TestSolve:
         assert payload["pi"][1][0] == pytest.approx(0.0435035, abs=5e-5)
         assert max(payload["residuals"].values()) < 1e-8
         assert 0.45 in payload["grid"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_reproducible_byte_identical(self, capsys, fmt):
+        argv = ["solve", "--c", "8", "--lambda", "5.6", "--mu1", "0.8", "--mu2", "1",
+                "--k", "0.5", "--grid-points", "3", "--verify", "--format", fmt]
+        _, out1, _ = run(capsys, argv)
+        _, out2, _ = run(capsys, argv)
+        assert "integro_differential" in out1
+        assert out1 == out2
+
+    @pytest.mark.parametrize("c, lam", [(2, 1.4), (8, 5.6)])
+    def test_grid_equals_per_point_rendering(self, capsys, c, lam):
+        # The grid evaluated one point at a time and rendered value by value,
+        # against the CLI's one-call grid.
+        argv = ["solve", "--c", str(c), "--lambda", str(lam), "--mu1", "0.8",
+                "--mu2", "1", "--k", "0.5", "--mean", "--mixture"]
+        sol = solve(validate_params(c, lam, 0.8, 1.0, 0.5))
+        grid = GridSpec(x_max=5.0, points=400).build(0.5)
+        comps = [eval_cdf(sol, x)[0] for x in grid]
+        cdf = [eval_cdf(sol, x)[1] for x in grid]
+        pdf = [float(eval_density(sol, x).sum()) for x in grid]
+        rows = [",".join(f"{v:.15g}" for v in (x, *f, t, d))
+                for x, f, t, d in zip(grid, comps, cdf, pdf)]
+
+        _, out, _ = run(capsys, argv)
+        lines = out.split("\n")
+        assert lines[1:len(grid) + 1] == rows
+        assert lines[len(grid) + 1].startswith("# mean=")
+
+        _, out, _ = run(capsys, argv + ["--format", "json"])
+        expected = json.loads(out)
+        expected["grid"] = [float(x) for x in grid]
+        expected["cdf"] = [float(t) for t in cdf]
+        expected["pdf"] = pdf
+        expected["components"] = [[float(v) for v in f] for f in comps]
+        assert out == json.dumps(expected, indent=1) + "\n"
 
     def test_log_spacing(self, capsys):
         _, out, _ = run(capsys, GOLDEN + ["--spacing", "log", "--grid-points", "5"])

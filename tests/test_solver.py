@@ -267,6 +267,48 @@ class TestScalarMixture:
         assert np.allclose(mix.upper_constant, two_server_solution.f_infinity, atol=0)
 
 
+@pytest.mark.parametrize("c", [1, 2, 8, 16])
+class TestArrayEvaluators:
+    @staticmethod
+    def solution(c):
+        return solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5))
+
+    def test_rows_equal_one_point_calls(self, c):
+        s = self.solution(c)
+        k = s.params.k
+        xs = np.unique(np.concatenate([np.linspace(0.0, 10 * k, 41), [k]]))
+        assert xs[0] == 0.0 and k in xs
+        comps, totals = eval_cdf(s, xs)
+        assert np.array_equal(comps, np.array([eval_cdf(s, x)[0] for x in xs]))
+        assert np.array_equal(totals, np.array([eval_cdf(s, x)[1] for x in xs]))
+        assert np.array_equal(eval_density(s, xs),
+                              np.array([eval_density(s, x) for x in xs]))
+        assert np.array_equal(tilde_q(1, xs, s.matrices),
+                              np.array([tilde_q(1, x, s.matrices) for x in xs]))
+
+    def test_shapes(self, c):
+        s = self.solution(c)
+        comps, total = eval_cdf(s, 0.3)
+        assert comps.shape == (c,) and isinstance(total, float)
+        assert eval_density(s, 0.3).shape == (c,)
+        assert tilde_q(2, 0.3, s.matrices).shape == (c, c)
+        xs = np.linspace(0.0, 2.0, 7)
+        comps, totals = eval_cdf(s, xs)
+        assert comps.shape == (7, c) and totals.shape == (7,)
+        assert eval_density(s, xs).shape == (7, c)
+        assert tilde_q(2, xs, s.matrices).shape == (7, c, c)
+
+    def test_negative_entry_raises(self, c):
+        s = self.solution(c)
+        xs = np.array([0.0, 0.2, -1e-12, 1.0])
+        with pytest.raises(ValueError):
+            eval_cdf(s, xs)
+        with pytest.raises(ValueError):
+            eval_density(s, xs)
+        with pytest.raises(ValueError):
+            tilde_q(1, xs, s.matrices)
+
+
 class TestVerifySolution:
     def test_worked_example_residuals(self, two_server_solution):
         rep = verify_solution(two_server_solution, rng=0)
