@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,7 +65,10 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="append the residual report")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by every
+    call in the process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="vqt",
         description="Stationary virtual-queueing-time distribution of an "

@@ -7,11 +7,19 @@ eigenbasis; plus the scalar moment kernel int_a^b t x e^(tx) dx of one
 exponential term.  All matrices in this package are triangular or similar
 to a triangular matrix with a spectrum that is known in closed form, so
 matrix functions never need Pade or Schur machinery.
+
+The LU solve keeps its scaled pivot test everywhere, because that test is
+what rejects ill-conditioned inputs.  Upper-triangular inputs (B1, the M0
+argument, U1+ - U1-, the boundary recursion's level matrices) skip the
+elimination and the forward pass: their pivots never leave the diagonal and
+both passes only subtract exact zero products, so back substitution alone
+gives the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -50,6 +58,13 @@ def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max() * np.abs(a_inv).sum(axis=0).max())
 
 
+def _pivot_error(pivot: float, column: int) -> Singular:
+    return Singular(
+        f"pivot {pivot:.3e} below {_PIVOT_TOL:.0e} of its row "
+        f"scale at column {column}"
+    )
+
+
 def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU with scaled partial pivoting; returns (packed LU, permutation).
 
@@ -68,34 +83,79 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     perm = np.arange(n)
     for j in range(n):
         scaled = np.abs(a[j:, j]) / row_scale[j:]
-        p = j + int(np.argmax(scaled))
+        p = j + int(scaled.argmax())
         if scaled[p - j] < _PIVOT_TOL:
-            raise Singular(
-                f"pivot {a[p, j]:.3e} below {_PIVOT_TOL:.0e} of its row "
-                f"scale at column {j}"
-            )
+            raise _pivot_error(a[p, j], j)
         if p != j:
             a[[j, p]] = a[[p, j]]
             row_scale[[j, p]] = row_scale[[p, j]]
             perm[[j, p]] = perm[[p, j]]
         a[j + 1:, j] /= a[j, j]
-        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j, j + 1:])
+        a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
     return a, perm
 
 
+@cache
+def _strict_lower(n: int) -> np.ndarray:
+    """Flat indices of the strictly lower triangle of an n x n matrix."""
+    rows, cols = np.tril_indices(n, -1)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
+
+
+def _takes_upper_shortcut(a: np.ndarray, x: np.ndarray) -> bool:
+    """Whether a is square, finite and exactly zero below its diagonal, and
+    x is finite with one row per row of a: then the pivoted path only ever
+    subtracts exact zeros."""
+    n = len(x)
+    return (a.shape == (n, n) and not a.take(_strict_lower(n)).any()
+            and np.isfinite(a).all() and np.isfinite(x).all())
+
+
+def _check_diagonal_pivots(a: np.ndarray) -> None:
+    """lu_factor's tests for an upper-triangular a, whose pivot is always
+    the diagonal entry: the zero-row check, then the first diagonal entry
+    below 1e-14 of its row scale raises the same Singular."""
+    row_scale = np.abs(a).max(axis=1)
+    if row_scale.min() == 0.0:
+        raise Singular("matrix has a zero row")
+    scaled = np.abs(a.diagonal()) / row_scale
+    if scaled.min() < _PIVOT_TOL:
+        j = int((scaled < _PIVOT_TOL).argmax())
+        raise _pivot_error(a[j, j], j)
+
+
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by partial-pivot LU; b may have several columns."""
-    lu, perm = lu_factor(a)
+    """Solve a @ x = b by scaled partial-pivot LU; b may have several columns.
+
+    A finite upper-triangular a with a finite b goes straight to back
+    substitution after lu_factor's pivot tests.  Scaled partial pivoting
+    keeps every pivot of such a matrix on the diagonal (the entries below it
+    are zero), so its multipliers are zero and the elimination and the
+    unit-lower forward pass only subtract exact zero products; skipping them
+    changes no value.  A non-finite entry would turn 0 * inf into NaN there,
+    so such inputs keep the full path.  Lower-triangular and full matrices
+    are factored with pivoting: with nonzeros below the diagonal the scaled
+    test can pick another row (B2 already swaps rows at c = 7 with
+    lam = 0.7c, mu1 = 0.8, mu2 = 1), and a swap changes the arithmetic.
+    """
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     vector = b.ndim == 1
-    x = b.reshape(len(b), -1)[perm].astype(float)
-    n = lu.shape[0]
-    for j in range(n):          # forward: L y = P b, unit diagonal
-        x[j + 1:] -= np.outer(lu[j + 1:, j], x[j])
-    for j in range(n - 1, -1, -1):  # backward: U x = y
+    x = b.reshape(len(b), -1)
+    if _takes_upper_shortcut(a, x):
+        _check_diagonal_pivots(a)
+        lu, x = a, x.copy()
+    else:
+        lu, perm = lu_factor(a)
+        x = x[perm]
+        for j in range(len(lu)):        # forward: L y = P b, unit diagonal
+            x[j + 1:] -= lu[j + 1:, j, None] * x[j]
+    for j in range(len(lu) - 1, -1, -1):  # backward: U x = y
         x[j] /= lu[j, j]
         if j:
-            x[:j] -= np.outer(lu[:j, j], x[j])
+            x[:j] -= lu[:j, j, None] * x[j]
     return x[:, 0] if vector else x
 
 

@@ -99,11 +99,13 @@ def h_chain(
     e_plus = _expm(u1p, k)
     du = u1p.mat - u1m.mat
 
-    h1 = lu_solve(du, e_plus - e_minus)
+    # h1 and h5 share du: one solve with both right-hand sides side by side
+    # (back substitution treats each column on its own)
+    h1, h5 = np.hsplit(lu_solve(du, np.hstack(
+        [e_plus - e_minus, u1p.mat @ e_plus - u1m.mat @ e_minus])), 2)
     h2 = m0 @ (eye - e_minus + u1m.mat @ h1)
     h3 = h1 + d1 @ h2
     h4 = -lam * b1 @ h2
-    h5 = lu_solve(du, u1p.mat @ e_plus - u1m.mat @ e_minus)
     h6 = m0 @ (u1m.mat @ e_minus - u1m.mat @ h5)
     h7 = h5 - d1 @ h6
     h8 = lam * b1 @ h6

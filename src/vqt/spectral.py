@@ -70,10 +70,14 @@ def _quadratic_roots(s: float, p: float) -> tuple[float, float]:
     return -p / plus, plus
 
 
-def _pencil(theta: float, lam: float, d_tilde: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(b)
-    return theta * theta * np.eye(n) - theta * (lam * np.eye(n) - d_tilde) \
-        + lam * (b - d_tilde)
+def _pencils(roots: np.ndarray, lam: float, d_tilde: np.ndarray, b: np.ndarray):
+    """The pencil t^2 I - t (lam I - D_tilde) + lam (B - D_tilde) at each root t,
+    with the root-free terms formed once."""
+    eye = np.eye(len(b))
+    shift = lam * eye - d_tilde
+    constant = lam * (b - d_tilde)
+    for t in roots:
+        yield t * t * eye - t * shift + constant
 
 
 def _left_null_upper(pencil: np.ndarray, pivot: int) -> np.ndarray:
@@ -120,8 +124,7 @@ def compute_theta_spectrum(
         theta[i], theta[i + c] = _quadratic_roots(s, p)
     _check_distinct(theta, params.scale, "theta")
     phi = np.empty((2 * c, c))
-    for idx in range(2 * c):
-        pencil = _pencil(theta[idx], lam, matrices.d_tilde_1, matrices.b1)
+    for idx, pencil in enumerate(_pencils(theta, lam, matrices.d_tilde_1, matrices.b1)):
         phi[idx] = _left_null_upper(pencil, idx % c)
     return theta, phi
 
@@ -142,8 +145,7 @@ def compute_beta_spectrum(
         beta[i], beta[i + c] = _quadratic_roots(s, p)
     _check_distinct(beta, params.scale, "beta")
     psi = np.empty((2 * c, c))
-    for idx in range(2 * c):
-        pencil = _pencil(beta[idx], lam, matrices.d_tilde_2, matrices.b2)
+    for idx, pencil in enumerate(_pencils(beta, lam, matrices.d_tilde_2, matrices.b2)):
         psi[idx] = _left_null_lower(pencil, idx % c)
     return beta, psi
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vqt.cli import GridSpec, main
+from vqt.cli import GridSpec, build_parser, main
 from vqt.model import validate_params
 from vqt.solver import eval_cdf, eval_density, solve
 
@@ -239,3 +239,35 @@ class TestSweep:
             "--k", "1", "--sweep", "nope=1:2:3", "--metrics", "mean",
         ])
         assert code == 2
+
+
+def test_calls_in_a_row_match_first_calls(capsys):
+    # one process, one parser: each call, also the one after an argv that
+    # argparse rejects, prints what it prints as the first call of a fresh main
+    argvs = [
+        GOLDEN + ["--grid-points", "5", "--mean"],
+        ["sweep", "--c", "3", "--lambda", "2", "--mu1", "0.3", "--mu2", "0.8",
+         "--k", "5", "--sweep", "lambda=0.7:1.1:5", "--metrics", "mean,cdf@3"],
+        ["solve", "--c", "2", "--lambda", "two", "--mu1", "0.75", "--mu2", "1.12",
+         "--k", "0.45"],
+        GOLDEN + ["--format", "json", "--grid-points", "4", "--mixture"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first_calls = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        first_calls.append(call(argv))
+    build_parser.cache_clear()
+    in_a_row = [call(argv) for argv in argvs]
+    assert in_a_row == first_calls
+    assert [code for code, _, _ in in_a_row] == [0, 0, 2, 0]
+    assert "invalid float value: 'two'" in in_a_row[2][2]
+    assert build_parser() is build_parser()

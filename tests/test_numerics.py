@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from vqt import numerics
 from vqt.errors import DivergentIntegral, Singular
 from vqt.numerics import EigenSystem, _ik_scalar, inv, lu_solve, mat_func
 
@@ -63,6 +64,105 @@ class TestLuSolve:
         a = rng.normal(size=(n, n)) + n * np.eye(n)
         b = rng.normal(size=(n, n))
         assert np.abs(a @ lu_solve(a, b) - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+
+
+def reference_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-oriented LU with scaled partial pivoting, then forward and back
+    substitution, for every input: the path lu_solve takes for full ones."""
+    a = np.array(a, dtype=float)
+    n = len(a)
+    row_scale = np.abs(a).max(axis=1)
+    if row_scale.min() == 0.0:
+        raise Singular("matrix has a zero row")
+    perm = np.arange(n)
+    for j in range(n):
+        scaled = np.abs(a[j:, j]) / row_scale[j:]
+        p = j + int(np.argmax(scaled))
+        if scaled[p - j] < 1e-14:
+            raise Singular(f"pivot {a[p, j]:.3e} below 1e-14 of its row "
+                           f"scale at column {j}")
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            row_scale[[j, p]] = row_scale[[p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        a[j + 1:, j] /= a[j, j]
+        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j, j + 1:])
+    b = np.asarray(b, dtype=float)
+    x = b.reshape(len(b), -1)[perm].astype(float)
+    for j in range(n):
+        x[j + 1:] -= np.outer(a[j + 1:, j], x[j])
+    for j in range(n - 1, -1, -1):
+        x[j] /= a[j, j]
+        if j:
+            x[:j] -= np.outer(a[:j, j], x[j])
+    return x[:, 0] if b.ndim == 1 else x
+
+
+def graded_upper(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random upper-triangular matrix whose rows span twelve decades."""
+    a = np.triu(rng.normal(size=(n, n)))
+    a[np.diag_indices(n)] += np.sign(np.diag(a)) * 0.5
+    return a * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+
+
+def reference_error(a: np.ndarray) -> str:
+    with pytest.raises(Singular) as ref:
+        reference_lu_solve(a, np.eye(len(a)))
+    return str(ref.value)
+
+
+class TestUpperTriangularShortcut:
+    """Upper-triangular inputs skip elimination and the forward pass, and
+    must give exactly what the pivoted path gives."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_bit_identical_to_pivoted_path(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = graded_upper(rng, n)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 1)),
+                  rng.normal(size=(n, 3)), np.eye(n)):
+            got = lu_solve(a, b)
+            assert got.shape == b.shape
+            assert np.array_equal(got, reference_lu_solve(a, b))
+        assert np.array_equal(inv(a), reference_lu_solve(a, np.eye(n)))
+
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_small_diagonal_pivot_raises_reference_message(self, column):
+        a = graded_upper(np.random.default_rng(column), 7)
+        a[column, column] = 1e-15 * np.abs(a[column]).max()
+        a[5, 5] = 0.0                           # a later failing column
+        with pytest.raises(Singular) as got:
+            lu_solve(a, np.eye(7))
+        assert str(got.value) == reference_error(a)
+        assert f"at column {min(column, 5)}" in str(got.value)
+
+    def test_zero_row_raises_reference_message(self):
+        a = graded_upper(np.random.default_rng(1), 5)
+        a[2] = 0.0
+        with pytest.raises(Singular, match="zero row") as got:
+            lu_solve(a, np.ones(5))
+        assert str(got.value) == reference_error(a)
+
+    def test_only_non_upper_inputs_reach_lu_factor(self, monkeypatch):
+        def unreachable(a):
+            raise AssertionError("lu_factor called")
+
+        monkeypatch.setattr(numerics, "lu_factor", unreachable)
+        rng = np.random.default_rng(3)
+        upper = graded_upper(rng, 6)
+        assert np.array_equal(inv(upper), reference_lu_solve(upper, np.eye(6)))
+        for other in (upper.T, rng.normal(size=(6, 6)) + 6 * np.eye(6)):
+            with pytest.raises(AssertionError, match="lu_factor called"):
+                inv(other)
+
+    def test_non_finite_right_hand_side_takes_pivoted_path(self):
+        # 0 * inf in the forward pass makes NaN below an infinite entry; the
+        # short-cut must not skip that
+        a = graded_upper(np.random.default_rng(4), 4)
+        b = np.array([np.inf, 1.0, 2.0, 3.0])
+        with np.errstate(invalid="ignore"):
+            got, ref = lu_solve(a, b), reference_lu_solve(a, b)
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestMatFunc:
