@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -113,6 +114,8 @@ class GridSpec:
     def build(self, k: float) -> np.ndarray:
         if self.points < 2:
             raise ValidationError("grid needs at least 2 points")
+        if not math.isfinite(self.x_max):
+            raise ValidationError("grid-max must be finite")
         if self.x_max <= 0:
             raise ValidationError("grid-max must be > 0")
         if self.spacing == "linear":
@@ -253,26 +256,43 @@ def _default_validate_grid(k: float) -> tuple[float, ...]:
     return tuple(k * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0))
 
 
+def _parse_validate_grid(text: str) -> tuple[float, ...]:
+    """The ``--grid`` points, sorted; each must be finite, >= 0 and distinct."""
+    try:
+        points = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"bad --grid {text!r}: expected comma-separated numbers") from exc
+    if not all(math.isfinite(x) and x >= 0 for x in points):
+        raise ValidationError(f"bad --grid {text!r}: points must be finite and >= 0")
+    points.sort()
+    if any(a == b for a, b in zip(points, points[1:])):
+        raise ValidationError(f"bad --grid {text!r}: repeated point")
+    return tuple(points)
+
+
 def run_validate(args) -> int:
+    if args.events < 1:
+        raise ValidationError("--events must be >= 1")
+    if args.replications < 1:
+        raise ValidationError("--replications must be >= 1")
+    grid = _parse_validate_grid(args.grid) if args.grid else _default_validate_grid(args.k)
     sol, model = _solve_or_route(args.c, args.lam, args.mu1, args.mu2, args.k)
-    grid = (tuple(float(v) for v in args.grid.split(","))
-            if args.grid else _default_validate_grid(args.k))
     params = inspect_params(args.c, args.lam, args.mu1, args.mu2, args.k)
     est = simulate_replicated(params, SimConfig(
         num_arrivals=args.events, seed=args.seed,
-        grid=tuple(sorted(grid)), replications=args.replications,
+        grid=grid, replications=args.replications,
     ))
 
     if model == "erlang_c":
-        analytic = [sol.cdf(x) for x in sorted(grid)]
+        analytic = [sol.cdf(x) for x in grid]
         mean = sol.mean()
     else:
-        analytic = solver.eval_cdf(sol, sorted(grid))[1].tolist()
+        analytic = solver.eval_cdf(sol, grid)[1].tolist()
         mean = solver.mean_wait(sol)
 
     lines = ["x,analytic_cdf,sim_cdf,half_width,z"]
     worst = 0.0
-    for x, ref, e in zip(sorted(grid), analytic, est.cdf_points):
+    for x, ref, e in zip(grid, analytic, est.cdf_points):
         z = (e.value - ref) / (e.half_width / 1.96)
         worst = max(worst, abs(z))
         lines.append(f"{_fmt(x)},{_fmt(ref)},{_fmt(e.value)},"

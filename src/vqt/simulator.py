@@ -10,13 +10,18 @@ Randomness is counter-based (a splitmix64 bijection of the draw index), so
 results are a pure function of (params, config), chunking cannot change the
 stream, and replication seeds come from the same documented constants.
 Exponential variates use the inverse transform.
+
+The event loop is the FCFS many-server recursion (Kiefer and Wolfowitz,
+Trans. AMS 1955): each arrival needs only the earliest server free time, kept
+in a binary heap, so one step costs O(log c).  Everything else is computed
+from the recorded start epochs in numpy after the loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import insort
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,9 +132,23 @@ def _indicator_estimate(batch_sums: np.ndarray, batch_counts: np.ndarray) -> Est
 def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     """Single event-driven FCFS run; statistics by batch means (32 batches).
 
-    Per-arrival work: earliest-free-server lookup, threshold classification,
-    one service draw.  The interarrival and service uniforms live in two
-    disjoint counter ranges so the draw layout is set once and for all.
+    Per arrival the loop reads the earliest server free time, starts the
+    customer at max(t_i, earliest), classifies the delay against k for the
+    service rate, and replaces that free time in the heap with the
+    departure.  It records only the start epoch.  The interarrival and
+    service uniforms live in two disjoint counter ranges so the draw layout
+    is set once and for all.
+
+    After the loop, per chunk: the wait is start - t_i, the same subtraction
+    the loop classified.  The queue length seen at arrival i counts the
+    earlier customers who waited and have not started by t_i.  FCFS start
+    epochs never decrease (each is the minimum free time, and the minimum
+    never falls), so those who started by t_i form a prefix of the waiters'
+    starts and one ``searchsorted`` counts them exactly; a customer who does
+    not wait finds no queue.  Starts still after a chunk's last arrival carry
+    into the next chunk.  Indicator sums (P(W = 0), the CDF points) are
+    integer counts, exact in any order; the wait and queue-length sums keep
+    one float ``bincount`` per chunk.
     """
     n = config.num_arrivals
     lam, k, c = params.lam, params.k, params.c
@@ -140,20 +159,25 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     warmup = int(config.warmup_fraction * n)
     used = n - warmup
     batch_size = max(used // _BATCHES, 1)
+    # live-index bounds of the batches; the last takes the remainder
+    edges = np.minimum(np.arange(_BATCHES + 1) * batch_size, used)
+    edges[-1] = used
     grid = np.asarray(config.grid, dtype=float)
 
     sum_w = np.zeros(_BATCHES)
-    sum_zero = np.zeros(_BATCHES)
     sum_q = np.zeros(_BATCHES)
-    sum_le = np.zeros((len(grid), _BATCHES))
-    counts = np.zeros(_BATCHES)
+    counts = np.zeros(_BATCHES, dtype=np.int64)
+    n_zero = np.zeros(_BATCHES, dtype=np.int64)
+    n_le = np.zeros((len(grid), _BATCHES), dtype=np.int64)
     n_class2 = 0
     t_first = t_last = 0.0
 
-    free = [0.0] * c                # sorted server free times
-    pending: deque[float] = deque()  # service-start epochs not yet reached
+    free = [0.0] * c                # heap of server free times
+    queued = np.zeros(0)            # waiters' start epochs after the last arrival
     t = 0.0
     inv_mu1, inv_mu2 = 1.0 / params.mu1, 1.0 / params.mu2
+    inv_idle = inv_mu1 if 0.0 <= k else inv_mu2     # rate for a zero delay
+    replace = heapq.heapreplace
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
@@ -161,53 +185,47 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
         arrivals = t + np.cumsum(gaps)
         t = float(arrivals[-1])
         draws = -np.log1p(-_uniforms(config.seed, m, n + done))
-        arrivals_l = arrivals.tolist()
-        draws_l = draws.tolist()
-        waits = [0.0] * m
-        qlens = [0] * m
-        for i in range(m):
-            ti = arrivals_l[i]
-            while pending and pending[0] <= ti:
-                pending.popleft()
-            qlens[i] = len(pending)
+        starts = array("d")
+        put = starts.append
+        for ti, d in zip(memoryview(arrivals), memoryview(draws)):
             earliest = free[0]
-            w = earliest - ti
-            if w > 0.0:
-                waits[i] = w
-                start = earliest
-                pending.append(start)   # start epochs are nondecreasing (FCFS)
+            if earliest > ti:
+                put(earliest)
+                replace(free, earliest + d * (inv_mu1 if earliest - ti <= k else inv_mu2))
             else:
-                w = 0.0
-                start = ti
-            dur = draws_l[i] * (inv_mu1 if w <= k else inv_mu2)
-            free[0] = start + dur
-            if c > 1 and free[0] > free[1]:
-                v = free.pop(0)
-                insort(free, v)
+                put(ti)
+                replace(free, ti + d * inv_idle)
+        starts = np.frombuffer(starts)
+        waits = starts - arrivals       # +0.0 for a customer who did not wait
+        waited = waits > 0.0
+        queued = np.concatenate((queued, starts[waited]))
+        qlen = np.zeros(m, dtype=np.int64)
+        qlen[waited] = (np.arange(len(queued) - np.count_nonzero(waited), len(queued))
+                        - np.searchsorted(queued, arrivals[waited], side="right"))
 
-        w_arr = np.asarray(waits)
-        idx = np.arange(done, done + m)
-        live = idx >= warmup
-        if live.any():
-            w_live = w_arr[live]
-            t_live = arrivals[live]
-            if counts.sum() == 0:
-                t_first = float(t_live[0])
-            t_last = float(t_live[-1])
-            b = np.minimum((idx[live] - warmup) // batch_size, _BATCHES - 1)
-            counts += np.bincount(b, minlength=_BATCHES)
-            sum_w += np.bincount(b, weights=w_live, minlength=_BATCHES)
-            sum_zero += np.bincount(b, weights=(w_live == 0.0), minlength=_BATCHES)
-            sum_q += np.bincount(b, weights=np.asarray(qlens, float)[live], minlength=_BATCHES)
-            for g, x in enumerate(grid):
-                sum_le[g] += np.bincount(b, weights=(w_live <= x), minlength=_BATCHES)
-            n_class2 += int((w_live > k).sum())
+        lo = max(warmup - done, 0)
+        if lo < m:
+            if done <= warmup:
+                t_first = float(arrivals[lo])
+            t_last = t
+            bounds = np.clip(edges + (warmup - done), 0, m).tolist()
+            b = np.repeat(np.arange(_BATCHES), np.diff(bounds))
+            sum_w += np.bincount(b, weights=waits[lo:], minlength=_BATCHES)
+            sum_q += np.bincount(b, weights=qlen[lo:], minlength=_BATCHES)
+            for j, (s, e) in enumerate(zip(bounds, bounds[1:])):
+                counts[j] += e - s
+                n_zero[j] += e - s - np.count_nonzero(waited[s:e])
+                for g, x in enumerate(grid):
+                    n_le[g, j] += np.count_nonzero(waits[s:e] <= x)
+            n_class2 += int(np.count_nonzero(waits[lo:] > k))
+        queued = queued[np.searchsorted(queued, t, side="right"):]
         done += m
 
     horizon = max(t_last - t_first, 1e-300)
+    counts = counts.astype(float)
     return SimEstimate(
-        p_wait_zero=_indicator_estimate(sum_zero, counts),
-        cdf_points=tuple(_indicator_estimate(sum_le[g], counts) for g in range(len(grid))),
+        p_wait_zero=_indicator_estimate(n_zero.astype(float), counts),
+        cdf_points=tuple(_indicator_estimate(row.astype(float), counts) for row in n_le),
         mean_wait=_batch_estimate(sum_w, counts),
         class2_fraction=n_class2 / used,
         seed_used=config.seed,

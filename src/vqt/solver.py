@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergentIntegral, NegativeProbability
+from .errors import DivergentIntegral, NegativeProbability, NumericalError
 from .model import ModelMatrices, QueueParams, build_matrices, hat_i, tilde_q
 from .numerics import _ik_scalar, inv, lu_solve, mat_func, solve_right
 from .spectral import SpectralData, build_spectral
@@ -355,6 +355,9 @@ def solve(params: QueueParams) -> StationarySolution:
     alpha2 = alpha1 @ d2_inv - f_prime_at_k \
         + lam * f_at_k @ (np.eye(c) - matrices.b2 @ d2_inv)
 
+    expansion = _expand(params, matrices, spectral, f_prime_0, alpha0 @ m0,
+                        f_at_k, f_infinity, alpha2, h.dm2)
+    _check_finite(params, spectral, b_c, pi_levels, f_infinity, expansion)
     return StationarySolution(
         params=params,
         matrices=matrices,
@@ -369,10 +372,22 @@ def solve(params: QueueParams) -> StationarySolution:
         m1=m1,
         h=h,
         f_infinity=f_infinity,
-        expansion=_expand(params, matrices, spectral, f_prime_0, alpha0 @ m0,
-                          f_at_k, f_infinity, alpha2, h.dm2),
+        expansion=expansion,
         warnings=spectral.warnings,
     )
+
+
+def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
+    """Raise ``NumericalError`` unless pi, b_c, F(inf) and every mixture array
+    are finite.  The usual cause is exp overflow in ``h_chain`` once the
+    growth exponent theta_max*k of the increasing modes passes about 709."""
+    arrays = (b_c, *pi_levels, f_infinity, mix.lower_rates, mix.lower_weights,
+              mix.lower_constant, mix.upper_rates, mix.upper_weights, mix.upper_constant)
+    if not all(np.isfinite(a).all() for a in arrays):
+        growth = float(spectral.theta.max() * params.k)
+        raise NumericalError(
+            f"non-finite solution: growth exponent theta_max*k = {growth:.1f} "
+            "(exp overflows past about 709)")
 
 
 def _nonnegative(x):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vqt.cli import GridSpec, build_parser, main
@@ -181,6 +182,44 @@ class TestValidate:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestBadInput:
+    MODEL = ["--c", "2", "--lambda", "1.4", "--mu1", "0.8", "--mu2", "1", "--k", "0.5"]
+    OVERFLOW = ["--c", "8", "--lambda", "11.63931848796125", "--mu1", "1.7518072811296523",
+                "--mu2", "1.9476696008438312", "--k", "67.57945954330552"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--grid", "a,b"],
+        ["--grid", "1,1"],
+        ["--grid=-1,2"],
+        ["--grid=nan"],
+        ["--events", "0"],
+        ["--replications", "0"],
+    ])
+    def test_validate_option_rejected(self, capsys, extra):
+        code, out, err = run(capsys, ["validate", *self.MODEL, "--events", "2000", *extra])
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("ValidationError: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_solve_grid_max_rejected(self, capsys, value):
+        code, out, err = run(capsys, ["solve", *self.MODEL, "--grid-max", value])
+        assert code == 2
+        assert out == ""
+        assert err == "ValidationError: grid-max must be finite\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--mean", "--grid-points", "3"],
+        ["validate", "--events", "1000", "--replications", "1"],
+    ])
+    def test_growth_overflow_exits_3(self, capsys, command):
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, [command[0], *self.OVERFLOW, *command[1:]])
+        assert code == 3
+        assert out == ""
+        assert "NumericalError" in err and "theta_max*k" in err
 
 
 class TestSweep:

@@ -1,11 +1,20 @@
+from bisect import insort
+from collections import deque
+
 import numpy as np
 import pytest
 
 from vqt.model import inspect_params, validate_params
 from vqt.reference import erlang_c
 from vqt.simulator import (
+    _BATCHES,
+    _CHUNK,
     Estimate,
     SimConfig,
+    SimEstimate,
+    _batch_estimate,
+    _indicator_estimate,
+    _uniforms,
     pool_estimates,
     simulate,
     simulate_replicated,
@@ -130,3 +139,150 @@ class TestReplication:
         for x, e in zip(grid, est.cdf_points):
             assert abs(z_score(e, eval_cdf(sol, x)[1])) < 4.0
         assert abs(z_score(est.mean_wait, mean_wait(sol))) < 4.0
+
+
+def reference_simulate(params, config):
+    """The simulator as first written: a sorted list of server free times
+    (pop + insort), a deque of pending start epochs for the queue length, and
+    one float bincount per indicator.  ``simulate`` must match it bit for bit.
+    """
+    n = config.num_arrivals
+    lam, k, c = params.lam, params.k, params.c
+    warnings = []
+    if not params.stable:
+        warnings.append("unstable: statistics are meaningless")
+
+    warmup = int(config.warmup_fraction * n)
+    used = n - warmup
+    batch_size = max(used // _BATCHES, 1)
+    grid = np.asarray(config.grid, dtype=float)
+
+    sum_w = np.zeros(_BATCHES)
+    sum_zero = np.zeros(_BATCHES)
+    sum_q = np.zeros(_BATCHES)
+    sum_le = np.zeros((len(grid), _BATCHES))
+    counts = np.zeros(_BATCHES)
+    n_class2 = 0
+    t_first = t_last = 0.0
+
+    free = [0.0] * c
+    pending = deque()
+    t = 0.0
+    inv_mu1, inv_mu2 = 1.0 / params.mu1, 1.0 / params.mu2
+    done = 0
+    while done < n:
+        m = min(_CHUNK, n - done)
+        gaps = -np.log1p(-_uniforms(config.seed, m, done)) / lam
+        arrivals = t + np.cumsum(gaps)
+        t = float(arrivals[-1])
+        draws = -np.log1p(-_uniforms(config.seed, m, n + done))
+        arrivals_l = arrivals.tolist()
+        draws_l = draws.tolist()
+        waits = [0.0] * m
+        qlens = [0] * m
+        for i in range(m):
+            ti = arrivals_l[i]
+            while pending and pending[0] <= ti:
+                pending.popleft()
+            qlens[i] = len(pending)
+            earliest = free[0]
+            w = earliest - ti
+            if w > 0.0:
+                waits[i] = w
+                start = earliest
+                pending.append(start)
+            else:
+                w = 0.0
+                start = ti
+            dur = draws_l[i] * (inv_mu1 if w <= k else inv_mu2)
+            free[0] = start + dur
+            if c > 1 and free[0] > free[1]:
+                v = free.pop(0)
+                insort(free, v)
+
+        w_arr = np.asarray(waits)
+        idx = np.arange(done, done + m)
+        live = idx >= warmup
+        if live.any():
+            w_live = w_arr[live]
+            t_live = arrivals[live]
+            if counts.sum() == 0:
+                t_first = float(t_live[0])
+            t_last = float(t_live[-1])
+            b = np.minimum((idx[live] - warmup) // batch_size, _BATCHES - 1)
+            counts += np.bincount(b, minlength=_BATCHES)
+            sum_w += np.bincount(b, weights=w_live, minlength=_BATCHES)
+            sum_zero += np.bincount(b, weights=(w_live == 0.0), minlength=_BATCHES)
+            sum_q += np.bincount(b, weights=np.asarray(qlens, float)[live], minlength=_BATCHES)
+            for g, x in enumerate(grid):
+                sum_le[g] += np.bincount(b, weights=(w_live <= x), minlength=_BATCHES)
+            n_class2 += int((w_live > k).sum())
+        done += m
+
+    horizon = max(t_last - t_first, 1e-300)
+    return SimEstimate(
+        p_wait_zero=_indicator_estimate(sum_zero, counts),
+        cdf_points=tuple(_indicator_estimate(sum_le[g], counts) for g in range(len(grid))),
+        mean_wait=_batch_estimate(sum_w, counts),
+        class2_fraction=n_class2 / used,
+        seed_used=config.seed,
+        num_used=used,
+        queue_len_seen=_batch_estimate(sum_q, counts),
+        arrival_rate_measured=used / horizon,
+        warnings=tuple(warnings),
+    )
+
+
+class TestBitIdenticalToReference:
+    """The heap loop and the vectorized statistics against the sorted-list
+    reference: every field, every bit (``==`` on the frozen dataclass)."""
+
+    GRID = (0.0, 0.1, 0.5, 1.0, 2.5, 6.0)
+
+    @pytest.mark.parametrize("c, rho, k, n", [
+        (1, 0.7, 0.5, 60_000),
+        (2, 0.9, 0.45, 60_000),
+        (8, 0.9, 2.0, 60_000),
+        (64, 0.97, 0.05, 40_000),
+    ])
+    def test_server_counts(self, c, rho, k, n):
+        params = inspect_params(c, rho * c * 0.9, 0.8, 0.9, k)
+        cfg = SimConfig(num_arrivals=n, seed=c, grid=self.GRID)
+        assert simulate(params, cfg) == reference_simulate(params, cfg)
+
+    def test_unstable(self):
+        params = inspect_params(3, 3.5, 0.9, 1.1, 0.7)
+        cfg = SimConfig(num_arrivals=30_000, seed=5, grid=self.GRID)
+        est = simulate(params, cfg)
+        assert est.warnings and est == reference_simulate(params, cfg)
+
+    @pytest.mark.parametrize("n", [1, 7, 31, 33, 5_000])
+    def test_no_warmup(self, n):
+        params = inspect_params(2, 1.6, 0.8, 1.0, 0.5)
+        cfg = SimConfig(num_arrivals=n, warmup_fraction=0.0, seed=n, grid=self.GRID)
+        assert simulate(params, cfg) == reference_simulate(params, cfg)
+
+    def test_empty_grid(self):
+        params = inspect_params(4, 3.0, 0.7, 1.0, 1.5)
+        cfg = SimConfig(num_arrivals=20_000, warmup_fraction=0.3, seed=77)
+        assert simulate(params, cfg) == reference_simulate(params, cfg)
+
+    @pytest.mark.parametrize("warmup", [0.1, 0.9])
+    def test_queue_carried_across_chunks(self, warmup):
+        # rho = 0.95 keeps customers queued at the chunk boundary; with
+        # warmup 0.9 the first counted arrival falls in the second chunk
+        n = 600_000
+        assert n > _CHUNK
+        params = inspect_params(3, 2.85, 0.9, 1.0, 1.0)
+        cfg = SimConfig(num_arrivals=n, warmup_fraction=warmup, seed=2024, grid=self.GRID)
+        est = simulate(params, cfg)
+        assert est.queue_len_seen.value > 1.0
+        assert est == reference_simulate(params, cfg)
+
+    def test_replicated_pools_reference_runs(self):
+        params = inspect_params(2, 1.4, 0.8, 1.0, 0.5)
+        cfg = SimConfig(num_arrivals=20_000, seed=404, grid=self.GRID, replications=3)
+        runs = [reference_simulate(params, SimConfig(num_arrivals=20_000, seed=int(s),
+                                                     grid=self.GRID))
+                for s in splitmix64(404, 3)]
+        assert simulate_replicated(params, cfg) == pool_estimates(runs, 404)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vqt.errors import NumericalError
 from vqt.model import build_matrices, tilde_q, validate_params
 from vqt.numerics import cond_1norm, inv
 from vqt.reference import erlang_c_prob
@@ -145,6 +146,15 @@ class TestSolve:
         for _ in range(10):
             s = solve(random_stable_params(rng))
             assert min(level.min() for level in s.pi_levels) > -1e-12
+
+    def test_growth_overflow_raises_instead_of_nan(self):
+        # theta_max*k = 734: exp overflows in h_chain and pi, b_c and the
+        # mixture turn NaN, which the pi floor test alone lets through.
+        p = validate_params(8, 11.63931848796125, 1.7518072811296523,
+                            1.9476696008438312, 67.57945954330552)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match=r"theta_max\*k = 734\.1"):
+            solve(p)
 
 
 class TestEvalCdf:
