@@ -142,18 +142,64 @@ def _solve_or_route(c: int, lam: float, mu1: float, mu2: float,
 
 
 def _mixture_payload(mix: solver.ScalarMixture) -> dict:
-    """The mixture's terms per branch, as emitted in both output formats."""
+    """The mixture's terms per branch, as emitted in both output formats;
+    each term's weights are a row of the branch's weight array."""
     out = {
         branch: {
-            "terms": [{"rate": t.rate, "weights": list(map(float, t.weights))}
-                      for t in terms],
-            "constant": list(map(float, const)),
+            "terms": [{"rate": r, "weights": w} for r, w in zip(rates.tolist(), weights)],
+            "constant": const,
         }
-        for branch, terms, const in (("below", mix.lower_terms, mix.lower_constant),
-                                     ("above", mix.upper_terms, mix.upper_constant))
+        for branch, rates, weights, const in (
+            ("below", mix.lower_rates, mix.lower_weights, mix.lower_constant),
+            ("above", mix.upper_rates, mix.upper_weights, mix.upper_constant))
     }
     out["above"]["rate_offset"] = mix.k
     return out
+
+
+def _json(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=1)`` at nesting ``depth``, where ``obj`` may
+    hold numpy arrays, written as their ``tolist()`` would be.
+
+    The standard encoder goes through pure Python once ``indent`` is set, one
+    generator step per number.  Here a finite, non-empty float64 array takes
+    one ``float.__repr__`` pass, the encoder's own rendering of a finite
+    float, and string joins.  A finite float is written the same way, any
+    other leaf by ``json.dumps``.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            return _float_array(obj, depth)
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_json(v, depth + 1)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, depth + 1) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return (brackets[0] + pad + ("," + pad).join(items)
+            + "\n" + " " * depth + brackets[1])
+
+
+def _float_array(a: np.ndarray, depth: int) -> str:
+    """A finite, non-empty float64 array as ``_json`` writes it: rendered
+    flat, then wrapped into nested lists from the last axis outwards."""
+    items = list(map(float.__repr__, a.ravel().tolist()))
+    for axis in range(a.ndim - 1, -1, -1):
+        n, level = a.shape[axis], depth + axis
+        pad = "\n" + " " * (level + 1)
+        close = "\n" + " " * level + "]"
+        items = ["[" + pad + ("," + pad).join(items[i:i + n]) + close
+                 for i in range(0, len(items), n)]
+    return items[0]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -217,9 +263,9 @@ def run_solve(args) -> int:
             lines.append(f"# mean={_fmt(mean)}")
         for branch, part in (mixture or {}).items():
             for t in part["terms"]:
-                w = ";".join(_fmt(v) for v in t["weights"])
+                w = ";".join(map(_fmt, t["weights"].tolist()))
                 lines.append(f"# mixture,{branch},rate={_fmt(t['rate'])},weights={w}")
-            w = ";".join(_fmt(v) for v in part["constant"])
+            w = ";".join(map(_fmt, part["constant"].tolist()))
             lines.append(f"# mixture,{branch},constant,weights={w}")
         if report is not None:
             for name, value in report.residuals.items():
@@ -233,14 +279,14 @@ def run_solve(args) -> int:
         "params": {"c": args.c, "lambda": args.lam, "mu1": args.mu1,
                    "mu2": args.mu2, "k": args.k},
         **payload_extra,
-        "grid": grid.tolist(),
-        "cdf": cdf.tolist(),
-        "pdf": pdf.tolist(),
+        "grid": grid,
+        "cdf": cdf,
+        "pdf": pdf,
     }
     if model == "threshold":
         payload["pi"] = pi_nested
         payload["b_c"] = b_c
-        payload["components"] = comps.tolist()
+        payload["components"] = comps
         payload["warnings"] = list(sol.warnings)
     if mean is not None:
         payload["mean"] = mean
@@ -248,7 +294,7 @@ def run_solve(args) -> int:
         payload["mixture"] = mixture
     if report is not None:
         payload["residuals"] = report.residuals
-    _emit(json.dumps(payload, indent=1) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0
 
 

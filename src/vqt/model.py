@@ -25,7 +25,6 @@ __all__ = [
     "build_matrices",
     "tilde_q",
     "hat_i",
-    "class_swap_matrix",
     "EPS_DEG",
 ]
 
@@ -227,19 +226,3 @@ def tilde_q(kappa: int, x, m: ModelMatrices) -> np.ndarray:
     core = np.exp(-np.diag(m.delta[m.c - 1]) * x)
     return np.exp(-mu * x)[..., None] * (b_inv @ (core[..., None] * b))
 
-
-def class_swap_matrix(params: QueueParams) -> np.ndarray:
-    """The sparse M with M (B1 - mu1 I - Delta_{c-1}) = B2 - mu2 I - Delta_{c-1}.
-
-    Entries follow the Kronecker form that actually satisfies the identity:
-    M(0, c-1) = c mu2, M(1, c-1) = mu1, and M(i, i-1) = -(i/(c-i)) (mu1/mu2)
-    for 1 <= i <= c-1.
-    """
-    c, mu1, mu2 = params.c, params.mu1, params.mu2
-    m = np.zeros((c, c))
-    m[0, c - 1] = c * mu2
-    if c >= 2:
-        m[1, c - 1] += mu1
-    for i in range(1, c):
-        m[i, i - 1] += -(i / (c - i)) * (mu1 / mu2)
-    return m

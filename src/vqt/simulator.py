@@ -86,6 +86,8 @@ class SimConfig:
             raise ValueError("num_arrivals must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError("grid points must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be sorted ascending")
         if self.replications < 1:

@@ -29,7 +29,6 @@ from .spectral import SpectralData, build_spectral
 __all__ = [
     "AuxChain",
     "StationarySolution",
-    "MixtureTerm",
     "ScalarMixture",
     "ResidualReport",
     "particular_matrices",
@@ -138,12 +137,6 @@ def h_chain(
 
 
 @dataclass(frozen=True)
-class MixtureTerm:
-    rate: float                 # exponent per unit x (offset by k on the tail)
-    weights: np.ndarray         # row vector multiplying e^{rate * x}
-
-
-@dataclass(frozen=True)
 class ScalarMixture:
     """F(x) expanded into explicit exponential terms on both branches.
 
@@ -159,14 +152,6 @@ class ScalarMixture:
     upper_rates: np.ndarray              # apply to (x - k)
     upper_weights: np.ndarray
     upper_constant: np.ndarray
-
-    @property
-    def lower_terms(self) -> tuple[MixtureTerm, ...]:
-        return tuple(map(MixtureTerm, self.lower_rates.tolist(), self.lower_weights))
-
-    @property
-    def upper_terms(self) -> tuple[MixtureTerm, ...]:
-        return tuple(map(MixtureTerm, self.upper_rates.tolist(), self.upper_weights))
 
     def components(self, x):
         """F(x): shape (c,) for a scalar x, x.shape + (c,) for an array.
@@ -308,7 +293,13 @@ def solve(params: QueueParams) -> StationarySolution:
     matrices = build_matrices(params)
     spectral = build_spectral(params, matrices)
     m0, m1, m2 = particular_matrices(params, matrices, spectral)
-    h = h_chain(params, matrices, spectral, m0, m1, m2)
+    # Past theta_max*k of about 709, exp of the growth modes overflows in
+    # h_chain.  The inf and NaN it leaves end in one NumericalError
+    # (_check_finite's, or a Singular pivot), so numpy's warnings would only
+    # repeat it.  The scope is kept to h_chain: ufuncs run slower under a
+    # non-default errstate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = h_chain(params, matrices, spectral, m0, m1, m2)
 
     c, lam = params.c, params.lam
     psi_c = spectral.psi_c

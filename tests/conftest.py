@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqt.model import validate_params
+from vqt.model import QueueParams, validate_params
 from vqt.solver import solve
 
 # Worked two-server case used throughout: k=0.45, lambda=2, mu1=0.75, mu2=1.12.
@@ -77,3 +77,20 @@ def random_stable_params(rng: np.random.Generator, c_max: int = 8):
             return validate_params(c, lam, mu1, mu2, k)
         except Exception:
             continue
+
+
+def class_swap_matrix(params: QueueParams) -> np.ndarray:
+    """The sparse M with M (B1 - mu1 I - Delta_{c-1}) = B2 - mu2 I - Delta_{c-1}.
+
+    Entries follow the Kronecker form that actually satisfies the identity:
+    M(0, c-1) = c mu2, M(1, c-1) = mu1, and M(i, i-1) = -(i/(c-i)) (mu1/mu2)
+    for 1 <= i <= c-1.
+    """
+    c, mu1, mu2 = params.c, params.mu1, params.mu2
+    m = np.zeros((c, c))
+    m[0, c - 1] = c * mu2
+    if c >= 2:
+        m[1, c - 1] += mu1
+    for i in range(1, c):
+        m[i, i - 1] += -(i / (c - i)) * (mu1 / mu2)
+    return m

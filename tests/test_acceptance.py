@@ -24,7 +24,7 @@ from vqt.simulator import SimConfig, simulate
 from vqt.solver import eval_cdf, eval_density, mean_wait, scalar_mixture, solve, verify_solution
 from vqt.spectral import compute_beta_spectrum, compute_theta_spectrum
 
-from conftest import TWO_SERVER, random_stable_params
+from conftest import TWO_SERVER, class_swap_matrix, random_stable_params
 
 TOL = 5e-5
 
@@ -95,8 +95,11 @@ def test_criterion_2_eigenvalue_regression():
 
 
 def _mixture_coefficient(mix, branch: str, rate: float, comp: int) -> float:
-    terms = mix.lower_terms if branch == "lower" else mix.upper_terms
-    acc = [t.weights[comp] for t in terms if abs(t.rate - rate) < 1e-3]
+    if branch == "lower":
+        rates, weights = mix.lower_rates, mix.lower_weights
+    else:
+        rates, weights = mix.upper_rates, mix.upper_weights
+    acc = [w[comp] for r, w in zip(rates, weights) if abs(r - rate) < 1e-3]
     assert acc, f"no term at rate {rate}"
     return float(sum(acc))
 
@@ -252,7 +255,6 @@ def test_criterion_6_property_suite():
         worst["monotone"] = max(worst["monotone"], float(-np.diff(totals).min()))
         worst["density"] = max(worst["density"],
                                max(-eval_density(s, x).sum() for x in xs[1:]))
-        from vqt.model import class_swap_matrix
         m = s.matrices
         d = m.delta[p.c - 1]
         lhs = class_swap_matrix(p) @ (m.b1 - p.mu1 * np.eye(p.c) - d)

@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vqt.cli import GridSpec, build_parser, main
-from vqt.model import validate_params
-from vqt.solver import eval_cdf, eval_density, solve
+import vqt
+from vqt.cli import GridSpec, _json, build_parser, main
+from vqt.model import inspect_params, validate_params
+from vqt.reference import erlang_c
+from vqt.solver import eval_cdf, eval_density, solve, verify_solution
 
 GOLDEN = ["solve", "--c", "2", "--lambda", "2", "--mu1", "0.75", "--mu2", "1.12",
           "--k", "0.45"]
@@ -121,6 +130,34 @@ class TestSolve:
         expected["components"] = [[float(v) for v in f] for f in comps]
         assert out == json.dumps(expected, indent=1) + "\n"
 
+    def test_json_erlang_route_is_standard_encoding(self, capsys):
+        code, out, _ = run(capsys, ["solve", "--c", "2", "--lambda", "1.4", "--mu1", "1",
+                                    "--mu2", "1", "--k", "0.5", "--mean", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=1) + "\n"
+        sol = erlang_c(inspect_params(2, 1.4, 1.0, 1.0, 0.5))
+        grid = GridSpec(x_max=5.0, points=400).build(0.5)
+        assert payload["model"] == "erlang_c"
+        assert payload["grid"] == grid.tolist()
+        assert payload["cdf"] == [sol.cdf(x) for x in grid]
+        assert payload["pdf"] == [sol.density(x) for x in grid]
+        assert payload["mean"] == sol.mean()
+
+    def test_json_verify_log_spacing_is_standard_encoding(self, capsys):
+        code, out, _ = run(capsys, GOLDEN + ["--verify", "--spacing", "log", "--mean",
+                                             "--mixture", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=1) + "\n"
+        sol = solve(validate_params(2, 2.0, 0.75, 1.12, 0.45))
+        grid = GridSpec(x_max=4.5, points=400, spacing="log").build(0.45)
+        comps, cdf = eval_cdf(sol, grid)
+        assert payload["grid"] == grid.tolist()
+        assert payload["cdf"] == cdf.tolist()
+        assert payload["components"] == comps.tolist()
+        assert payload["residuals"] == verify_solution(sol, rng=0).residuals
+
     def test_log_spacing(self, capsys):
         _, out, _ = run(capsys, GOLDEN + ["--spacing", "log", "--grid-points", "5"])
         xs = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
@@ -215,11 +252,28 @@ class TestBadInput:
         ["validate", "--events", "1000", "--replications", "1"],
     ])
     def test_growth_overflow_exits_3(self, capsys, command):
-        with np.errstate(all="ignore"):
-            code, out, err = run(capsys, [command[0], *self.OVERFLOW, *command[1:]])
+        code, out, err = run(capsys, [command[0], *self.OVERFLOW, *command[1:]])
         assert code == 3
         assert out == ""
         assert "NumericalError" in err and "theta_max*k" in err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--mean"],
+        ["validate", "--events", "1000", "--replications", "1"],
+    ])
+    def test_growth_overflow_stderr_is_one_line(self, command):
+        # A fresh interpreter: in-process, pytest collects numpy's
+        # RuntimeWarnings before they could reach stderr.
+        src = str(Path(vqt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqt.cli", command[0], *self.OVERFLOW, *command[1:]],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("NumericalError: non-finite solution: growth exponent "
+                               "theta_max*k = 734.1 (exp overflows past about 709)\n")
 
 
 class TestSweep:
@@ -310,3 +364,25 @@ def test_calls_in_a_row_match_first_calls(capsys):
     assert [code for code, _, _ in in_a_row] == [0, 0, 2, 0]
     assert "invalid float value: 'two'" in in_a_row[2][2]
     assert build_parser() is build_parser()
+
+
+# float64 values, with NaN, +-inf, -0.0 and subnormals drawn often
+_FLOATS = st.floats(width=64) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2250738585072014e-308])
+_SHAPES = st.sampled_from([(0,), (0, 3), (3, 0)]) | hnp.array_shapes(
+    min_dims=0, max_dims=2, min_side=1, max_side=5)
+_ARRAYS = (hnp.arrays(np.float64, _SHAPES, elements=_FLOATS)
+           | hnp.arrays(np.float64, _SHAPES, elements=st.floats(allow_nan=False,
+                                                                allow_infinity=False))
+           | hnp.arrays(np.int64, _SHAPES))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8)
+           | _ARRAYS)
+_KEYS = st.text(max_size=8) | st.integers() | _FLOATS | st.booleans() | st.none()
+_OBJECTS = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OBJECTS)
+def test_json_writer_equals_standard_encoder(obj):
+    assert _json(obj) == json.dumps(obj, indent=1, default=np.ndarray.tolist)

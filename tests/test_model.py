@@ -7,14 +7,13 @@ from vqt.errors import Degenerate, NonPositive, Unstable
 from vqt.model import (
     QueueParams,
     build_matrices,
-    class_swap_matrix,
     hat_i,
     inspect_params,
     tilde_q,
     validate_params,
 )
 
-from conftest import TWO_SERVER, random_stable_params
+from conftest import TWO_SERVER, class_swap_matrix, random_stable_params
 
 
 class TestValidateParams:

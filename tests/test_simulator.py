@@ -49,6 +49,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(num_arrivals=100, grid=(2.0, 1.0))
 
+    @pytest.mark.parametrize("grid", [(0.5, float("nan"), 0.2), (float("inf"),)])
+    def test_rejects_non_finite_grid(self, grid):
+        # a NaN compares false both ways, so the sorted check alone lets it by
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(num_arrivals=100, grid=grid)
+
     def test_rejects_bad_warmup(self):
         with pytest.raises(ValueError):
             SimConfig(num_arrivals=100, warmup_fraction=1.0)

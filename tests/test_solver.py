@@ -267,8 +267,8 @@ class TestScalarMixture:
     def test_rates_are_spectrum(self, two_server_solution):
         s = two_server_solution
         mix = scalar_mixture(s)
-        assert np.allclose([t.rate for t in mix.lower_terms], s.spectral.theta)
-        tail_rates = [t.rate for t in mix.upper_terms]
+        assert np.allclose(mix.lower_rates, s.spectral.theta)
+        tail_rates = mix.upper_rates
         assert np.allclose(tail_rates[:2], s.spectral.beta[:2])
         assert np.allclose(sorted(tail_rates[2:]), [-1.87, -1.50])
 
