@@ -366,9 +366,24 @@ def _sweep_values(spec: str) -> tuple[str, list[float]]:
     return name, [float(v) for v in values]
 
 
-def _sweep_point(base: dict, name: str, value: float, metrics: list[str]):
-    point = dict(base)
-    point[name] = int(round(value)) if name == "c" else value
+def _metric_point(metric: str) -> float | None:
+    """X of a ``cdf@X`` metric, finite and >= 0 as in ``validate --grid``;
+    None for ``mean`` and ``p_wait``."""
+    if metric in ("mean", "p_wait"):
+        return None
+    if not metric.startswith("cdf@"):
+        raise ValidationError(f"unknown metric {metric!r}")
+    try:
+        x = float(metric[4:])
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x >= 0):
+        raise ValidationError(f"bad metric {metric!r}: X must be a finite number >= 0")
+    return x
+
+
+def _sweep_point(base: dict, name: str, value: float, metrics: dict[str, float | None]):
+    point = {**base, name: int(round(value)) if name == "c" else value}
     row = {"value": value, "status": "ok"}
     try:
         sol, model = _solve_or_route(point["c"], point["lambda"], point["mu1"],
@@ -380,28 +395,22 @@ def _sweep_point(base: dict, name: str, value: float, metrics: list[str]):
             evals = {"mean": lambda: solver.mean_wait(sol),
                      "p_wait": lambda: 1.0 - sol.p_wait_zero,
                      "cdf": lambda x: solver.eval_cdf(sol, x)[1]}
-        for metric in metrics:
-            if metric.startswith("cdf@"):
-                row[metric] = evals["cdf"](float(metric[4:]))
-            else:
-                row[metric] = evals[metric]()
+        for metric, x in metrics.items():
+            row[metric] = evals[metric]() if x is None else evals["cdf"](x)
     except ValidationError as exc:
         row["status"] = type(exc).__name__.lower()
-        for metric in metrics:
-            row[metric] = None
+        row.update(dict.fromkeys(metrics))
     return row
 
 
 def run_sweep(args) -> int:
     name, values = _sweep_values(args.sweep)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for m in metrics:
-        if m not in ("mean", "p_wait") and not m.startswith("cdf@"):
-            raise ValidationError(f"unknown metric {m!r}")
+    points = {m: _metric_point(m) for m in metrics}
     base = {"c": args.c, "lambda": args.lam, "mu1": args.mu1,
             "mu2": args.mu2, "k": args.k}
 
-    rows = [_sweep_point(base, name, v, metrics) for v in values]
+    rows = [_sweep_point(base, name, v, points) for v in values]
 
     if all(row["status"] not in ("ok", "erlang_c") for row in rows):
         raise ValidationError("every sweep point is invalid")

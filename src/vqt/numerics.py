@@ -173,18 +173,17 @@ def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:
 
     The eigenvector bases here have unit pivots with all fill on one side;
     substitution preserves their row grading where permuted elimination
-    would destroy it.
+    would destroy it.  Each row is one vector-matrix product with the rows
+    already found: bottom up for an upper v, top down for a lower one.
     """
     n = len(v)
     out = np.eye(n)
     if orientation == "upper":
-        for j in range(1, n):
-            for i in range(j - 1, -1, -1):
-                out[i, j] = -v[i, i + 1:j + 1] @ out[i + 1:j + 1, j]
+        for i in range(n - 2, -1, -1):
+            out[i, i + 1:] = -v[i, i + 1:] @ out[i + 1:, i + 1:]
     elif orientation == "lower":
-        for j in range(n - 1):
-            for i in range(j + 1, n):
-                out[i, j] = -v[i, j:i] @ out[j:i, j]
+        for i in range(1, n):
+            out[i, :i] = -v[i, :i] @ out[:i, :i]
     else:
         raise ValueError("orientation must be 'upper' or 'lower'")
     return out

@@ -385,14 +385,14 @@ def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
 
 
 def _nonnegative(x):
-    """A float as is, anything else as a float array; raise on any negative
-    point."""
+    """A float as is, anything else as a float array; raise on any point
+    that is negative or NaN."""
     if isinstance(x, float):
-        negative = x < 0
+        bad = not x >= 0
     else:
         x = np.asarray(x, dtype=float)
-        negative = (x < 0).any()
-    if negative:
+        bad = not (x >= 0).all()
+    if bad:
         raise ValueError("x must be >= 0")
     return x
 

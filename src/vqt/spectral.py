@@ -3,7 +3,9 @@
 Both pencils are triangular, so the 2c eigenvalues split into c scalar
 quadratics, one per diagonal position.  Pairing each eigenvalue with the
 quadratic it came from (instead of sorting by value) keeps the null-mode
-eigenvectors identified even when magnitudes cross.  The three solution
+eigenvectors identified even when magnitudes cross.  The left eigenvectors
+of all 2c roots come out of one substitution pass over the stacked pencils,
+one batched product per column.  The three solution
 matrices of the quadratic matrix equations are assembled from the sign-split
 eigenvector bases, which are unitriangular by construction; above the
 threshold only the decaying solution U2- is needed, since F stays bounded.
@@ -70,34 +72,29 @@ def _quadratic_roots(s: float, p: float) -> tuple[float, float]:
     return -p / plus, plus
 
 
-def _pencils(roots: np.ndarray, lam: float, d_tilde: np.ndarray, b: np.ndarray):
-    """The pencil t^2 I - t (lam I - D_tilde) + lam (B - D_tilde) at each root t,
-    with the root-free terms formed once."""
-    eye = np.eye(len(b))
-    shift = lam * eye - d_tilde
-    constant = lam * (b - d_tilde)
-    for t in roots:
-        yield t * t * eye - t * shift + constant
+def _left_null_vectors(roots: np.ndarray, lam: float, d_tilde: np.ndarray,
+                       b: np.ndarray, orientation: str) -> np.ndarray:
+    """Left null vectors of t^2 I - t (lam I - D_tilde) + lam (B - D_tilde) at
+    all 2c roots, one row each.
 
-
-def _left_null_upper(pencil: np.ndarray, pivot: int) -> np.ndarray:
-    # Upper-triangular pencil with a zero at (pivot, pivot): the left null
-    # vector vanishes before the pivot and follows by substitution after it.
-    n = len(pencil)
-    v = np.zeros(n)
-    v[pivot] = 1.0
-    for j in range(pivot + 1, n):
-        v[j] = -(v[pivot:j] @ pencil[pivot:j, j]) / pencil[j, j]
-    return v
-
-
-def _left_null_lower(pencil: np.ndarray, pivot: int) -> np.ndarray:
-    n = len(pencil)
-    v = np.zeros(n)
-    v[pivot] = 1.0
-    for j in range(pivot - 1, -1, -1):
-        v[j] = -(v[j + 1:pivot + 1] @ pencil[j + 1:pivot + 1, j]) / pencil[j, j]
-    return v
+    Root idx zeroes diagonal entry idx % c, its pivot, of its triangular
+    pencil; its row is 1 there, 0 beyond it, and found by substitution on the
+    near side.  One pass over the columns (forward if upper, backward if
+    lower) solves column j of every row whose pivot it has passed; the sums
+    also run over the exact zeros beyond each pivot, which changes nothing.
+    """
+    c = len(b)
+    eye = np.eye(c)
+    t = roots[:, None, None]
+    p = (t * t * eye - t * (lam * eye - d_tilde) + lam * (b - d_tilde)).reshape(2, c, c, c)
+    v = np.array([eye, eye])           # [half, pivot, entry]; root idx = half*c + pivot
+    if orientation == "upper":
+        steps = [(j, slice(0, j)) for j in range(1, c)]
+    else:
+        steps = [(j, slice(j + 1, c)) for j in range(c - 2, -1, -1)]
+    for j, s in steps:                 # s: pivots passed, and the entries solved
+        v[:, s, j] = -(v[:, s, None, s] @ p[:, s, s, j, None])[..., 0, 0] / p[:, s, j, j]
+    return v.reshape(2 * c, c)
 
 
 def _check_distinct(roots: np.ndarray, scale: float, label: str) -> None:
@@ -123,10 +120,7 @@ def compute_theta_spectrum(
         p = (c - 1 - i) * lam * mu2
         theta[i], theta[i + c] = _quadratic_roots(s, p)
     _check_distinct(theta, params.scale, "theta")
-    phi = np.empty((2 * c, c))
-    for idx, pencil in enumerate(_pencils(theta, lam, matrices.d_tilde_1, matrices.b1)):
-        phi[idx] = _left_null_upper(pencil, idx % c)
-    return theta, phi
+    return theta, _left_null_vectors(theta, lam, matrices.d_tilde_1, matrices.b1, "upper")
 
 
 def compute_beta_spectrum(
@@ -144,10 +138,7 @@ def compute_beta_spectrum(
         p = i * lam * mu1
         beta[i], beta[i + c] = _quadratic_roots(s, p)
     _check_distinct(beta, params.scale, "beta")
-    psi = np.empty((2 * c, c))
-    for idx, pencil in enumerate(_pencils(beta, lam, matrices.d_tilde_2, matrices.b2)):
-        psi[idx] = _left_null_lower(pencil, idx % c)
-    return beta, psi
+    return beta, _left_null_vectors(beta, lam, matrices.d_tilde_2, matrices.b2, "lower")
 
 
 def _assemble_u(values: np.ndarray, vectors: np.ndarray, orientation: str,

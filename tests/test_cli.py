@@ -240,6 +240,20 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("ValidationError: ")
 
+    @pytest.mark.parametrize("metrics", [
+        "cdf@abc", "cdf@", "cdf@-1", "cdf@nan", "cdf@inf", "mean,cdf@-0.5", "median",
+    ])
+    def test_sweep_metric_rejected_before_solving(self, capsys, monkeypatch, metrics):
+        def no_solve(*args):
+            raise AssertionError("solved before the metrics were checked")
+
+        monkeypatch.setattr(vqt.cli, "_solve_or_route", no_solve)
+        code, out, err = run(capsys, ["sweep", *self.MODEL, "--sweep", "lambda=0.5:1.5:3",
+                                      "--metrics", metrics])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValidationError: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_solve_grid_max_rejected(self, capsys, value):
         code, out, err = run(capsys, ["solve", *self.MODEL, "--grid-max", value])
@@ -325,6 +339,20 @@ class TestSweep:
             if pts[i + 1][0] - pts[i][0] == pytest.approx(pts[i][0] - pts[i - 1][0])
         )
         assert violated
+
+    def test_cdf_metric_spellings_agree(self, capsys):
+        argv = ["sweep", "--c", "3", "--lambda", "2", "--mu1", "0.3", "--mu2", "0.8",
+                "--k", "5", "--sweep", "lambda=0.7:1.1:5", "--metrics"]
+        code, out, _ = run(capsys, argv + ["cdf@3,cdf@3.0,cdf@0,mean"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "lambda,status,cdf@3,cdf@3.0,cdf@0,mean"
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[2] == cells[3]
+            if cells[1] == "ok":
+                sol = solve(validate_params(3, float(cells[0]), 0.3, 0.8, 5.0))
+                assert float(cells[4]) == pytest.approx(sol.p_wait_zero, abs=1e-14)
 
     def test_bad_sweep_spec(self, capsys):
         code, _, err = run(capsys, [

@@ -318,6 +318,14 @@ class TestArrayEvaluators:
         with pytest.raises(ValueError):
             tilde_q(1, xs, s.matrices)
 
+    def test_nan_raises(self, c):
+        s = self.solution(c)
+        for x in (float("nan"), np.float64("nan"), np.array([0.0, np.nan, 1.0])):
+            with pytest.raises(ValueError, match="x must be >= 0"):
+                eval_cdf(s, x)
+            with pytest.raises(ValueError, match="x must be >= 0"):
+                eval_density(s, x)
+
 
 class TestVerifySolution:
     def test_worked_example_residuals(self, two_server_solution):

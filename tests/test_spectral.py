@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vqt.model import build_matrices, validate_params
+from vqt.numerics import unitri_inv
 from vqt.spectral import (
     build_spectral,
     compute_beta_spectrum,
@@ -12,13 +13,127 @@ from vqt.spectral import (
 from conftest import random_stable_params
 
 
+def pencil(theta, lam, d_tilde, b):
+    n = len(b)
+    return theta * theta * np.eye(n) - theta * (lam * np.eye(n) - d_tilde) + lam * (b - d_tilde)
+
+
 def pencil_residual(values, vectors, lam, d_tilde, b):
     worst = 0.0
-    n = len(b)
     for theta, v in zip(values, vectors):
-        p = theta**2 * np.eye(n) - theta * (lam * np.eye(n) - d_tilde) + lam * (b - d_tilde)
+        p = pencil(theta, lam, d_tilde, b)
         worst = max(worst, np.abs(v @ p).max() / max(np.abs(v).max(), 1.0))
     return worst
+
+
+def reference_left_null(pencil_at_root, pivot, orientation):
+    """One root's left null vector by scalar substitution from its pivot:
+    forward through an upper pencil, backward through a lower one."""
+    n = len(pencil_at_root)
+    v = np.zeros(n)
+    v[pivot] = 1.0
+    if orientation == "upper":
+        for j in range(pivot + 1, n):
+            v[j] = -(v[pivot:j] @ pencil_at_root[pivot:j, j]) / pencil_at_root[j, j]
+    else:
+        for j in range(pivot - 1, -1, -1):
+            v[j] = (-(v[j + 1:pivot + 1] @ pencil_at_root[j + 1:pivot + 1, j])
+                    / pencil_at_root[j, j])
+    return v
+
+
+def reference_unitri_inv(v, orientation):
+    """Inverse of a unitriangular matrix, one entry at a time down each column."""
+    n = len(v)
+    out = np.eye(n)
+    if orientation == "upper":
+        for j in range(1, n):
+            for i in range(j - 1, -1, -1):
+                out[i, j] = -v[i, i + 1:j + 1] @ out[i + 1:j + 1, j]
+    else:
+        for j in range(n - 1):
+            for i in range(j + 1, n):
+                out[i, j] = -v[i, j:i] @ out[j:i, j]
+    return out
+
+
+def scan_params(c):
+    return validate_params(c, 0.7 * c, 0.8, 1.0, 0.5)
+
+
+def assert_rows_close(actual, expected, rtol):
+    """Each row within rtol of the expected row's max-norm."""
+    scale = np.abs(expected).max(axis=1, keepdims=True)
+    assert (np.abs(actual - expected) <= rtol * scale).all()
+
+
+class TestBatchedSubstitution:
+    def test_rows_match_per_root_substitution(self):
+        rng = np.random.default_rng(81)
+        for _ in range(300):
+            p = random_stable_params(rng, 16)
+            m = build_matrices(p)
+            c = p.c
+            for (roots, vectors), d_tilde, b, orientation in (
+                (compute_theta_spectrum(p, m), m.d_tilde_1, m.b1, "upper"),
+                (compute_beta_spectrum(p, m), m.d_tilde_2, m.b2, "lower"),
+            ):
+                expected = np.array([
+                    reference_left_null(pencil(t, p.lam, d_tilde, b), idx % c, orientation)
+                    for idx, t in enumerate(roots)
+                ])
+                assert_rows_close(vectors, expected, 1e-8)
+                for half in (vectors[:c], vectors[c:]):
+                    assert_rows_close(unitri_inv(half, orientation),
+                                      reference_unitri_inv(half, orientation), 1e-8)
+
+    @pytest.mark.parametrize("c", [1, 2, 8, 24])
+    def test_exact_pivots_and_zeros(self, c):
+        p = scan_params(c)
+        m = build_matrices(p)
+        _, phi = compute_theta_spectrum(p, m)
+        _, psi = compute_beta_spectrum(p, m)
+        for idx in range(2 * c):
+            pivot = idx % c
+            assert phi[idx, pivot] == 1.0 and psi[idx, pivot] == 1.0
+            assert not phi[idx, :pivot].any()
+            assert not psi[idx, pivot + 1:].any()
+
+    @pytest.mark.parametrize("c", [16, 24])
+    def test_pencil_residual_at_scan_points(self, c):
+        p = scan_params(c)
+        m = build_matrices(p)
+        theta, phi = compute_theta_spectrum(p, m)
+        beta, psi = compute_beta_spectrum(p, m)
+        assert pencil_residual(theta, phi, p.lam, m.d_tilde_1, m.b1) < 1e-10
+        assert pencil_residual(beta, psi, p.lam, m.d_tilde_2, m.b2) < 1e-10
+
+
+class TestUnitriInv:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_inverse_both_orientations(self, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.uniform(-2.0, 2.0, (n, n)), 1) + np.eye(n)
+        for v, orientation in ((upper, "upper"), (upper.T.copy(), "lower")):
+            x = unitri_inv(v, orientation)
+            assert np.allclose(v @ x, np.eye(n), atol=1e-12)
+            assert np.allclose(x @ v, np.eye(n), atol=1e-12)
+
+    def test_eigenvector_bases(self):
+        p = scan_params(16)
+        m = build_matrices(p)
+        c = p.c
+        _, phi = compute_theta_spectrum(p, m)
+        _, psi = compute_beta_spectrum(p, m)
+        for v, orientation in ((phi[:c], "upper"), (phi[c:], "upper"), (psi[:c], "lower")):
+            x = unitri_inv(v, orientation)
+            # graded bases: compare against the row scales of the product
+            scale = np.abs(v).max(axis=1, keepdims=True) * np.abs(x).max(axis=0)
+            assert (np.abs(v @ x - np.eye(c)) <= 1e-12 * scale).all()
+
+    def test_rejects_unknown_orientation(self):
+        with pytest.raises(ValueError):
+            unitri_inv(np.eye(2), "diagonal")
 
 
 class TestThetaSpectrum:
