@@ -23,6 +23,13 @@ __all__ = [
 ]
 
 
+def _point(x: float) -> float:
+    """x itself; NaN raises, as in solver.eval_cdf and eval_density."""
+    if math.isnan(x):
+        raise ValueError("x must be >= 0")
+    return x
+
+
 @dataclass(frozen=True)
 class SingleServerSolution:
     """c = 1 stationary law: density is one exponential below the threshold
@@ -38,7 +45,7 @@ class SingleServerSolution:
     coef_fast: float
 
     def density(self, x: float) -> float:
-        if x <= 0:
+        if _point(x) <= 0:
             return 0.0
         k = self.params.k
         if x <= k:
@@ -49,7 +56,9 @@ class SingleServerSolution:
 
     def cdf(self, x: float) -> float:
         """P(W <= x) by analytic integration of the density branches."""
-        if x <= 0:
+        if _point(x) < 0:
+            return 0.0
+        if x == 0:
             return self.pi00
         k = self.params.k
         below = self.coef_below / self.rate_below
@@ -129,12 +138,12 @@ class ErlangCSolution:
     decay: float
 
     def cdf(self, x: float) -> float:
-        if x < 0:
+        if _point(x) < 0:
             return 0.0
         return 1.0 - self.c_prob * math.exp(-self.decay * x)
 
     def density(self, x: float) -> float:
-        if x <= 0:
+        if _point(x) <= 0:
             return 0.0
         return self.c_prob * self.decay * math.exp(-self.decay * x)
 

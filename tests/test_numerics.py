@@ -165,6 +165,132 @@ class TestUpperTriangularShortcut:
         assert np.array_equal(got, ref, equal_nan=True)
 
 
+N0 = numerics._LIST_MAX_ORDER
+
+
+def reference_lu_factor(a: np.ndarray, b: np.ndarray):
+    """reference_lu_solve's elimination of a alone, then its forward pass
+    on b[perm]: the packed LU, L^-1 P b and the permutation."""
+    a = np.array(a, dtype=float)
+    n = len(a)
+    perm = np.arange(n)
+    row_scale = np.abs(a).max(axis=1)
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(a[j:, j]) / row_scale[j:]))
+        a[[j, p]] = a[[p, j]]
+        row_scale[[j, p]] = row_scale[[p, j]]
+        perm[[j, p]] = perm[[p, j]]
+        a[j + 1:, j] /= a[j, j]
+        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j, j + 1:])
+    y = np.asarray(b, dtype=float)[perm]
+    for j in range(n):
+        y[j + 1:] -= np.outer(a[j + 1:, j], y[j])
+    return a, y, perm
+
+
+def graded(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """A random upper, lower or full matrix whose rows span twelve decades."""
+    if kind == "upper":
+        return graded_upper(rng, n)
+    if kind == "lower":
+        return graded_upper(rng, n)[::-1, ::-1].copy()
+    a = rng.normal(size=(n, n)) + 0.5 * np.eye(n)
+    return a * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+
+
+def right_hand_sides(rng: np.random.Generator, n: int) -> tuple:
+    return (rng.normal(size=n), rng.normal(size=(n, 1)),
+            rng.normal(size=(n, 3)), np.eye(n))
+
+
+@pytest.fixture(params=["list", "numpy"])
+def executor(request, monkeypatch):
+    """Send every finite system of order <= _LIST_MAX_ORDER to one executor."""
+    if request.param == "numpy":
+        monkeypatch.setattr(numerics, "_LIST_MAX_ORDER", 0)
+    return request.param
+
+
+def outcome(solve, a, b):
+    """The bytes and shape of the solution, or the exception's type and text."""
+    try:
+        with np.errstate(all="ignore"):
+            x = solve(a, b)
+    except Singular as exc:
+        return type(exc), str(exc)
+    return x.shape, x.tobytes()
+
+
+class TestExecutors:
+    """Systems of order <= _LIST_MAX_ORDER run on Python floats, larger ones
+    on numpy arrays; both must give reference_lu_solve's bits."""
+
+    @pytest.mark.parametrize("n", range(1, N0 + 3))
+    @pytest.mark.parametrize("kind", ["upper", "lower", "full"])
+    def test_bytes_match_reference(self, executor, n, kind):
+        rng = np.random.default_rng(1000 * n + len(kind))
+        a = graded(rng, n, kind)
+        for b in right_hand_sides(rng, n):
+            got = lu_solve(a, b)
+            assert got.shape == b.shape
+            assert got.tobytes() == reference_lu_solve(a, b).tobytes()
+        assert inv(a).tobytes() == reference_lu_solve(a, np.eye(n)).tobytes()
+
+    def test_zero_multiplier_updates_keep_signed_zeros(self, executor):
+        # row 1 has multiplier 0 at column 0, yet -0.0 - 0 * (-1.0) = +0.0:
+        # skipping zero-multiplier updates would return x[1] = -0.0
+        a = np.array([[4.0, 1.0, 1.0], [0.0, 3.0, 0.0], [1.0, 1.0, 5.0]])
+        b = np.array([-1.0, -0.0, 2.0])
+        got = lu_solve(a, b)
+        assert got[1] == 0.0 and not np.signbit(got[1])
+        assert got.tobytes() == reference_lu_solve(a, b).tobytes()
+
+    def test_zero_row_message(self, executor):
+        a = graded(np.random.default_rng(11), 6, "full")
+        a[3] = 0.0
+        with pytest.raises(Singular, match="zero row") as got:
+            lu_solve(a, np.ones(6))
+        assert str(got.value) == reference_error(a)
+
+    @pytest.mark.parametrize("column, swap",
+                             [(0, False), (2, False), (4, False), (4, True)])
+    def test_small_pivot_message(self, executor, column, swap):
+        a = graded(np.random.default_rng(20 + column), 7, "upper")
+        a[column, column] = 1e-15 * np.abs(a[column]).max()
+        if swap:
+            a[[0, 1]] = a[[1, 0]]       # column 0 swaps them back first
+        with pytest.raises(Singular) as got:
+            lu_solve(a, np.eye(7))
+        assert str(got.value) == reference_error(a)
+        assert f"at column {column}" in str(got.value)
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["upper", "lower", "full"])
+    def test_non_finite_input_matches_reference(self, where, value, kind):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, N0):
+            a = graded(rng, n, kind)
+            b = rng.normal(size=(n, 2))
+            (a if where == "a" else b)[n // 2, 0] = value
+            assert outcome(lu_solve, a, b) == outcome(reference_lu_solve, a, b)
+
+    @pytest.mark.parametrize("n", [1, 4, N0, N0 + 2])
+    @pytest.mark.parametrize("kind", ["lower", "full"])
+    def test_factor_of_augmented_matrix(self, n, kind):
+        rng = np.random.default_rng(30 + n)
+        a = graded(rng, n, kind)
+        b = rng.normal(size=(n, 3))
+        lu, y, ref_perm = reference_lu_factor(a, b)
+        for ab in (np.hstack((a, b)), np.hstack((a, b)).tolist()):
+            packed, perm = numerics.lu_factor(ab)
+            packed = np.array(packed)
+            assert packed.shape == (n, n + 3)
+            assert packed[:, :n].tobytes() == lu.tobytes()
+            assert packed[:, n:].tobytes() == y.tobytes()
+            assert np.array_equal(perm, ref_perm)
+
+
 class TestMatFunc:
     def test_identity_function_reconstructs(self):
         rng = np.random.default_rng(5)

@@ -87,3 +87,26 @@ def test_erlang_c_prob_matches_direct_formula():
         top = a**c / math.factorial(c) / (1 - rho)
         acc = sum(a**n / math.factorial(n) for n in range(c))
         assert erlang_c_prob(c, a) == pytest.approx(top / (acc + top), rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [
+    single_server(inspect_params(1, 1.0, 2.0, 4.0, 1.0)),
+    erlang_c(inspect_params(3, 2.0, 0.8, 0.8, 5.0)),
+], ids=["single_server", "erlang_c"])
+class TestEvaluatorDomain:
+    @pytest.mark.parametrize("method", ["cdf", "density"])
+    def test_nan_raises_like_the_solver(self, law, method):
+        with pytest.raises(ValueError, match=r"^x must be >= 0$"):
+            getattr(law, method)(float("nan"))
+        with pytest.raises(ValueError, match=r"^x must be >= 0$"):
+            getattr(law, method)(np.float64("nan"))
+
+    def test_negative_x_has_no_mass(self, law):
+        for x in (-0.5, -1e-300, -math.inf):
+            assert law.cdf(x) == 0.0
+            assert law.density(x) == 0.0
+
+    def test_atom_at_zero(self, law):
+        atom = law.pi00 if hasattr(law, "pi00") else law.p_wait_zero
+        assert law.cdf(0.0) == law.cdf(-0.0) == atom
+        assert law.density(0.0) == 0.0
