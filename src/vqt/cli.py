@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid; the threshold is always injected as an exact point."""
+    """Evaluation grid on [0, x_max]; the threshold k is injected as an exact
+    point only when k <= x_max, so the grid never runs past x_max."""
 
     x_max: float
     points: int
@@ -354,16 +355,22 @@ def run_validate(args) -> int:
 
 
 def _sweep_values(spec: str) -> tuple[str, list[float]]:
+    """The swept parameter and its values; start and stop must be finite and
+    steps at least 1."""
     try:
         name, rng = spec.split("=", 1)
         start, stop, steps = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(steps))
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise ValidationError(f"bad --sweep spec {spec!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"bad --sweep spec {spec!r}: start and stop must be finite")
+    if steps < 1:
+        raise ValidationError(f"bad --sweep spec {spec!r}: steps must be >= 1")
     name = name.strip()
     if name not in ("lambda", "mu1", "mu2", "k", "c"):
         raise ValidationError(f"cannot sweep {name!r}")
-    return name, [float(v) for v in values]
+    return name, np.linspace(start, stop, steps).tolist()
 
 
 def _metric_point(metric: str) -> float | None:

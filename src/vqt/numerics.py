@@ -1,12 +1,10 @@
 """Minimal dense linear-algebra kernel.
 
-Everything the solution pipeline needs reduces to two operations on small
-dense matrices: LU solves (with substitution for the unitriangular
-eigenvector bases) and analytic matrix functions through a known
-eigenbasis; plus the scalar moment kernel int_a^b t x e^(tx) dx of one
-exponential term.  All matrices in this package are triangular or similar
-to a triangular matrix with a spectrum that is known in closed form, so
-matrix functions never need Pade or Schur machinery.
+The solution pipeline needs three operations on small dense matrices: LU
+solves, the inverses of the unitriangular eigenvector bases by substitution,
+and the 1-norm condition of a basis.  Matrix functions need no kernel: every
+matrix exponential the pipeline forms is of a solvent V^-1 diag(roots) V whose
+roots and bases are known in closed form (see ``spectral``).
 
 The LU solve keeps its scaled pivot test everywhere, because that test is
 what rejects ill-conditioned inputs.  It eliminates the augmented matrix
@@ -36,22 +34,18 @@ than numpy at n <= 4, and from n = 9 up it is slower on inverses (up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentIntegral, Singular
+from .errors import Singular
 
 __all__ = [
-    "EigenSystem",
     "lu_factor",
     "lu_solve",
     "solve_right",
     "inv",
     "unitri_inv",
-    "mat_func",
     "cond_1norm",
 ]
 
@@ -60,19 +54,6 @@ _PIVOT_TOL = 1e-14
 
 # Largest order whose finite LU solves run on Python floats.
 _LIST_MAX_ORDER = 8
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Left eigendecomposition of a square matrix A.
-
-    Rows of ``left_vectors`` are left eigenvectors: V @ A = diag(values) @ V,
-    hence A = V^{-1} diag(values) V and f(A) = V^{-1} diag(f(values)) V.
-    """
-
-    values: np.ndarray
-    left_vectors: np.ndarray
-    inverse_vectors: np.ndarray
 
 
 def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
@@ -290,32 +271,3 @@ def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:
         raise ValueError("orientation must be 'upper' or 'lower'")
     return out
 
-
-def mat_func(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function through the eigenbasis.
-
-    The result R satisfies v @ R = f(theta) * v for every stored eigenpair.
-    """
-    fv = np.asarray(f(es.values), dtype=float)
-    return es.inverse_vectors @ (fv[:, None] * es.left_vectors)
-
-
-def _ik_series(th: float, a: float, b: float) -> float:
-    # int_a^b th*x*e^(th*x) dx expanded about th = 0; five terms keep the
-    # truncation far below 1e-12 at the switch point.
-    acc = 0.0
-    for n, denom in enumerate((2.0, 3.0, 8.0, 30.0, 144.0)):
-        acc += th ** (n + 1) * (b ** (n + 2) - a ** (n + 2)) / denom
-    return acc
-
-
-def _ik_scalar(th: float, a: float, b: float) -> float:
-    """int_a^b th x e^(th x) dx for 0 <= a <= b; b = inf needs th < 0."""
-    if b == np.inf:
-        if th >= 0.0:
-            raise DivergentIntegral(f"eigenvalue {th} >= 0 with b = inf")
-        return -a * np.exp(th * a) + np.exp(th * a) / th
-    if abs(th) * max(abs(a), abs(b)) < 1e-6:
-        return _ik_series(th, a, b)
-    ea, eb = np.exp(th * a), np.exp(th * b)
-    return (b * eb - a * ea) - (eb - ea) / th

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergentIntegral, NegativeProbability, NumericalError
 from .model import ModelMatrices, QueueParams, build_matrices, hat_i, tilde_q
-from .numerics import _ik_scalar, inv, lu_solve, mat_func, solve_right
+from .numerics import inv, lu_solve, solve_right
 from .spectral import SpectralData, build_spectral
 
 __all__ = [
@@ -77,8 +77,10 @@ class AuxChain:
     h19: np.ndarray; h20: np.ndarray; dm2: np.ndarray
 
 
-def _expm(sm, x: float) -> np.ndarray:
-    return mat_func(sm.eig, lambda v: np.exp(v * x))
+def _expm(roots: np.ndarray, vectors: np.ndarray, inverse: np.ndarray,
+          x: float) -> np.ndarray:
+    """e^{U x} for the solvent U = inverse @ diag(roots) @ vectors."""
+    return inverse @ (np.exp(roots * x)[:, None] * vectors)
 
 
 def h_chain(
@@ -92,29 +94,30 @@ def h_chain(
     lam, k, c = params.lam, params.k, params.c
     b1, b2 = matrices.b1, matrices.b2
     d1, d2 = matrices.d_tilde_1, matrices.d_tilde_2
-    u1m, u1p, u2m = spectral.u1_minus, spectral.u1_plus, spectral.u2_minus
+    sp = spectral
+    u1m, u1p, u2m = sp.u1_minus, sp.u1_plus, sp.u2_minus
     eye = np.eye(c)
 
-    e_minus = _expm(u1m, k)
-    e_plus = _expm(u1p, k)
-    du = u1p.mat - u1m.mat
+    e_minus = _expm(sp.theta[:c], sp.phi[:c], sp.phi_minus_inv, k)
+    e_plus = _expm(sp.theta[c:], sp.phi[c:], sp.phi_plus_inv, k)
+    du = u1p - u1m
 
     # h1 and h5 share du: one solve with both right-hand sides side by side
     # (back substitution treats each column on its own)
     h1, h5 = np.hsplit(lu_solve(du, np.hstack(
-        [e_plus - e_minus, u1p.mat @ e_plus - u1m.mat @ e_minus])), 2)
-    h2 = m0 @ (eye - e_minus + u1m.mat @ h1)
+        [e_plus - e_minus, u1p @ e_plus - u1m @ e_minus])), 2)
+    h2 = m0 @ (eye - e_minus + u1m @ h1)
     h3 = h1 + d1 @ h2
     h4 = -lam * b1 @ h2
-    h6 = m0 @ (u1m.mat @ e_minus - u1m.mat @ h5)
+    h6 = m0 @ (u1m @ e_minus - u1m @ h5)
     h7 = h5 - d1 @ h6
     h8 = lam * b1 @ h6
 
     d1_inv, d2_inv = matrices.d_tilde_1_inv, matrices.d_tilde_2_inv
     dm2 = (d1 - d2) @ m2
-    h9 = dm2 @ u2m.mat + d1 @ dm2
-    h10 = u2m.mat - lam * (eye - b2 @ d2_inv) @ h9
-    h11 = m1 @ u2m.mat + d2_inv @ h9
+    h9 = dm2 @ u2m + d1 @ dm2
+    h10 = u2m - lam * (eye - b2 @ d2_inv) @ h9
+    h11 = m1 @ u2m + d2_inv @ h9
     bridge = b1 @ d1_inv @ d2          # recurring factor B1 D1^{-1} D2
     h12 = h10 + lam * (bridge - b2) @ h11
     h13 = d2 @ h11
@@ -124,8 +127,8 @@ def h_chain(
     # the level images psi_c @ h_hat_n come out nonpositive and the tail
     # constant b_c negative.  Only products of the pair are observable.
     core = h7 - h7 @ h9 - h3 @ h12 + h13
-    h15 = -u2m.mat @ inv(core)
-    h16 = (h14 + h4 @ h12 - h8 + h8 @ h9) @ lu_solve(u2m.mat, -h15)
+    h15 = -u2m @ inv(core)
+    h16 = (h14 + h4 @ h12 - h8 + h8 @ h9) @ lu_solve(u2m, -h15)
 
     h17 = d2 @ m1 - lam * h3 @ (bridge - b2) @ m1
     h18 = lam * bridge @ m1 + lam * h4 @ (bridge - b2) @ m1
@@ -262,16 +265,15 @@ def _expand(
     the constant F(inf).
     """
     sp, m, c = spectral, matrices, params.c
-    w = solve_right(f_prime_0 + alpha0_m0 @ sp.u1_minus.mat,
-                    sp.u1_plus.mat - sp.u1_minus.mat)
-    a_minus = (-w - alpha0_m0) @ sp.u1_minus.eig.inverse_vectors
-    a_plus = w @ sp.u1_plus.eig.inverse_vectors
+    w = solve_right(f_prime_0 + alpha0_m0 @ sp.u1_minus, sp.u1_plus - sp.u1_minus)
+    a_minus = (-w - alpha0_m0) @ sp.phi_minus_inv
+    a_plus = w @ sp.phi_plus_inv
     lower_weights = np.concatenate([a_minus, a_plus])[:, None] * sp.phi
 
     # Coefficient row of e^{U2- (x-k)}; the tail constant is F(inf) itself
     # (the b_c convention cancels there).
     tail_head = f_at_k - f_infinity - alpha2 @ dm2
-    b_minus = tail_head @ sp.u2_minus.eig.inverse_vectors
+    b_minus = tail_head @ sp.psi_minus_inv
     # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
     # eigenvectors of D_tilde_1 by its defining conjugation.
     memory = (alpha2 @ m.b1_inv)[:, None] * (m.b1 @ dm2)
@@ -417,13 +419,25 @@ def eval_density(sol: StationarySolution, x) -> np.ndarray:
     return sol.expansion.density(_nonnegative(x))
 
 
+def _moment(th: float, k: float) -> float:
+    """int_0^k th x e^(th x) dx.  Below |th| k = 1e-6, where the closed form
+    cancels, five terms of its series about th = 0 stay far below 1e-12."""
+    if abs(th) * k < 1e-6:
+        acc = 0.0
+        for n, denom in enumerate((2.0, 3.0, 8.0, 30.0, 144.0)):
+            acc += th ** (n + 1) * k ** (n + 2) / denom
+        return acc
+    eb = np.exp(th * k)
+    return k * eb - (eb - 1.0) / th
+
+
 def mean_wait(sol: StationarySolution) -> float:
     """E[W] = int x dF, term by term: the moment kernel on [0, k], and
     int_k^inf x r e^{r(x-k)} dx = 1/r - k for each decaying tail term."""
     mix = sol.expansion
     if mix.upper_rates.max() >= 0.0:
         raise DivergentIntegral("tail matrix has a nonnegative eigenvalue")
-    below = sum(_ik_scalar(r, 0.0, mix.k) * w.sum()
+    below = sum(_moment(r, mix.k) * w.sum()
                 for r, w in zip(mix.lower_rates.tolist(), mix.lower_weights))
     above = (1.0 / mix.upper_rates - mix.k) @ mix.upper_weights.sum(axis=1)
     return float(below + above)

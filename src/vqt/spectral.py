@@ -5,10 +5,12 @@ quadratics, one per diagonal position.  Pairing each eigenvalue with the
 quadratic it came from (instead of sorting by value) keeps the null-mode
 eigenvectors identified even when magnitudes cross.  The left eigenvectors
 of all 2c roots come out of one substitution pass over the stacked pencils,
-one batched product per column.  The three solution
-matrices of the quadratic matrix equations are assembled from the sign-split
-eigenvector bases, which are unitriangular by construction; above the
-threshold only the decaying solution U2- is needed, since F stays bounded.
+one batched product per column.  The three solvents of the quadratic
+matrix equations, U = V^-1 diag(roots) V, come from the sign-split halves of
+the roots and bases (theta/phi for U1- and U1+, beta/psi for U2-).  The bases
+are unitriangular by construction, so their inverses come from substitution;
+each solvent and each inverse is stored as a plain array.  Above the
+threshold only the decaying solvent U2- is needed, since F stays bounded.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ import numpy as np
 
 from .errors import Degenerate, ILL_CONDITIONED, NullSpaceDimension
 from .model import ModelMatrices, QueueParams
-from .numerics import EigenSystem, cond_1norm, unitri_inv
+from .numerics import cond_1norm, unitri_inv
 
 __all__ = [
     "SpectralData",
-    "SolutionMatrix",
     "compute_theta_spectrum",
     "compute_beta_spectrum",
-    "build_u_matrices",
     "null_right_vectors",
     "build_spectral",
 ]
@@ -36,26 +36,21 @@ _COND_WARN = 1e10
 
 
 @dataclass(frozen=True)
-class SolutionMatrix:
-    """A solution of a quadratic matrix equation with its eigenbasis attached."""
-
-    mat: np.ndarray
-    eig: EigenSystem
-
-
-@dataclass(frozen=True)
 class SpectralData:
     theta: np.ndarray            # 2c roots, index i and i+c from quadratic i
     phi: np.ndarray              # rows: left eigenvectors, pivot normalized to 1
+    phi_minus_inv: np.ndarray    # inverse of phi[:c], the basis of U1-
+    phi_plus_inv: np.ndarray     # inverse of phi[c:], the basis of U1+
     beta: np.ndarray
     psi: np.ndarray
+    psi_minus_inv: np.ndarray    # inverse of psi[:c], the basis of U2-
     phi_star: np.ndarray         # left null-mode vector [0, ..., 0, 1]
     psi_c: np.ndarray            # left null-mode vector [1, 0, ..., 0]
     phi_star_right: np.ndarray   # right null vector of B1 - D_tilde_1
     psi_c_right: np.ndarray      # right null vector of B2 - D_tilde_2
-    u1_minus: SolutionMatrix
-    u1_plus: SolutionMatrix
-    u2_minus: SolutionMatrix
+    u1_minus: np.ndarray         # phi_minus_inv @ diag(theta[:c]) @ phi[:c]
+    u1_plus: np.ndarray          # phi_plus_inv @ diag(theta[c:]) @ phi[c:]
+    u2_minus: np.ndarray         # psi_minus_inv @ diag(beta[:c]) @ psi[:c]
     warnings: tuple[str, ...] = ()
 
 
@@ -142,15 +137,15 @@ def compute_beta_spectrum(
 
 
 def _assemble_u(values: np.ndarray, vectors: np.ndarray, orientation: str,
-                warnings: list[str], label: str) -> SolutionMatrix:
+                warnings: list[str], label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The solvent V^-1 diag(values) V and the basis inverse V^-1."""
     # the pivot-normalized eigenvector bases are unitriangular, so their
     # inverses come from exact substitution rather than pivoted elimination
     v_inv = unitri_inv(vectors, orientation)
     cond = cond_1norm(vectors, v_inv)
     if cond > _COND_WARN:
         warnings.append(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond:.3e}")
-    mat = v_inv @ (values[:, None] * vectors)
-    return SolutionMatrix(mat=mat, eig=EigenSystem(values, vectors, v_inv))
+    return v_inv @ (values[:, None] * vectors), v_inv
 
 
 def null_right_vectors(matrices: ModelMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -183,20 +178,16 @@ def null_right_vectors(matrices: ModelMatrices) -> tuple[np.ndarray, np.ndarray]
     return phi_star_right, psi_c_right
 
 
-def build_u_matrices(
-    params: QueueParams,
-    matrices: ModelMatrices,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    beta: np.ndarray,
-    psi: np.ndarray,
-) -> SpectralData:
-    """Assemble the sign-split solution matrices (U1-, U1+, U2-) and the null vectors."""
+def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData:
+    """Roots and bases of both pencils, the sign-split solvents (U1-, U1+,
+    U2-) with their basis inverses, and the null vectors."""
+    theta, phi = compute_theta_spectrum(params, matrices)
+    beta, psi = compute_beta_spectrum(params, matrices)
     c = params.c
     warnings: list[str] = []
-    u1_minus = _assemble_u(theta[:c], phi[:c], "upper", warnings, "u1_minus")
-    u1_plus = _assemble_u(theta[c:], phi[c:], "upper", warnings, "u1_plus")
-    u2_minus = _assemble_u(beta[:c], psi[:c], "lower", warnings, "u2_minus")
+    u1_minus, phi_minus_inv = _assemble_u(theta[:c], phi[:c], "upper", warnings, "u1_minus")
+    u1_plus, phi_plus_inv = _assemble_u(theta[c:], phi[c:], "upper", warnings, "u1_plus")
+    u2_minus, psi_minus_inv = _assemble_u(beta[:c], psi[:c], "lower", warnings, "u2_minus")
     # the increasing modes grow by exp(theta_max * k) across the threshold
     # interval; past e^25 that cancellation visibly erodes the matching of
     # the two branches at the threshold
@@ -206,16 +197,16 @@ def build_u_matrices(
             f"{ILL_CONDITIONED}: growth exponent theta_max*k = {growth:.1f} "
             f"erodes threshold matching"
         )
-    phi_star = np.zeros(c)
-    phi_star[c - 1] = 1.0
-    psi_c = np.zeros(c)
-    psi_c[0] = 1.0
+    phi_star, psi_c = np.eye(c)[[c - 1, 0]]
     phi_star_right, psi_c_right = null_right_vectors(matrices)
     return SpectralData(
         theta=theta,
         phi=phi,
+        phi_minus_inv=phi_minus_inv,
+        phi_plus_inv=phi_plus_inv,
         beta=beta,
         psi=psi,
+        psi_minus_inv=psi_minus_inv,
         phi_star=phi_star,
         psi_c=psi_c,
         phi_star_right=phi_star_right,
@@ -225,9 +216,3 @@ def build_u_matrices(
         u2_minus=u2_minus,
         warnings=tuple(warnings),
     )
-
-
-def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData:
-    theta, phi = compute_theta_spectrum(params, matrices)
-    beta, psi = compute_beta_spectrum(params, matrices)
-    return build_u_matrices(params, matrices, theta, phi, beta, psi)

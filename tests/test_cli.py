@@ -42,6 +42,18 @@ class TestSolve:
         xs = [l.split(",")[0] for l in out.strip().splitlines()[1:]]
         assert xs.count("0.45") == 1
 
+    def test_threshold_beyond_grid_max_left_out(self, capsys):
+        # k is injected only when k <= grid-max; the grid stops at its maximum
+        code, out, _ = run(capsys, ["solve", "--c", "2", "--lambda", "1.4", "--mu1", "0.8",
+                                    "--mu2", "1", "--k", "5", "--grid-max", "1",
+                                    "--grid-points", "3"])
+        assert code == 0
+        xs = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
+        assert xs == [0.0, 0.5, 1.0]
+        for spacing in ("linear", "log"):
+            grid = GridSpec(x_max=1.0, points=5, spacing=spacing).build(5.0)
+            assert len(grid) == 5 and grid.max() == 1.0
+
     def test_erlang_routing_header(self, capsys):
         code, out, _ = run(capsys, ["solve", "--c", "1", "--lambda", "0.5",
                                     "--mu1", "1", "--mu2", "1", "--k", "1",
@@ -253,6 +265,21 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert err.startswith("ValidationError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        "c=nan:5:3", "c=inf:5:3", "k=inf:1:3", "k=0.5:-inf:3", "lambda=0.5:1:0",
+        "lambda=0.5:1:-2",
+    ])
+    def test_sweep_range_rejected_before_solving(self, capsys, monkeypatch, spec):
+        def no_solve(*args):
+            raise AssertionError("solved before the range was checked")
+
+        monkeypatch.setattr(vqt.cli, "_solve_or_route", no_solve)
+        code, out, err = run(capsys, ["sweep", *self.MODEL, "--sweep", spec])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ValidationError: bad --sweep spec {spec!r}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_solve_grid_max_rejected(self, capsys, value):

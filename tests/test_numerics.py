@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from vqt import numerics
-from vqt.errors import DivergentIntegral, Singular
-from vqt.numerics import EigenSystem, _ik_scalar, inv, lu_solve, mat_func
+from vqt.errors import Singular
+from vqt.model import build_matrices, validate_params
+from vqt.numerics import inv, lu_solve
+from vqt.solver import _expm, _moment
+from vqt.spectral import _assemble_u, build_spectral
 
 
 def expm_reference(a: np.ndarray) -> np.ndarray:
@@ -25,10 +29,11 @@ def expm_reference(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigen_system(t: np.ndarray) -> EigenSystem:
-    """Left eigendecomposition of t with real spectrum, from numpy."""
+def eigen_system(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, left vectors as rows, their inverse) of t with real spectrum,
+    from numpy; t = inverse @ diag(values) @ left."""
     values, right = np.linalg.eig(t)
-    return EigenSystem(values.real, np.linalg.inv(right).real, right.real)
+    return values.real, np.linalg.inv(right).real, right.real
 
 
 class TestLuSolve:
@@ -292,21 +297,29 @@ class TestExecutors:
 
 
 class TestMatFunc:
+    """The solvent exponential e^{Ux} = V^-1 diag(e^{roots x}) V (solver._expm)
+    and the assembly of U itself (spectral._assemble_u)."""
+
     def test_identity_function_reconstructs(self):
         rng = np.random.default_rng(5)
         t = np.triu(rng.normal(size=(5, 5)))
         t[np.diag_indices(5)] = [1, 2, 3, 4, 5]
-        es = eigen_system(t)
-        assert np.abs(mat_func(es, lambda v: v) - t).max() < 1e-10 * np.abs(t).max()
+        values, left, _ = eigen_system(t)
+        # the left eigenvector of an upper-triangular t for t[i, i] vanishes
+        # before entry i; scaled to 1 there and ordered by i, the vectors form
+        # the unitriangular basis that _assemble_u takes
+        order = np.argsort(values)
+        v = np.triu(left[order] / left[order].diagonal()[:, None])
+        u, _ = _assemble_u(values[order], v, "upper", [], "t")
+        assert np.abs(u - t).max() < 1e-10 * np.abs(t).max()
 
     def test_exp_diagonal(self):
-        es = eigen_system(np.diag([0.0, np.log(2.0)]))
-        assert np.allclose(mat_func(es, np.exp), np.diag([1.0, 2.0]), atol=1e-14)
+        got = _expm(*eigen_system(np.diag([0.0, np.log(2.0)])), 1.0)
+        assert np.allclose(got, np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_exp_vs_scaling_squaring(self):
         t = np.array([[0.5, 0.3, -0.2], [0.0, -0.7, 0.4], [0.0, 0.0, 1.1]])
-        es = eigen_system(t)
-        got = mat_func(es, np.exp)
+        got = _expm(*eigen_system(t), 1.0)
         ref = expm_reference(t)
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
 
@@ -315,47 +328,48 @@ class TestMatFunc:
     def test_semigroup_property(self, x, y):
         t = np.array([[-0.4, 0.8, 0.1], [0.0, -1.0, 0.3], [0.0, 0.0, -0.2]])
         es = eigen_system(t)
-        exy = mat_func(es, lambda v: np.exp(v * (x + y)))
-        ex = mat_func(es, lambda v: np.exp(v * x))
-        ey = mat_func(es, lambda v: np.exp(v * y))
+        exy = _expm(*es, x + y)
+        ex = _expm(*es, x)
+        ey = _expm(*es, y)
         assert np.abs(exy - ex @ ey).max() <= 1e-9 * max(1.0, np.abs(exy).max())
+
+    @pytest.mark.parametrize("case", [
+        (8, 5.6, 0.8, 1.0, 0.5),          # the ROADMAP scan point at c = 8
+        (2, 2.0, 0.75, 1.12, 0.45),       # the worked two-server case
+    ])
+    def test_pipeline_solvents_vs_expm(self, case):
+        p = validate_params(*case)
+        sp = build_spectral(p, build_matrices(p))
+        c, k = p.c, p.k
+        for roots, basis, inverse, u in (
+            (sp.theta[:c], sp.phi[:c], sp.phi_minus_inv, sp.u1_minus),
+            (sp.theta[c:], sp.phi[c:], sp.phi_plus_inv, sp.u1_plus),
+        ):
+            ref = expm(k * u)
+            got = _expm(roots, basis, inverse, k)
+            assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 class TestIKernel:
+    """The moment kernel int_0^k th x e^(th x) dx of mean_wait (solver._moment)."""
+
     def test_zero_matrix_gives_zero(self):
-        assert _ik_scalar(0.0, 0.3, 2.0) == 0.0
+        assert _moment(0.0, 2.0) == 0.0
 
     def test_scalar_one_integration_by_parts(self):
         # int_0^1 x e^x dx = 1
-        assert abs(_ik_scalar(1.0, 0.0, 1.0) - 1.0) < 1e-12
-
-    def test_divergent_raises(self):
-        with pytest.raises(DivergentIntegral):
-            _ik_scalar(0.1, 0.0, np.inf)
+        assert abs(_moment(1.0, 1.0) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("theta", [0.8e-6, 1.2e-6, -0.8e-6, -1.2e-6])
     def test_taylor_switchover_vs_quadrature(self, theta):
         # both sides of the 1e-6 switch agree with direct quadrature; the
         # closed form just above it cancels to ~1e-10 absolute, the series
         # below it is exact to machine precision
-        got = _ik_scalar(theta, 0.0, 1.0)
+        got = _moment(theta, 1.0)
         ref = quad(lambda x: theta * x * np.exp(theta * x), 0.0, 1.0,
                    epsabs=1e-16, epsrel=1e-13)[0]
         tol = 1e-13 if abs(theta) < 1e-6 else 1e-9
         assert abs(got - ref) < tol
-
-    @given(
-        st.floats(min_value=0.1, max_value=2.0),
-        st.floats(min_value=0.1, max_value=2.0),
-        st.floats(min_value=-2.0, max_value=2.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_interval_additivity(self, a, b, value):
-        lo, mid, hi = 0.0, min(a, b), a + b
-        left = _ik_scalar(value, lo, mid)
-        right = _ik_scalar(value, mid, hi)
-        full = _ik_scalar(value, lo, hi)
-        assert abs(left + right - full) <= 1e-9 * max(1.0, abs(full))
 
 
 def test_inv_roundtrip():

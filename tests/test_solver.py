@@ -84,7 +84,7 @@ class TestHChain:
         sp = build_spectral(p, m)
         m0, m1, m2 = particular_matrices(p, m, sp)
         h = h_chain(p, m, sp, m0, m1, m2)
-        tp, tm = sp.u1_plus.mat[0, 0], sp.u1_minus.mat[0, 0]
+        tp, tm = sp.u1_plus[0, 0], sp.u1_minus[0, 0]
         h1_expected = (math.exp(tp * p.k) - math.exp(tm * p.k)) / (tp - tm)
         assert h.h1[0, 0] == pytest.approx(h1_expected, rel=1e-12)
         assert h.h3[0, 0] == pytest.approx(h.h1[0, 0] + p.mu1 * h.h2[0, 0], rel=1e-12)
@@ -95,7 +95,7 @@ class TestHChain:
         s = two_server_solution
         left = s.f_prime_0 @ s.h.h7 + s.pi_levels[-1] @ s.h.h8
         rhs = (s.f_at_k @ s.h.h12
-               + s.b_c * s.spectral.psi_c @ s.spectral.u2_minus.mat
+               + s.b_c * s.spectral.psi_c @ s.spectral.u2_minus
                - s.f_prime_0 @ s.h.h13
                + s.pi_levels[-1] @ s.h.h14)
         lhs = left @ (np.eye(2) - s.h.h9)

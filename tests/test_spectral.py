@@ -224,36 +224,36 @@ class TestUMatrices:
     def test_scalar_case(self):
         p = validate_params(1, 1.0, 2.0, 1.5, 1.0)
         sp = build_spectral(p, build_matrices(p))
-        assert sp.u1_minus.mat[0, 0] == pytest.approx(min(0.0, p.lam - p.mu1))
-        assert sp.u1_plus.mat[0, 0] == pytest.approx(max(0.0, p.lam - p.mu1))
+        assert sp.u1_minus[0, 0] == pytest.approx(min(0.0, p.lam - p.mu1))
+        assert sp.u1_plus[0, 0] == pytest.approx(max(0.0, p.lam - p.mu1))
 
     def test_quadratic_residual_worked_example(self, two_server_params):
         m = build_matrices(two_server_params)
         sp = build_spectral(two_server_params, m)
         lam = two_server_params.lam
         eye = np.eye(2)
-        for u in (sp.u1_minus.mat, sp.u1_plus.mat):
+        for u in (sp.u1_minus, sp.u1_plus):
             res = u @ u - u @ (lam * eye - m.d_tilde_1) + lam * (m.b1 - m.d_tilde_1)
             assert np.abs(res).max() < 1e-10
-        u = sp.u2_minus.mat
+        u = sp.u2_minus
         res = u @ u - u @ (lam * eye - m.d_tilde_2) + lam * (m.b2 - m.d_tilde_2)
         assert np.abs(res).max() < 1e-10
 
     def test_u2_minus_eigenvalues_worked_example(self, two_server_params):
         sp = build_spectral(two_server_params, build_matrices(two_server_params))
-        assert np.allclose(sorted(sp.u2_minus.eig.values), [-1.1615, -0.24], atol=5e-5)
+        assert np.allclose(sorted(sp.beta[:2]), [-1.1615, -0.24], atol=5e-5)
 
     def test_sign_partition_random(self):
         rng = np.random.default_rng(24)
         for _ in range(15):
             p = random_stable_params(rng)
             sp = build_spectral(p, build_matrices(p))
-            assert sp.u1_minus.eig.values.max() <= 1e-14
-            assert sp.u1_plus.eig.values.min() >= -1e-14
-            assert sp.u2_minus.eig.values.max() < 0
+            assert sp.theta[:p.c].max() <= 1e-14
+            assert sp.theta[p.c:].min() >= -1e-14
+            assert sp.beta[:p.c].max() < 0
             assert sp.beta[p.c:].min() >= 0
             # spectra disjoint, so the gap matrix is invertible
-            gap = sp.u1_plus.mat - sp.u1_minus.mat
+            gap = sp.u1_plus - sp.u1_minus
             assert np.linalg.matrix_rank(gap) == p.c
 
 
