@@ -355,8 +355,8 @@ def run_validate(args) -> int:
 
 
 def _sweep_values(spec: str) -> tuple[str, list[float]]:
-    """The swept parameter and its values; start and stop must be finite and
-    steps at least 1."""
+    """The swept parameter and its values; start and stop must be finite,
+    steps at least 1, and every value of a c sweep an integer."""
     try:
         name, rng = spec.split("=", 1)
         start, stop, steps = rng.split(":")
@@ -370,7 +370,10 @@ def _sweep_values(spec: str) -> tuple[str, list[float]]:
     name = name.strip()
     if name not in ("lambda", "mu1", "mu2", "k", "c"):
         raise ValidationError(f"cannot sweep {name!r}")
-    return name, np.linspace(start, stop, steps).tolist()
+    values = np.linspace(start, stop, steps).tolist()
+    if name == "c" and not all(v.is_integer() for v in values):
+        raise ValidationError(f"bad --sweep spec {spec!r}: c values must be integers")
+    return name, values
 
 
 def _metric_point(metric: str) -> float | None:
@@ -390,7 +393,7 @@ def _metric_point(metric: str) -> float | None:
 
 
 def _sweep_point(base: dict, name: str, value: float, metrics: dict[str, float | None]):
-    point = {**base, name: int(round(value)) if name == "c" else value}
+    point = {**base, name: int(value) if name == "c" else value}
     row = {"value": value, "status": "ok"}
     try:
         sol, model = _solve_or_route(point["c"], point["lambda"], point["mu1"],

@@ -24,7 +24,6 @@ __all__ = [
     "ModelMatrices",
     "build_matrices",
     "tilde_q",
-    "hat_i",
     "EPS_DEG",
 ]
 
@@ -127,7 +126,7 @@ class ModelMatrices:
     conjugations mu_k I + B_k^{-1} Delta_{c-1} B_k and d_tilde_k_inv their
     inverses B_k^{-1} diag(1 / (mu_k + delta)) B_k by the same conjugation,
     b_hat[n] are the rectangular downward-coupling matrices of the boundary
-    recursion, and i_hat is the (c-1) x c shift (0 | I).
+    recursion.
     """
 
     params: QueueParams
@@ -139,20 +138,12 @@ class ModelMatrices:
     d_tilde_1_inv: np.ndarray
     d_tilde_2_inv: np.ndarray
     b_hat: tuple[np.ndarray, ...]
-    i_hat: np.ndarray
     b1_inv: np.ndarray
     b2_inv: np.ndarray
 
     @property
     def c(self) -> int:
         return self.params.c
-
-
-def hat_i(rows: int) -> np.ndarray:
-    """Rectangular shift (0 | I): rows x (rows + 1)."""
-    out = np.zeros((rows, rows + 1))
-    out[:, 1:] = np.eye(rows)
-    return out
 
 
 def build_matrices(params: QueueParams) -> ModelMatrices:
@@ -199,7 +190,6 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
         d_tilde_1_inv=d_tilde_1_inv,
         d_tilde_2_inv=d_tilde_2_inv,
         b_hat=tuple(b_hat),
-        i_hat=hat_i(c - 1),
         b1_inv=b1_inv,
         b2_inv=b2_inv,
     )
@@ -215,7 +205,7 @@ def tilde_q(kappa: int, x, m: ModelMatrices) -> np.ndarray:
     inner exponential.  No eigensolve, so near-equal rates cost nothing.
     """
     x = np.asarray(x, dtype=float)[..., None]
-    if (x < 0).any():
+    if not (x >= 0).all():
         raise ValueError("x must be >= 0")
     if kappa == 1:
         b, b_inv, mu = m.b1, m.b1_inv, m.params.mu1

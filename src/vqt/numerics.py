@@ -8,11 +8,12 @@ roots and bases are known in closed form (see ``spectral``).
 
 The LU solve keeps its scaled pivot test everywhere, because that test is
 what rejects ill-conditioned inputs.  It eliminates the augmented matrix
-[A | B], so the unit-lower forward pass on B happens inside the elimination,
-and then back-substitutes.  Upper-triangular inputs (B1, the M0 argument,
-U1+ - U1-, the boundary recursion's level matrices) skip the elimination:
-their pivots never leave the diagonal and it only subtracts exact zero
-products, so back substitution alone gives the same numbers.
+[A | B] and back-substitutes.  Upper-triangular inputs (B1, the M0 argument,
+U1+ - U1-, the boundary recursion's level matrices) go to back substitution
+directly.  A row-vector system x A = B with an upper-triangular A is B @
+inv(A) after the pivot test on A's columns, never an elimination of the
+lower-triangular transpose, whose row swaps wreck the substitution's accuracy
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 8).
 
 One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
@@ -43,7 +44,6 @@ from .errors import Singular
 __all__ = [
     "lu_factor",
     "lu_solve",
-    "solve_right",
     "inv",
     "unitri_inv",
     "cond_1norm",
@@ -150,9 +150,9 @@ def _strict_lower(n: int) -> np.ndarray:
 
 
 def _check_diagonal_pivots(a: np.ndarray) -> None:
-    """lu_factor's tests for an upper-triangular a, whose pivot is always
-    the diagonal entry: the zero-row check, then the first diagonal entry
-    below 1e-14 of its row scale raises the same Singular."""
+    """lu_factor's tests with every pivot on the diagonal, as in an upper
+    triangular a: the zero-row check, then the first diagonal entry below
+    1e-14 of its row scale raises the same Singular."""
     row_scale = np.abs(a).max(axis=1)
     if row_scale.min() == 0.0:
         raise Singular("matrix has a zero row")
@@ -198,13 +198,12 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     substitution finishes.  A finite upper-triangular a with a finite b
     skips lu_factor and goes straight to back substitution after lu_factor's
     pivot tests.  Scaled partial pivoting keeps every pivot of such a matrix
-    on the diagonal (the entries below it are zero), so its multipliers are
-    zero and the elimination only subtracts exact zero products; skipping it
-    changes no value.  A non-finite entry would turn 0 * inf into NaN there,
-    so such inputs keep the full path.  Lower-triangular and full matrices
-    are factored with pivoting: with nonzeros below the diagonal the scaled
-    test can pick another row (B2 already swaps rows at c = 7 with
-    lam = 0.7c, mu1 = 0.8, mu2 = 1), and a swap changes the arithmetic.
+    on the diagonal, so the elimination would only subtract exact zero
+    products; a non-finite entry would turn 0 * inf into NaN there, so such
+    inputs keep the full path.  The lower-triangular inputs (B2, the M1 and
+    M2 arguments, U2-) and the full ones (core, the top boundary level) are
+    factored with pivoting: the scaled test can pick another row there (B2
+    swaps rows at c = 7 with lam = 0.7c, mu1 = 0.8, mu2 = 1).
 
     Finite systems of order n <= _LIST_MAX_ORDER take every step on Python
     floats (one tolist in, one array out), all others on numpy arrays.
@@ -240,11 +239,6 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if j:
             x[:j] -= lu[:j, j, None] * x[j]
     return x[:, 0] if vector else x
-
-
-def solve_right(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Solve x @ a = b (row-vector convention)."""
-    return lu_solve(np.asarray(a, float).T, np.asarray(b, float).T).T
 
 
 def inv(a: np.ndarray) -> np.ndarray:

@@ -152,6 +152,8 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     integer counts, exact in any order; the wait and queue-length sums keep
     one float ``bincount`` per chunk.
     """
+    if config.replications != 1:
+        raise ValueError("simulate runs one replication: use simulate_replicated")
     n = config.num_arrivals
     lam, k, c = params.lam, params.k, params.c
     warnings = []

@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergentIntegral, NegativeProbability, NumericalError
-from .model import ModelMatrices, QueueParams, build_matrices, hat_i, tilde_q
-from .numerics import inv, lu_solve, solve_right
-from .spectral import SpectralData, build_spectral
+from .errors import DivergentIntegral, NegativeProbability, NumericalError, Singular
+from .model import ModelMatrices, QueueParams, build_matrices, tilde_q
+from .numerics import _check_diagonal_pivots, inv, lu_solve
+from .spectral import GROWTH_WARN, SpectralData, build_spectral
 
 __all__ = [
     "AuxChain",
@@ -124,8 +124,8 @@ def h_chain(
     h14 = lam * bridge @ h11
 
     # Sign convention: h15 carries a leading minus (and h19 compensates), so
-    # the level images psi_c @ h_hat_n come out nonpositive and the tail
-    # constant b_c negative.  Only products of the pair are observable.
+    # the boundary level rows come out nonpositive and the tail constant b_c
+    # negative.  Only products of the pair are observable.
     core = h7 - h7 @ h9 - h3 @ h12 + h13
     h15 = -u2m @ inv(core)
     h16 = (h14 + h4 @ h12 - h8 + h8 @ h9) @ lu_solve(u2m, -h15)
@@ -265,7 +265,11 @@ def _expand(
     the constant F(inf).
     """
     sp, m, c = spectral, matrices, params.c
-    w = solve_right(f_prime_0 + alpha0_m0 @ sp.u1_minus, sp.u1_plus - sp.u1_minus)
+    # w du = rhs has du's columns as its rows, so its pivots are tested
+    # against those; inv then back-substitutes on the upper triangular du
+    du = sp.u1_plus - sp.u1_minus
+    _check_diagonal_pivots(du.T)
+    w = (f_prime_0 + alpha0_m0 @ sp.u1_minus) @ inv(du)
     a_minus = (-w - alpha0_m0) @ sp.phi_minus_inv
     a_plus = w @ sp.phi_plus_inv
     lower_weights = np.concatenate([a_minus, a_plus])[:, None] * sp.phi
@@ -306,31 +310,36 @@ def solve(params: QueueParams) -> StationarySolution:
     c, lam = params.c, params.lam
     psi_c = spectral.psi_c
 
-    # Backward recursion pi_n = pi_{n+1} C_hat_n over boundary levels; the
-    # top level couples to the continuous part through h15/h16.
-    c_hat: list[np.ndarray | None] = [None] * c
-    if c > 1:
-        c_hat[0] = matrices.b_hat[0] / lam
-        for n in range(1, c - 1):
-            inner = lam * (np.eye(n + 1) - c_hat[n - 1] @ hat_i(n)) + matrices.delta[n]
-            c_hat[n] = matrices.b_hat[n] @ inv(inner)
+    # pi_n = pi_{n+1} C_hat_n below the top level, which couples to the
+    # continuous part through h15/h16.  [0 | C_hat_{n-1}] enters each level.
     inner_top = lam * np.eye(c) + matrices.delta[c - 1] - h.h16
+    c_hat: list[np.ndarray] = []
     if c > 1:
-        inner_top -= lam * c_hat[c - 2] @ hat_i(c - 1)
-    c_hat[c - 1] = -h.h15 @ inv(inner_top)
+        c_hat.append(matrices.b_hat[0] / lam)
+        for n in range(1, c - 1):
+            inner = np.eye(n + 1)
+            inner[:, 1:] -= c_hat[n - 1]
+            c_hat.append(matrices.b_hat[n] @ inv(lam * inner + matrices.delta[n]))
+        inner_top[:, 1:] -= lam * c_hat[c - 2]
+    try:
+        top = -h.h15 @ inv(inner_top)
+    except Singular as exc:     # h16 lifts inner_top's row scale by the growth modes
+        growth = float(spectral.theta.max() * params.k)
+        if growth <= GROWTH_WARN:
+            raise
+        raise Singular(f"{exc}; growth exponent theta_max*k = {growth:.1f} "
+                       f"(past {GROWTH_WARN:g}) swamps the top boundary level") from exc
 
-    h_hat: list[np.ndarray | None] = [None] * c
-    h_hat[c - 1] = c_hat[c - 1]
-    for n in range(c - 2, -1, -1):
-        h_hat[n] = h_hat[n + 1] @ c_hat[n]
+    # Only the psi_c row of each level product is read: rows[n] = pi_n / b_c.
+    rows = [psi_c @ top]
+    for level in reversed(c_hat):
+        rows.insert(0, rows[0] @ level)
+    total = psi_c @ (h.h19 @ np.ones(c)) + rows[c - 1] @ (h.h20 @ np.ones(c))
+    for row in rows:
+        total += row.sum()
+    b_c = 1.0 / float(total)
 
-    ones = np.ones(c)
-    total = h.h19 @ ones + h_hat[c - 1] @ (h.h20 @ ones)
-    for n in range(c):
-        total = total + h_hat[n] @ np.ones(n + 1)
-    b_c = 1.0 / float(psi_c @ total)
-
-    pi_levels = tuple(b_c * (psi_c @ h_hat[n]) for n in range(c))
+    pi_levels = tuple(b_c * row for row in rows)
     floor = min(level.min() for level in pi_levels)
     if floor < -1e-8:
         raise NegativeProbability(f"pi entry {floor:.3e} below -1e-8")
@@ -542,7 +551,7 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     pi_top = sol.pi_levels[-1]
     slope0 = pi_top @ (p.lam * np.eye(p.c) + m.delta[p.c - 1])
     if p.c > 1:
-        slope0 = slope0 - p.lam * sol.pi_levels[-2] @ m.i_hat
+        slope0[1:] -= p.lam * sol.pi_levels[-2]
     res["con4_slope_at_0"] = float(np.max(np.abs(mix.density(0.0) - slope0)))
 
     res["con5_balance"] = _balance_residual(sol)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _COND_WARN = 1e10
+GROWTH_WARN = 25.0    # theta_max*k past which threshold matching erodes
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
     # interval; past e^25 that cancellation visibly erodes the matching of
     # the two branches at the threshold
     growth = float(theta.max() * params.k)
-    if growth > 25.0:
+    if growth > GROWTH_WARN:
         warnings.append(
             f"{ILL_CONDITIONED}: growth exponent theta_max*k = {growth:.1f} "
             f"erodes threshold matching"

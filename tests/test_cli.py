@@ -268,7 +268,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("spec", [
         "c=nan:5:3", "c=inf:5:3", "k=inf:1:3", "k=0.5:-inf:3", "lambda=0.5:1:0",
-        "lambda=0.5:1:-2",
+        "lambda=0.5:1:-2", "c=1.5:2.5:3",
     ])
     def test_sweep_range_rejected_before_solving(self, capsys, monkeypatch, spec):
         def no_solve(*args):
@@ -297,6 +297,18 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert "NumericalError" in err and "theta_max*k" in err
+
+    def test_top_level_singular_names_growth(self, capsys):
+        # h16 lifts the row scale of the top level's matrix past 2e15 long
+        # before exp overflows; the error says so
+        code, out, err = run(capsys, [
+            "solve", "--c", "8", "--lambda", "9.219533391614547", "--mu1", "2.732484510277274",
+            "--mu2", "2.2966611484135684", "--k", "23.467079576678415"])
+        assert code == 3
+        assert out == ""
+        assert err == ("Singular: pivot 2.437e+01 below 1e-14 of its row scale at column 0; "
+                       "growth exponent theta_max*k = 194.5 (past 25) swamps the top "
+                       "boundary level\n")
 
     @pytest.mark.parametrize("command", [
         ["solve", "--mean"],

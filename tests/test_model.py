@@ -7,7 +7,6 @@ from vqt.errors import Degenerate, NonPositive, Unstable
 from vqt.model import (
     QueueParams,
     build_matrices,
-    hat_i,
     inspect_params,
     tilde_q,
     validate_params,
@@ -102,9 +101,6 @@ class TestBuildMatrices:
         assert np.allclose(m.b_hat[0], [[1.12], [0.75]])
         assert m.b_hat[1].shape == (3, 2)
 
-    def test_hat_i(self):
-        assert np.array_equal(hat_i(2), [[0, 1, 0], [0, 0, 1]])
-
 
 class TestClassSwap:
     def test_identity_holds(self):
@@ -151,6 +147,13 @@ class TestTildeQ:
         m = build_matrices(two_server_params)
         assert tilde_q(1, 1.3, m)[1, 0] == 0.0
         assert tilde_q(2, 1.3, m)[0, 1] == 0.0
+
+    @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, float("nan")])])
+    def test_nan_raises(self, two_server_params, x):
+        m = build_matrices(two_server_params)
+        for kappa in (1, 2):
+            with pytest.raises(ValueError, match="x must be >= 0"):
+                tilde_q(kappa, x, m)
 
 
 def test_params_properties():

@@ -61,6 +61,12 @@ class TestSimConfig:
 
 
 class TestSimulate:
+    def test_rejects_replications(self, two_server_params):
+        # one run would silently stand in for the replications asked for
+        cfg = SimConfig(num_arrivals=10_000, replications=4)
+        with pytest.raises(ValueError, match="simulate_replicated"):
+            simulate(two_server_params, cfg)
+
     def test_deterministic(self, two_server_params):
         cfg = SimConfig(num_arrivals=50_000, seed=7, grid=(0.2, 1.0))
         assert simulate(two_server_params, cfg) == simulate(two_server_params, cfg)

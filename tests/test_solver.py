@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vqt.errors import NumericalError
+from vqt.errors import NumericalError, Singular
 from vqt.model import build_matrices, tilde_q, validate_params
-from vqt.numerics import cond_1norm, inv
+from vqt.numerics import cond_1norm, inv, lu_solve
 from vqt.reference import erlang_c_prob
 from vqt.solver import (
+    _expand,
     _lower_convolution,
     eval_cdf,
     eval_density,
@@ -25,6 +26,58 @@ from vqt.spectral import build_spectral
 from conftest import random_stable_params
 
 GOLDEN_TOL = 5e-5
+
+
+def _hat_i(rows):
+    """The shift (0 | I): rows x (rows + 1)."""
+    out = np.zeros((rows, rows + 1))
+    out[:, 1:] = np.eye(rows)
+    return out
+
+
+def _matrix_chain_route(p):
+    """pi levels, b_c and F's mixture by the longer route: every level
+    product C_hat_{c-1} ... C_hat_n as a full matrix, the level matrices
+    through 0/1 shift products, and w = rhs (U1+ - U1-)^{-1} by a pivoted
+    solve of the lower-triangular transpose.  The rest is solve's algebra."""
+    m = build_matrices(p)
+    sp = build_spectral(p, m)
+    m0, m1, m2 = particular_matrices(p, m, sp)
+    h = h_chain(p, m, sp, m0, m1, m2)
+    c, lam, psi_c = p.c, p.lam, sp.psi_c
+    c_hat = [None] * c
+    if c > 1:
+        c_hat[0] = m.b_hat[0] / lam
+        for n in range(1, c - 1):
+            c_hat[n] = m.b_hat[n] @ inv(
+                lam * (np.eye(n + 1) - c_hat[n - 1] @ _hat_i(n)) + m.delta[n])
+    inner_top = lam * np.eye(c) + m.delta[c - 1] - h.h16
+    if c > 1:
+        inner_top -= lam * c_hat[c - 2] @ _hat_i(c - 1)
+    h_hat = [None] * c
+    h_hat[c - 1] = -h.h15 @ inv(inner_top)
+    for n in range(c - 2, -1, -1):
+        h_hat[n] = h_hat[n + 1] @ c_hat[n]
+    total = h.h19 @ np.ones(c) + h_hat[c - 1] @ (h.h20 @ np.ones(c))
+    for n in range(c):
+        total = total + h_hat[n] @ np.ones(n + 1)
+    b_c = 1.0 / float(psi_c @ total)
+    pi_levels = [b_c * (psi_c @ h_hat[n]) for n in range(c)]
+
+    pi_top = pi_levels[-1]
+    f_prime_0 = pi_top @ h.h16 - b_c * (psi_c @ h.h15)
+    f_at_k = f_prime_0 @ h.h3 + pi_top @ h.h4
+    f_prime_at_k = f_prime_0 @ h.h7 + pi_top @ h.h8
+    f_infinity = pi_top @ h.h20 + b_c * (psi_c @ h.h19)
+    d1, d2, d1_inv, d2_inv = m.d_tilde_1, m.d_tilde_2, m.d_tilde_1_inv, m.d_tilde_2_inv
+    alpha0 = f_prime_0 @ d1 - lam * pi_top @ m.b1
+    alpha1 = alpha0 @ d1_inv @ d2 - lam * f_at_k @ (m.b1 @ d1_inv @ d2 - m.b2)
+    alpha2 = alpha1 @ d2_inv - f_prime_at_k + lam * f_at_k @ (np.eye(c) - m.b2 @ d2_inv)
+    a0m0 = alpha0 @ m0
+    mix = _expand(p, m, sp, f_prime_0, a0m0, f_at_k, f_infinity, alpha2, h.dm2)
+    w = lu_solve((sp.u1_plus - sp.u1_minus).T, f_prime_0 + a0m0 @ sp.u1_minus)
+    lower = np.concatenate([(-w - a0m0) @ sp.phi_minus_inv, w @ sp.phi_plus_inv])
+    return pi_levels, b_c, dataclasses.replace(mix, lower_weights=lower[:, None] * sp.phi)
 
 
 class TestParticularMatrices:
@@ -155,6 +208,47 @@ class TestSolve:
         with np.errstate(all="ignore"), \
                 pytest.raises(NumericalError, match=r"theta_max\*k = 734\.1"):
             solve(p)
+
+
+class TestBoundaryRoute:
+    def test_matches_matrix_chain_route(self):
+        # Measured on 160 warning-free draws (seeds 0-3): pi within 2.2e-16,
+        # b_c within 8.2e-16 relative, F within 6.9e-13 on [0, 4k].
+        rng = np.random.default_rng(41)
+        done = 0
+        while done < 30:
+            p = random_stable_params(rng)
+            s = solve(p)
+            if s.warnings:
+                continue
+            done += 1
+            pi_levels, b_c, mix = _matrix_chain_route(p)
+            for ref, got in zip(pi_levels, s.pi_levels):
+                assert np.abs(ref - got).max() <= 1e-15, p
+            assert abs(b_c - s.b_c) <= 4e-15 * abs(b_c), p
+            xs = np.linspace(0.0, 4 * p.k, 41)
+            assert np.abs(mix.components(xs) - s.expansion.components(xs)).max() <= 5e-12, p
+
+    def test_lower_weight_pivots_tested_by_column(self):
+        # w (U1+ - U1-) = rhs: the pivot 25.6 at column 13 is below 1e-14 of
+        # that column's scale (eigenbasis conditions 2e18 and 1e26); solved
+        # anyway, the max residual comes out at 1e2
+        p = validate_params(14, 28.49024070017494, 0.20780291752566302,
+                            2.9643008999165397, 2.870056819113162)
+        with pytest.raises(Singular, match=r"^pivot 2\.558e\+01 .* at column 13$"):
+            solve(p)
+
+    def test_growth_case_lower_weights_clean(self):
+        # The pivoted solve of the transposed U1+ - U1- gave w errors of
+        # 1e5 here: components of -1.0e5 at x = k, P(W <= k) = 1.43 and a
+        # max residual of 5.2e5, on an exit-0 solve.
+        p = validate_params(10, 6.204769671078709, 0.7254531982879604,
+                            0.9047381403776253, 10.731602405335162)
+        s = solve(p)
+        assert verify_solution(s, rng=0).max_residual <= 1e-8
+        comps, totals = eval_cdf(s, np.linspace(0.0, 4 * p.k, 41))
+        assert comps.min() >= -1e-12
+        assert totals.max() <= 1 + 1e-12
 
 
 class TestEvalCdf:
