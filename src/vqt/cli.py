@@ -7,7 +7,10 @@ Three subcommands:
 * ``validate`` -- compare the analytic CDF and mean against an independent
   discrete-event simulation; exit 4 when any z-score exceeds 4.
 * ``sweep``    -- vary one parameter over a range and emit one metric row per
-  value; invalid points get a status column instead of aborting the sweep.
+  value.  A point whose ValidationError (Degenerate included) is its status
+  leaves the others going; a NumericalError aborts the sweep, the first in
+  row order.  A lambda, mu1, mu2 or k sweep is solved in stacked passes of
+  _SWEEP_CHUNK rows, each bit-identical to its own solve; c point by point.
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical failure, 4 statistical
 mismatch.  Equal rates route to the Erlang-C reduction.
@@ -25,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from . import solver
-from .errors import NumericalError, Unstable, ValidationError
+from .errors import NumericalError, RowErrors, Unstable, ValidationError
 from .model import inspect_params, validate_params
 from .reference import erlang_c
 from .simulator import SimConfig, simulate_replicated
@@ -35,6 +38,11 @@ __all__ = ["main", "run_solve", "run_validate", "run_sweep", "GridSpec"]
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
 _EXIT_STATISTICAL = 4
+
+# Rows per stacked solve (about 60 c x c arrays each).  On the 600-point
+# c = 6 sweep 64 rows take about 2x the time per row of one 600-row pass,
+# but add 1.8 MB to peak RSS instead of 9.0 MB (BENCH_12.json).
+_SWEEP_CHUNK = 64
 
 
 def _fmt(x: float) -> str:
@@ -392,35 +400,62 @@ def _metric_point(metric: str) -> float | None:
     return x
 
 
-def _sweep_point(base: dict, name: str, value: float, metrics: dict[str, float | None]):
-    point = {**base, name: int(value) if name == "c" else value}
-    row = {"value": value, "status": "ok"}
-    try:
-        sol, model = _solve_or_route(point["c"], point["lambda"], point["mu1"],
-                                     point["mu2"], point["k"])
-        if model == "erlang_c":
-            row["status"] = "erlang_c"
-            evals = {"mean": sol.mean, "p_wait": lambda: sol.c_prob, "cdf": sol.cdf}
-        else:
-            evals = {"mean": lambda: solver.mean_wait(sol),
-                     "p_wait": lambda: 1.0 - sol.p_wait_zero,
-                     "cdf": lambda x: solver.eval_cdf(sol, x)[1]}
-        for metric, x in metrics.items():
-            row[metric] = evals[metric]() if x is None else evals["cdf"](x)
-    except ValidationError as exc:
-        row["status"] = type(exc).__name__.lower()
-        row.update(dict.fromkeys(metrics))
-    return row
+def _sweep_metrics(text: str) -> dict[str, float | None]:
+    """Each ``--metrics`` entry with its ``_metric_point``: at least one, none twice."""
+    metrics = [m.strip() for m in text.split(",") if m.strip()]
+    if not metrics or len(set(metrics)) < len(metrics):
+        raise ValidationError(f"bad --metrics {text!r}: name each metric once")
+    return {m: _metric_point(m) for m in metrics}
+
+
+def _sweep_rows(base: dict, name: str, values: list[float],
+                metrics: dict[str, float | None]) -> list[dict]:
+    """The sweep's rows: equal rates go to Erlang-C, the other valid points
+    to solver.solve_rows in chunks (one point at a time for c)."""
+    rows, pending = [], []
+    for value in values:
+        point = {**base, name: int(value) if name == "c" else value}
+        row = {"value": value, "status": "ok", **dict.fromkeys(metrics)}
+        rows.append(row)
+        c, lam, mu1, mu2, k = (point[key] for key in ("c", "lambda", "mu1", "mu2", "k"))
+        try:
+            if mu1 != mu2:
+                pending.append((row, validate_params(c, lam, mu1, mu2, k)))
+                continue
+            sol, row["status"] = _solve_or_route(c, lam, mu1, mu2, k)
+            evals = {"mean": sol.mean, "p_wait": lambda: sol.c_prob}
+            row.update((m, evals[m]() if x is None else sol.cdf(x)) for m, x in metrics.items())
+        except ValidationError as exc:
+            row["status"] = type(exc).__name__.lower()
+    size = 1 if name == "c" else _SWEEP_CHUNK
+    for start in range(0, len(pending), size):
+        chunk = [row for row, _ in pending[start:start + size]]
+        sol, live, errors = solver.solve_rows([p for _, p in pending[start:start + size]])
+        evals, got = {"mean": lambda: solver.mean_wait(sol),
+                      "p_wait": lambda: 1.0 - sol.p_wait_zero}, {}
+        try:        # a metric's NumericalError (mean's) is its row's, as above
+            got = {m: evals[m]() if x is None else solver.eval_cdf(sol, x)[1]
+                   for m, x in metrics.items()} if live else {}
+        except RowErrors as exc:
+            errors.update((live[i], e) for i, e in exc.errors.items())
+        except NumericalError as exc:
+            errors.update(dict.fromkeys(live, exc))
+        for i in sorted(errors):
+            if isinstance(errors[i], NumericalError):
+                raise errors[i]
+            chunk[i]["status"] = type(errors[i]).__name__.lower()
+        for j, i in enumerate(live):      # one value for all when the rows are one point
+            chunk[i].update((m, v[j] if np.ndim(v) else v) for m, v in got.items())
+    return rows
 
 
 def run_sweep(args) -> int:
     name, values = _sweep_values(args.sweep)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    points = {m: _metric_point(m) for m in metrics}
+    metrics = _sweep_metrics(args.metrics)
     base = {"c": args.c, "lambda": args.lam, "mu1": args.mu1,
             "mu2": args.mu2, "k": args.k}
 
-    rows = [_sweep_point(base, name, v, points) for v in values]
+    rows = _sweep_rows(base, name, values, metrics)
 
     if all(row["status"] not in ("ok", "erlang_c") for row in rows):
         raise ValidationError("every sweep point is invalid")

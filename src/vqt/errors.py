@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class VqtError(Exception):
     """Base class for all package errors."""
@@ -53,6 +55,25 @@ class NegativeProbability(NumericalError):
 
 class DivergentIntegral(NumericalError):
     """Integral to infinity requested for a matrix with a nonnegative eigenvalue."""
+
+
+class RowErrors(VqtError):
+    """Failures of rows of a stack of points: ``errors`` maps each failing
+    row to the error its own solve raises (see ``solver.solve_rows``)."""
+
+    def __init__(self, errors: dict[int, VqtError]):
+        self.errors = errors
+        super().__init__(f"{len(errors)} rows failed")
+
+
+def fail(bad, error_of) -> None:
+    """Raise error_of(()) if a single point's check is bad, or RowErrors with
+    error_of(i) for every row i of a stack where it is."""
+    if not isinstance(bad, np.ndarray) or not bad.ndim:
+        if bad:
+            raise error_of(())
+    elif np.count_nonzero(bad):
+        raise RowErrors({i: error_of(i) for i in np.flatnonzero(bad).tolist()})
 
 
 class PoleParameter(ValidationError):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import Degenerate, NonPositive, Unstable
-from .numerics import inv
+from .numerics import eye, inv
 
 __all__ = [
     "QueueParams",
@@ -38,6 +39,11 @@ class QueueParams:
 
     ``degeneracy`` is None for inputs that passed the strict guards and a
     condition label otherwise (permissive construction only).
+
+    A stack of points that share c (see ``solver.solve_rows``) is one
+    QueueParams whose lam, mu1, mu2 or k is a float array over the rows; a
+    parameter that every row shares stays a float, and everything computed
+    from shared parameters alone is computed once and broadcast.
     """
 
     c: int
@@ -52,9 +58,9 @@ class QueueParams:
     def rho(self) -> float:
         return self.lam / (self.c * self.mu2)
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        return max(self.lam, self.c * self.mu1, self.c * self.mu2)
+        return np.maximum(np.maximum(self.lam, self.c * self.mu1), self.c * self.mu2)
 
     def aggregate_rate(self, i: int, j: int) -> float:
         """Total departure intensity with i class-1 and j class-2 services."""
@@ -117,19 +123,29 @@ def inspect_params(c: int, lam: float, mu1: float, mu2: float, k: float) -> Queu
     )
 
 
+def per_row(x, ndim: int):
+    """A parameter shaped to broadcast against arrays with ``ndim`` axes
+    beyond the row axis: a shared float as it is, a per-row array (B,) as
+    (B, 1, ..., 1)."""
+    return x[(..., *(None,) * ndim)] if isinstance(x, np.ndarray) else x
+
+
 @dataclass(frozen=True)
 class ModelMatrices:
-    """All generator matrices derived from QueueParams.
+    """All generator matrices, which (c, mu1, mu2) determine.
 
     b1/b2 drive the jump kernels below/above the threshold, delta[i] collects
     the aggregate rates on boundary level i, d_tilde_k are the triangular
     conjugations mu_k I + B_k^{-1} Delta_{c-1} B_k and d_tilde_k_inv their
     inverses B_k^{-1} diag(1 / (mu_k + delta)) B_k by the same conjugation,
     b_hat[n] are the rectangular downward-coupling matrices of the boundary
-    recursion.
+    recursion.  For per-row mu1 or mu2 every matrix has a leading row axis;
+    a stack that shares them (a lambda or k sweep) shares one ModelMatrices.
     """
 
-    params: QueueParams
+    c: int
+    mu1: float
+    mu2: float
     b1: np.ndarray
     b2: np.ndarray
     delta: tuple[np.ndarray, ...]
@@ -141,47 +157,36 @@ class ModelMatrices:
     b1_inv: np.ndarray
     b2_inv: np.ndarray
 
-    @property
-    def c(self) -> int:
-        return self.params.c
+
+@cache
+def _coefficients(c: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(k1, k2) with B1, B2, Delta_0..c-1 and B_hat_0..c-1 each k1 mu1 + k2 mu2,
+    entry by entry the model's own sums (a lone term plus 0.0 is itself)."""
+    d, r = np.diag, np.arange(c + 1.0)[:, None]
+    return ((d(r[1:, 0]), d(r[c - 1:0:-1, 0], 1)), (d(r[1:c, 0], -1), d(r[c:0:-1, 0])),
+            *((d(r[:n + 1, 0]), d(n - r[:n + 1, 0])) for n in range(c)),
+            *((np.eye(n + 2, n + 1, -1) * r[:n + 2], np.eye(n + 2, n + 1) * (n + 1 - r[:n + 2]))
+              for n in range(c)))
 
 
 def build_matrices(params: QueueParams) -> ModelMatrices:
-    c, mu1, mu2 = params.c, params.mu1, params.mu2
-
-    b1 = np.zeros((c, c))
-    b2 = np.zeros((c, c))
-    for i in range(c):
-        b1[i, i] = (i + 1) * mu1
-        b2[i, i] = (c - i) * mu2
-        if i < c - 1:
-            b1[i, i + 1] = (c - i - 1) * mu2
-        if i >= 1:
-            b2[i, i - 1] = i * mu1
-
-    delta = tuple(
-        np.diag([j * mu1 + (i - j) * mu2 for j in range(i + 1)]) for i in range(c)
-    )
+    c = params.c
+    mu1, mu2 = per_row(params.mu1, 2), per_row(params.mu2, 2)
+    b1, b2, *rest = (k[0] * mu1 + k[1] * mu2 for k in _coefficients(c))
+    delta, b_hat = tuple(rest[:c]), tuple(rest[c:])
 
     b1_inv = inv(b1)  # triangular with positive diagonal, always invertible
     b2_inv = inv(b2)
-    d_tilde_1 = mu1 * np.eye(c) + b1_inv @ delta[c - 1] @ b1
-    d_tilde_2 = mu2 * np.eye(c) + b2_inv @ delta[c - 1] @ b2
-    rates = np.diag(delta[c - 1])
-    d_tilde_1_inv = b1_inv @ (b1 / (mu1 + rates)[:, None])
-    d_tilde_2_inv = b2_inv @ (b2 / (mu2 + rates)[:, None])
-
-    b_hat = []
-    for n in range(c):
-        m = np.zeros((n + 2, n + 1))
-        for i in range(n + 1):
-            m[i, i] = (n - i + 1) * mu2
-        for i in range(1, n + 2):
-            m[i, i - 1] = i * mu1
-        b_hat.append(m)
+    d_tilde_1 = mu1 * eye(c) + b1_inv @ delta[c - 1] @ b1
+    d_tilde_2 = mu2 * eye(c) + b2_inv @ delta[c - 1] @ b2
+    rates = delta[c - 1].diagonal(axis1=-2, axis2=-1)
+    d_tilde_1_inv = b1_inv @ (b1 / (per_row(params.mu1, 1) + rates)[..., None])
+    d_tilde_2_inv = b2_inv @ (b2 / (per_row(params.mu2, 1) + rates)[..., None])
 
     return ModelMatrices(
-        params=params,
+        c=c,
+        mu1=params.mu1,
+        mu2=params.mu2,
         b1=b1,
         b2=b2,
         delta=delta,
@@ -189,7 +194,7 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
         d_tilde_2=d_tilde_2,
         d_tilde_1_inv=d_tilde_1_inv,
         d_tilde_2_inv=d_tilde_2_inv,
-        b_hat=tuple(b_hat),
+        b_hat=b_hat,
         b1_inv=b1_inv,
         b2_inv=b2_inv,
     )
@@ -208,9 +213,9 @@ def tilde_q(kappa: int, x, m: ModelMatrices) -> np.ndarray:
     if not (x >= 0).all():
         raise ValueError("x must be >= 0")
     if kappa == 1:
-        b, b_inv, mu = m.b1, m.b1_inv, m.params.mu1
+        b, b_inv, mu = m.b1, m.b1_inv, m.mu1
     elif kappa == 2:
-        b, b_inv, mu = m.b2, m.b2_inv, m.params.mu2
+        b, b_inv, mu = m.b2, m.b2_inv, m.mu2
     else:
         raise ValueError("kappa must be 1 or 2")
     core = np.exp(-np.diag(m.delta[m.c - 1]) * x)

@@ -4,7 +4,8 @@ The solution pipeline needs three operations on small dense matrices: LU
 solves, the inverses of the unitriangular eigenvector bases by substitution,
 and the 1-norm condition of a basis.  Matrix functions need no kernel: every
 matrix exponential the pipeline forms is of a solvent V^-1 diag(roots) V whose
-roots and bases are known in closed form (see ``spectral``).
+roots and bases are known in closed form (see ``spectral``).  Each operation
+also takes a stack (a leading axis), each matrix getting its own call's bits.
 
 The LU solve keeps its scaled pivot test everywhere, because that test is
 what rejects ill-conditioned inputs.  It eliminates the augmented matrix
@@ -18,18 +19,17 @@ lower-triangular transpose, whose row swaps wreck the substitution's accuracy
 One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
 IEEE operation, so any executor that does the same operations in the same
-order returns the same bits.  Finite systems of order n <= _LIST_MAX_ORDER
-run on lists of Python floats, where the cost is a few list comprehensions
-instead of dozens of numpy calls on tiny arrays; larger systems, and every
-input holding a NaN or an infinity, run on numpy arrays.  Non-finite inputs
-stay on numpy because Python's max and comparisons order NaN differently
-from np.max and argmax, which would change the pivot or the error raised.
-_LIST_MAX_ORDER = 8 is the measured crossover (BENCH_9.json).  In vqt.solve,
-raising the threshold from 6 to 7 saves 14 % at c = 7 and from 7 to 8 saves
-4-8 % at c = 8; from 8 to 9 gains 1-2 % at c = 9, inside the noise, and from
-9 to 10 loses 5 % at c = 10.  In isolation the list executor is 2-3x faster
-than numpy at n <= 4, and from n = 9 up it is slower on inverses (up to
-2.5x at n = 16).
+order returns the same bits.  Finite single systems of order n <=
+_LIST_MAX_ORDER run on lists of Python floats, where the cost is a few list
+comprehensions instead of dozens of numpy calls on tiny arrays; larger
+systems, every input holding a NaN or an infinity, and stacks run on numpy
+arrays, a stack with its axis moved last: every step then reads as for one
+matrix, while each matrix takes its own pivots, swaps and tests.  Non-finite
+inputs stay on numpy because Python's max and comparisons order NaN
+differently from np.max and argmax, which would change the pivot or the
+error raised.  _LIST_MAX_ORDER = 8 is the measured crossover (BENCH_9.json):
+in vqt.solve, 6 -> 7 saves 14 % at c = 7, 7 -> 8 saves 4-8 % at c = 8,
+8 -> 9 gains 1-2 % at c = 9 and 9 -> 10 loses 5 % at c = 10.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import Singular
+from .errors import RowErrors, Singular
 
 __all__ = [
     "lu_factor",
@@ -56,8 +56,28 @@ _PIVOT_TOL = 1e-14
 _LIST_MAX_ORDER = 8
 
 
-def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max() * np.abs(a_inv).sum(axis=0).max())
+@cache
+def eye(n: int) -> np.ndarray:
+    """np.eye(n), made once per order and read-only."""
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
+def cond_1norm(a: np.ndarray, a_inv: np.ndarray):
+    return (np.abs(a).sum(axis=-2).max(axis=-1)
+            * np.abs(a_inv).sum(axis=-2).max(axis=-1))
+
+
+def vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for row vectors v (..., n) and matrices (..., n, p): each row
+    takes the gemv of a single v @ m, a 2-D v @ m would take gemm."""
+    return v @ m if v.ndim == 1 and m.ndim == 2 else (v[..., None, :] @ m)[..., 0, :]
+
+
+def vec_dot(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v @ w for vectors (..., n), row by row, with the dot of a single pair."""
+    return v @ w if v.ndim == w.ndim == 1 else (v[..., None, :] @ w[..., None])[..., 0, 0]
 
 
 def _pivot_error(pivot: float, column: int) -> Singular:
@@ -89,23 +109,40 @@ def lu_factor(a: np.ndarray | list[list[float]]) -> tuple:
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[1] < a.shape[0]:
         raise ValueError("matrix must be square")
-    n = len(a)
-    row_scale = np.abs(a[:, :n]).max(axis=1)
-    if row_scale.min() == 0.0:
-        raise Singular("matrix has a zero row")
-    perm = np.arange(n)
-    for j in range(n):
-        scaled = np.abs(a[j:, j]) / row_scale[j:]
-        p = j + int(scaled.argmax())
-        if scaled[p - j] < _PIVOT_TOL:
-            raise _pivot_error(a[p, j], j)
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            row_scale[[j, p]] = row_scale[[p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        a[j + 1:, j] /= a[j, j]
-        a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
+    pivots, errors = _factor_stack(a, len(a))
+    _raise(errors, False)
+    perm = np.arange(len(a))
+    for j, p in enumerate(pivots):
+        perm[[j, j + p]] = perm[[j + p, j]]
     return a, perm
+
+
+def _factor_stack(a: np.ndarray, n: int) -> tuple[list, dict[int, Singular]]:
+    """lu_factor's elimination of [A | B], or of a stack of them with the
+    stack axis last, in place: (each column's pivot offsets, {matrix:
+    Singular}).  The tests come after the loop: a pivot stays on the
+    diagonal of U and its row scale moves with it, so the first |u_jj| below
+    1e-14 of its row scale is where the elimination alone stops, with the
+    same pivot.  What a failed matrix computes past that point is never read
+    (hence the errstate)."""
+    row_scale = np.maximum.reduce(np.abs(a[:, :n]), axis=1)
+    pivots = []
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            p = (np.abs(a[j:, j]) / row_scale[j:]).argmax(axis=0)  # the first largest, or NaN
+            if p.ndim == 0:
+                if p:
+                    a[[j, j + p]] = a[[j + p, j]]
+                    row_scale[[j, j + p]] = row_scale[[j + p, j]]
+            elif np.count_nonzero(p):
+                swap = np.flatnonzero(p)
+                q = j + p[swap]
+                for x in (a, row_scale):
+                    x[j, ..., swap], x[q, ..., swap] = x[q, ..., swap], x[j, ..., swap]
+            a[j + 1:, j] /= a[j, j]
+            a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
+            pivots.append(p)
+    return pivots, _diagonal_errors(a[:, :n], row_scale)
 
 
 def _factor_rows(rows: list[list[float]]) -> tuple[list[list[float]], list[int]]:
@@ -141,25 +178,39 @@ def _factor_rows(rows: list[list[float]]) -> tuple[list[list[float]], list[int]]
 
 
 @cache
-def _strict_lower(n: int) -> np.ndarray:
-    """Flat indices of the strictly lower triangle of an n x n matrix."""
-    rows, cols = np.tril_indices(n, -1)
-    flat = rows * n + cols
-    flat.flags.writeable = False
-    return flat
+def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strictly lower triangle of n x n."""
+    return np.tril_indices(n, -1)
+
+
+def _diagonal_errors(a: np.ndarray, row_scale=None) -> dict[int, Singular]:
+    """lu_factor's tests with every pivot on the diagonal, for a (n, n) or a
+    stack (n, n, N): the zero-row check, then the first |a_jj| below 1e-14
+    of its row scale (given, or its row's max-norm)."""
+    n = len(a)
+    row_scale = np.maximum.reduce(np.abs(a), axis=1) if row_scale is None else row_scale
+    zero = row_scale == 0.0
+    diag = a.diagonal(axis1=0, axis2=1).T
+    low = np.abs(diag) / np.where(zero, 1.0, row_scale) < _PIVOT_TOL
+    if not (np.count_nonzero(low) or np.count_nonzero(zero)):
+        return {}
+    zero, low, diag = (x.reshape(n, -1) for x in (zero, low, diag))
+    errors = {}
+    for i in np.flatnonzero(np.logical_or.reduce(zero | low, axis=0)).tolist():
+        j = int(low[:, i].argmax())
+        errors[i] = (Singular("matrix has a zero row") if zero[:, i].any()
+                     else _pivot_error(diag[j, i], j))
+    return errors
 
 
 def _check_diagonal_pivots(a: np.ndarray) -> None:
-    """lu_factor's tests with every pivot on the diagonal, as in an upper
-    triangular a: the zero-row check, then the first diagonal entry below
-    1e-14 of its row scale raises the same Singular."""
-    row_scale = np.abs(a).max(axis=1)
-    if row_scale.min() == 0.0:
-        raise Singular("matrix has a zero row")
-    scaled = np.abs(a.diagonal()) / row_scale
-    if scaled.min() < _PIVOT_TOL:
-        j = int((scaled < _PIVOT_TOL).argmax())
-        raise _pivot_error(a[j, j], j)
+    """Raise _diagonal_errors' Singular, or RowErrors for a stack (n, n, N)."""
+    _raise(_diagonal_errors(a), a.ndim == 3)
+
+
+def _raise(errors: dict[int, Singular], stack: bool) -> None:
+    if errors:
+        raise RowErrors(errors) if stack else errors[0]
 
 
 def _is_upper_rows(rows: list[list[float]]) -> bool:
@@ -205,44 +256,63 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     factored with pivoting: the scaled test can pick another row there (B2
     swaps rows at c = 7 with lam = 0.7c, mu1 = 0.8, mu2 = 1).
 
-    Finite systems of order n <= _LIST_MAX_ORDER take every step on Python
-    floats (one tolist in, one array out), all others on numpy arrays.
+    a and b may be stacks (N, n, n) and (N, n, m), one of them shared: each
+    system takes its own path and the failing ones raise RowErrors.  A 1-D b
+    is one right-hand side.  Finite single systems of order n <=
+    _LIST_MAX_ORDER take every step on Python floats, all others on numpy.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    vector = b.ndim == 1
-    x = b.reshape(len(b), -1)
-    n = len(x)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    ab = np.concatenate((a, x), axis=1)
-    if n <= _LIST_MAX_ORDER:
-        rows = ab.tolist()
-        # A finite sum means finite entries; a sum that overflows only sends
-        # finite rows on to the numpy executor, which gives the same bits.
-        if math.isfinite(sum(map(sum, rows))):
-            if _is_upper_rows(rows):
-                _check_diagonal_rows(rows)
-            else:
-                rows = lu_factor(rows)[0]
-            x = np.array(_back_substitute_rows(rows))
-            return x[:, 0] if vector else x
-    finite = np.isfinite(ab).all()
-    if finite and not a.take(_strict_lower(n)).any():
-        _check_diagonal_pivots(a)
-        lu, x = a, x.copy()
+    vector = b.ndim == 1
+    x = b[:, None] if vector else b
+    n = a.shape[-1]
+    if a.ndim == x.ndim == 2:
+        if len(x) != n:
+            raise ValueError("right-hand side does not match the matrix")
+        if n <= _LIST_MAX_ORDER:
+            rows = [ra + rx for ra, rx in zip(a.tolist(), x.tolist())]
+            # A finite sum means finite entries; a sum that overflows only
+            # sends finite rows on to the numpy executor: the same bits.
+            if math.isfinite(sum(map(sum, rows))):
+                if _is_upper_rows(rows):
+                    _check_diagonal_rows(rows)
+                else:
+                    rows = lu_factor(rows)[0]
+                x = np.array(_back_substitute_rows(rows))
+                return x[:, 0] if vector else x
+        ab = np.concatenate((a, x), axis=1)
     else:
-        lu = lu_factor(ab)[0]
-        x = lu[:, n:].copy()
+        batch = np.broadcast_shapes(a.shape[:-2], x.shape[:-2])
+        ab = np.concatenate((np.broadcast_to(a, batch + a.shape[-2:]),
+                             np.broadcast_to(x, batch + x.shape[-2:])), -1)
+        ab = np.moveaxis(ab, 0, -1).copy()     # the stack axis last
+    full = (np.logical_or.reduce(ab[_strict_lower(n)], axis=0)
+            | ~np.logical_and.reduce(np.isfinite(ab).reshape((-1,) + ab.shape[2:]), axis=0))
+    if not np.count_nonzero(full):
+        errors = _diagonal_errors(ab[:, :n])
+    elif np.count_nonzero(full) == full.size:
+        errors = _factor_stack(ab, n)[1]
+    else:                               # each matrix of the stack on its own path
+        upper, rows = np.flatnonzero(~full), np.flatnonzero(full)
+        sub = ab[..., rows]
+        errors = {int(rows[i]): e for i, e in _factor_stack(sub, n)[1].items()}
+        ab[..., rows] = sub
+        errors.update((int(upper[i]), e) for i, e in _diagonal_errors(ab[:, :n, upper]).items())
+    _raise(errors, ab.ndim == 3)
+    lu, x = ab[:, :n], ab[:, n:].copy()
     for j in range(n - 1, -1, -1):  # backward: U x = y
         x[j] /= lu[j, j]
         if j:
             x[:j] -= lu[:j, j, None] * x[j]
-    return x[:, 0] if vector else x
+    if ab.ndim == 3:
+        x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return x[..., 0] if vector else x
 
 
 def inv(a: np.ndarray) -> np.ndarray:
-    return lu_solve(a, np.eye(len(a)))
+    return lu_solve(a, eye(a.shape[-1]))
 
 
 def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:
@@ -253,15 +323,15 @@ def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:
     would destroy it.  Each row is one vector-matrix product with the rows
     already found: bottom up for an upper v, top down for a lower one.
     """
-    n = len(v)
-    out = np.eye(n)
+    n = v.shape[-1]
+    out = np.empty(v.shape)
+    out[...] = eye(n)
     if orientation == "upper":
         for i in range(n - 2, -1, -1):
-            out[i, i + 1:] = -v[i, i + 1:] @ out[i + 1:, i + 1:]
+            out[..., i, i + 1:] = vec_mat(-v[..., i, i + 1:], out[..., i + 1:, i + 1:])
     elif orientation == "lower":
         for i in range(1, n):
-            out[i, :i] = -v[i, :i] @ out[:i, :i]
+            out[..., i, :i] = vec_mat(-v[..., i, :i], out[..., :i, :i])
     else:
         raise ValueError("orientation must be 'upper' or 'lower'")
     return out
-

@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergentIntegral, NegativeProbability, NumericalError, Singular
-from .model import ModelMatrices, QueueParams, build_matrices, tilde_q
-from .numerics import _check_diagonal_pivots, inv, lu_solve
+from .errors import (DivergentIntegral, NegativeProbability, NumericalError, RowErrors,
+                     Singular, VqtError, fail)
+from .model import ModelMatrices, QueueParams, build_matrices, per_row, tilde_q
+from .numerics import _check_diagonal_pivots, eye, inv, lu_solve, vec_dot, vec_mat
 from .spectral import GROWTH_WARN, SpectralData, build_spectral
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "particular_matrices",
     "h_chain",
     "solve",
+    "solve_rows",
     "eval_cdf",
     "eval_density",
     "mean_wait",
@@ -51,10 +53,10 @@ def particular_matrices(
     rank-one diag corrections remove the null modes); m2 drives the memory
     term carried across the threshold by below-threshold jumps.
     """
-    c, lam, mu1 = params.c, params.lam, params.mu1
+    c, lam, mu1 = params.c, per_row(params.lam, 2), per_row(params.mu1, 2)
     m0 = inv(lam * (matrices.b1 - matrices.d_tilde_1) + np.diag(spectral.phi_star))
     m1 = inv(lam * (matrices.b2 - matrices.d_tilde_2) + np.diag(spectral.psi_c))
-    m2 = inv((c * mu1 + lam) * (c * mu1 * np.eye(c) - matrices.d_tilde_2)
+    m2 = inv((c * mu1 + lam) * (c * mu1 * eye(c) - matrices.d_tilde_2)
              + lam * matrices.b2)
     return m0, m1, m2
 
@@ -80,7 +82,7 @@ class AuxChain:
 def _expm(roots: np.ndarray, vectors: np.ndarray, inverse: np.ndarray,
           x: float) -> np.ndarray:
     """e^{U x} for the solvent U = inverse @ diag(roots) @ vectors."""
-    return inverse @ (np.exp(roots * x)[:, None] * vectors)
+    return inverse @ (np.exp(roots * per_row(x, 1))[..., None] * vectors)
 
 
 def h_chain(
@@ -91,21 +93,21 @@ def h_chain(
     m1: np.ndarray,
     m2: np.ndarray,
 ) -> AuxChain:
-    lam, k, c = params.lam, params.k, params.c
+    lam, k, c = per_row(params.lam, 2), params.k, params.c
     b1, b2 = matrices.b1, matrices.b2
     d1, d2 = matrices.d_tilde_1, matrices.d_tilde_2
     sp = spectral
     u1m, u1p, u2m = sp.u1_minus, sp.u1_plus, sp.u2_minus
     eye = np.eye(c)
 
-    e_minus = _expm(sp.theta[:c], sp.phi[:c], sp.phi_minus_inv, k)
-    e_plus = _expm(sp.theta[c:], sp.phi[c:], sp.phi_plus_inv, k)
+    e_minus = _expm(sp.theta[..., :c], sp.phi[..., :c, :], sp.phi_minus_inv, k)
+    e_plus = _expm(sp.theta[..., c:], sp.phi[..., c:, :], sp.phi_plus_inv, k)
     du = u1p - u1m
 
     # h1 and h5 share du: one solve with both right-hand sides side by side
     # (back substitution treats each column on its own)
-    h1, h5 = np.hsplit(lu_solve(du, np.hstack(
-        [e_plus - e_minus, u1p @ e_plus - u1m @ e_minus])), 2)
+    both = lu_solve(du, np.concatenate([e_plus - e_minus, u1p @ e_plus - u1m @ e_minus], -1))
+    h1, h5 = both[..., :c], both[..., c:]
     h2 = m0 @ (eye - e_minus + u1m @ h1)
     h3 = h1 + d1 @ h2
     h4 = -lam * b1 @ h2
@@ -163,14 +165,22 @@ class ScalarMixture:
         weights, so the lower branch sums w (e^{rx} - 1) and vanishes exactly
         at x = 0.
         """
-        if isinstance(x, float):        # one-point fast path
-            if x <= self.k:
-                return np.expm1(self.lower_rates * x) @ self.lower_weights
-            return self.upper_constant + np.exp(self.upper_rates * (x - self.k)) @ self.upper_weights
+        if isinstance(x, float):        # one point, also on every row of a stack
+            below = x <= self.k
+            if not isinstance(below, np.ndarray):
+                if below:
+                    return vec_mat(np.expm1(self.lower_rates * x), self.lower_weights)
+                return self.upper_constant + vec_mat(np.exp(self.upper_rates * (x - self.k)),
+                                                     self.upper_weights)
+            with np.errstate(over="ignore", invalid="ignore"):  # each row keeps its branch
+                lower = vec_mat(np.expm1(self.lower_rates * x), self.lower_weights)
+                upper = self.upper_constant + vec_mat(
+                    np.exp(self.upper_rates * (x - self.k)[:, None]), self.upper_weights)
+            return np.where(below[:, None], lower, upper)
         out, below, x_lo, x_up = self._split(x)
-        out[below] = _rows(np.expm1(self.lower_rates * x_lo), self.lower_weights)
-        out[~below] = self.upper_constant + _rows(np.exp(self.upper_rates * x_up),
-                                                  self.upper_weights)
+        out[below] = vec_mat(np.expm1(self.lower_rates * x_lo), self.lower_weights)
+        out[~below] = self.upper_constant + vec_mat(np.exp(self.upper_rates * x_up),
+                                                    self.upper_weights)
         return out
 
     def density(self, x):
@@ -180,10 +190,10 @@ class ScalarMixture:
                 return (self.lower_rates * np.exp(self.lower_rates * x)) @ self.lower_weights
             return (self.upper_rates * np.exp(self.upper_rates * (x - self.k))) @ self.upper_weights
         out, below, x_lo, x_up = self._split(x)
-        out[below] = _rows(self.lower_rates * np.exp(self.lower_rates * x_lo),
-                           self.lower_weights)
-        out[~below] = _rows(self.upper_rates * np.exp(self.upper_rates * x_up),
-                            self.upper_weights)
+        out[below] = vec_mat(self.lower_rates * np.exp(self.lower_rates * x_lo),
+                             self.lower_weights)
+        out[~below] = vec_mat(self.upper_rates * np.exp(self.upper_rates * x_up),
+                              self.upper_weights)
         return out
 
     def _split(self, x):
@@ -195,16 +205,12 @@ class ScalarMixture:
         return out, below, x[below][:, None], (x[~below] - self.k)[:, None]
 
 
-def _rows(e: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise e[n] @ w.  The stacked 1 x m @ m x c products take the same
-    gemv as a one-point call, so every row is bit-identical to it; a plain
-    e @ w goes to gemm and moves the last digits."""
-    return (e[:, None, :] @ w)[:, 0]
-
-
 @dataclass(frozen=True)
 class StationarySolution:
-    """Immutable stationary solution; all evaluators are pure."""
+    """Immutable stationary solution; all evaluators are pure.  A stack's
+    (``solve_rows``) has a row axis on each array that a per-row parameter
+    reaches and a warnings tuple per row; eval_cdf at one point, mean_wait
+    and p_wait_zero give a value per row."""
 
     params: QueueParams
     matrices: ModelMatrices
@@ -227,7 +233,7 @@ class StationarySolution:
 
     @cached_property
     def p_wait_zero(self) -> float:
-        return float(sum(level.sum() for level in self.pi_levels))
+        return sum(level.sum(axis=-1) for level in self.pi_levels)
 
     def cdf(self, x: float) -> tuple[np.ndarray, float]:
         return eval_cdf(self, x)
@@ -268,20 +274,21 @@ def _expand(
     # w du = rhs has du's columns as its rows, so its pivots are tested
     # against those; inv then back-substitutes on the upper triangular du
     du = sp.u1_plus - sp.u1_minus
-    _check_diagonal_pivots(du.T)
-    w = (f_prime_0 + alpha0_m0 @ sp.u1_minus) @ inv(du)
-    a_minus = (-w - alpha0_m0) @ sp.phi_minus_inv
-    a_plus = w @ sp.phi_plus_inv
-    lower_weights = np.concatenate([a_minus, a_plus])[:, None] * sp.phi
+    _check_diagonal_pivots(du.T)      # .T of a stack puts its axis last
+    w = vec_mat(f_prime_0 + vec_mat(alpha0_m0, sp.u1_minus), inv(du))
+    a_minus = vec_mat(-w - alpha0_m0, sp.phi_minus_inv)
+    a_plus = vec_mat(w, sp.phi_plus_inv)
+    lower_weights = np.concatenate([a_minus, a_plus], axis=-1)[..., None] * sp.phi
 
     # Coefficient row of e^{U2- (x-k)}; the tail constant is F(inf) itself
     # (the b_c convention cancels there).
-    tail_head = f_at_k - f_infinity - alpha2 @ dm2
-    b_minus = tail_head @ sp.psi_minus_inv
+    tail_head = f_at_k - f_infinity - vec_mat(alpha2, dm2)
+    b_minus = vec_mat(tail_head, sp.psi_minus_inv)
     # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
     # eigenvectors of D_tilde_1 by its defining conjugation.
-    memory = (alpha2 @ m.b1_inv)[:, None] * (m.b1 @ dm2)
-    upper_rates = np.concatenate([sp.beta[:c], -(params.mu1 + np.diag(m.delta[c - 1]))])
+    memory = vec_mat(alpha2, m.b1_inv)[..., None] * (m.b1 @ dm2)
+    top_rates = m.delta[c - 1].diagonal(axis1=-2, axis2=-1)
+    upper_rates = _concat(sp.beta[..., :c], -(per_row(params.mu1, 1) + top_rates))
 
     return ScalarMixture(
         k=params.k,
@@ -289,13 +296,20 @@ def _expand(
         lower_weights=lower_weights,
         lower_constant=alpha0_m0,
         upper_rates=upper_rates,
-        upper_weights=np.concatenate([b_minus[:, None] * sp.psi[:c], memory]),
+        upper_weights=_concat(b_minus[..., None] * sp.psi[..., :c, :], memory, axis=-2),
         upper_constant=f_infinity.copy(),
     )
 
 
+def _concat(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """np.concatenate, a shared array broadcast to the rows of the other."""
+    return np.concatenate((a, b) if a.ndim == b.ndim else np.broadcast_arrays(a, b), axis=axis)
+
+
 def solve(params: QueueParams) -> StationarySolution:
-    """Run the whole pipeline for validated, non-degenerate parameters."""
+    """Run the whole pipeline for validated, non-degenerate parameters: one
+    point, or a stack of points that share c (see ``solve_rows``), whose
+    failing rows raise RowErrors."""
     matrices = build_matrices(params)
     spectral = build_spectral(params, matrices)
     m0, m1, m2 = particular_matrices(params, matrices, spectral)
@@ -307,58 +321,65 @@ def solve(params: QueueParams) -> StationarySolution:
     with np.errstate(over="ignore", invalid="ignore"):
         h = h_chain(params, matrices, spectral, m0, m1, m2)
 
-    c, lam = params.c, params.lam
+    c, lam = params.c, per_row(params.lam, 1)
+    lam2 = per_row(params.lam, 2)
     psi_c = spectral.psi_c
 
     # pi_n = pi_{n+1} C_hat_n below the top level, which couples to the
     # continuous part through h15/h16.  [0 | C_hat_{n-1}] enters each level.
-    inner_top = lam * np.eye(c) + matrices.delta[c - 1] - h.h16
+    inner_top = lam2 * eye(c) + matrices.delta[c - 1] - h.h16
     c_hat: list[np.ndarray] = []
     if c > 1:
-        c_hat.append(matrices.b_hat[0] / lam)
+        c_hat.append(matrices.b_hat[0] / lam2)
         for n in range(1, c - 1):
-            inner = np.eye(n + 1)
-            inner[:, 1:] -= c_hat[n - 1]
-            c_hat.append(matrices.b_hat[n] @ inv(lam * inner + matrices.delta[n]))
-        inner_top[:, 1:] -= lam * c_hat[c - 2]
+            shifted = np.zeros(c_hat[-1].shape[:-1] + (n + 1,))
+            shifted[..., 1:] = c_hat[-1]
+            c_hat.append(matrices.b_hat[n] @ inv(lam2 * (eye(n + 1) - shifted)
+                                                 + matrices.delta[n]))
+        inner_top[..., 1:] -= lam2 * c_hat[c - 2]
     try:
         top = -h.h15 @ inv(inner_top)
-    except Singular as exc:     # h16 lifts inner_top's row scale by the growth modes
-        growth = float(spectral.theta.max() * params.k)
-        if growth <= GROWTH_WARN:
+    except (Singular, RowErrors) as exc:     # h16 lifts inner_top's row scale
+        growth = spectral.theta.max(axis=-1) * params.k
+        errors = {i: e if growth[i] <= GROWTH_WARN else Singular(
+            f"{e}; growth exponent theta_max*k = {growth[i]:.1f} (past {GROWTH_WARN:g}) "
+            "swamps the top boundary level") for i, e in getattr(exc, "errors", {(): exc}).items()}
+        if errors.get(()) is exc:
             raise
-        raise Singular(f"{exc}; growth exponent theta_max*k = {growth:.1f} "
-                       f"(past {GROWTH_WARN:g}) swamps the top boundary level") from exc
+        raise (RowErrors(errors) if isinstance(exc, RowErrors) else errors[()]) from exc
 
     # Only the psi_c row of each level product is read: rows[n] = pi_n / b_c.
-    rows = [psi_c @ top]
+    rows = [vec_mat(psi_c, top)]
     for level in reversed(c_hat):
-        rows.insert(0, rows[0] @ level)
-    total = psi_c @ (h.h19 @ np.ones(c)) + rows[c - 1] @ (h.h20 @ np.ones(c))
+        rows.insert(0, vec_mat(rows[0], level))
+    total = vec_dot(psi_c, h.h19 @ np.ones(c)) + vec_dot(rows[c - 1], h.h20 @ np.ones(c))
     for row in rows:
-        total += row.sum()
-    b_c = 1.0 / float(total)
+        total += row.sum(axis=-1)
+    b_c = 1.0 / total
+    b_c1 = per_row(b_c, 1)
 
-    pi_levels = tuple(b_c * row for row in rows)
-    floor = min(level.min() for level in pi_levels)
-    if floor < -1e-8:
-        raise NegativeProbability(f"pi entry {floor:.3e} below -1e-8")
+    pi_levels = tuple(b_c1 * row for row in rows)
+    floor = np.minimum.reduce(pi_levels[0], axis=-1)
+    for level in pi_levels[1:]:     # min's order: a NaN floor stays
+        low = np.minimum.reduce(level, axis=-1)
+        floor = np.where(low < floor, low, floor)
+    fail(floor < -1e-8, lambda i: NegativeProbability(f"pi entry {floor[i]:.3e} below -1e-8"))
 
     pi_top = pi_levels[c - 1]
-    f_prime_0 = pi_top @ h.h16 - b_c * (psi_c @ h.h15)
-    f_at_k = f_prime_0 @ h.h3 + pi_top @ h.h4
-    f_prime_at_k = f_prime_0 @ h.h7 + pi_top @ h.h8
-    f_infinity = pi_top @ h.h20 + b_c * (psi_c @ h.h19)
+    f_prime_0 = vec_mat(pi_top, h.h16) - b_c1 * vec_mat(psi_c, h.h15)
+    f_at_k = vec_mat(f_prime_0, h.h3) + vec_mat(pi_top, h.h4)
+    f_prime_at_k = vec_mat(f_prime_0, h.h7) + vec_mat(pi_top, h.h8)
+    f_infinity = vec_mat(pi_top, h.h20) + b_c1 * vec_mat(psi_c, h.h19)
 
     d1, d2 = matrices.d_tilde_1, matrices.d_tilde_2
     d1_inv, d2_inv = matrices.d_tilde_1_inv, matrices.d_tilde_2_inv
-    alpha0 = f_prime_0 @ d1 - lam * pi_top @ matrices.b1
-    bridge = alpha0 @ d1_inv @ d2
-    alpha1 = bridge - lam * f_at_k @ (matrices.b1 @ d1_inv @ d2 - matrices.b2)
-    alpha2 = alpha1 @ d2_inv - f_prime_at_k \
-        + lam * f_at_k @ (np.eye(c) - matrices.b2 @ d2_inv)
+    alpha0 = vec_mat(f_prime_0, d1) - vec_mat(lam * pi_top, matrices.b1)
+    bridge = vec_mat(vec_mat(alpha0, d1_inv), d2)
+    alpha1 = bridge - vec_mat(lam * f_at_k, matrices.b1 @ d1_inv @ d2 - matrices.b2)
+    alpha2 = vec_mat(alpha1, d2_inv) - f_prime_at_k \
+        + vec_mat(lam * f_at_k, eye(c) - matrices.b2 @ d2_inv)
 
-    expansion = _expand(params, matrices, spectral, f_prime_0, alpha0 @ m0,
+    expansion = _expand(params, matrices, spectral, f_prime_0, vec_mat(alpha0, m0),
                         f_at_k, f_infinity, alpha2, h.dm2)
     _check_finite(params, spectral, b_c, pi_levels, f_infinity, expansion)
     return StationarySolution(
@@ -380,19 +401,57 @@ def solve(params: QueueParams) -> StationarySolution:
     )
 
 
+def _stack(points: list[QueueParams]) -> QueueParams:
+    """Points that share c as one QueueParams: each parameter they differ on
+    becomes an array over them.  Equal points stay one point."""
+    if len(points) == 1:
+        return points[0]
+    if len({p.c for p in points}) > 1:
+        raise ValueError("a stack of points must share c")
+    fields = {f: np.array([getattr(p, f) for p in points]) for f in ("lam", "mu1", "mu2", "k")}
+    fields = {f: v if (v != v[0]).any() else float(v[0]) for f, v in fields.items()}
+    if not any(isinstance(v, np.ndarray) for v in fields.values()):
+        return points[0]
+    return QueueParams(points[0].c, **fields)
+
+
+def solve_rows(points: list[QueueParams]) -> tuple[StationarySolution | None, list[int],
+                                                   dict[int, VqtError]]:
+    """Solve validated points that share c in one stacked pass: (the
+    solution of the rows that solved, a stack or, when they are one point, a
+    plain one; their indices; {row: the error its own solve raises}).  Each
+    solved row is bit-identical to its own solve.  Rows that fail a check
+    are dropped and the pass reruns on the rest, so none computes past its
+    failure."""
+    live, errors = list(range(len(points))), {}
+    while live:
+        try:
+            return solve(_stack([points[i] for i in live])), live, errors
+        except RowErrors as exc:
+            errors.update((live[i], e) for i, e in exc.errors.items())
+            live = [row for i, row in enumerate(live) if i not in exc.errors]
+        except VqtError as exc:         # a layer that every row shares failed
+            errors.update(dict.fromkeys(live, exc))
+            live = []
+    return None, live, errors
+
+
 def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
-    """Raise ``NumericalError`` unless pi, b_c, F(inf) and every mixture array
-    are finite.  The usual cause is exp overflow in ``h_chain`` once the
-    growth exponent theta_max*k of the increasing modes passes about 709."""
-    arrays = (*pi_levels, f_infinity, mix.lower_rates, mix.lower_weights,
-              mix.lower_constant, mix.upper_rates, mix.upper_weights, mix.upper_constant)
+    """Raise ``NumericalError`` (per row) unless pi, b_c, F(inf) and every
+    mixture array are finite.  The usual cause is exp overflow in
+    ``h_chain`` once the growth exponent theta_max*k passes about 709."""
+    batch = np.shape(b_c)
+    arrays = [(a, 1) for a in (*pi_levels, f_infinity, mix.lower_rates, mix.lower_constant,
+                                mix.upper_rates, mix.upper_constant)]
+    arrays += [(mix.lower_weights, 2), (mix.upper_weights, 2)]
     # one isfinite over the concatenation costs a third of one per array
-    values = np.concatenate([a.ravel() for a in arrays])
-    if not (math.isfinite(b_c) and np.isfinite(values).all()):
-        growth = float(spectral.theta.max() * params.k)
-        raise NumericalError(
-            f"non-finite solution: growth exponent theta_max*k = {growth:.1f} "
-            "(exp overflows past about 709)")
+    values = np.concatenate([
+        (a if a.ndim == core + len(batch) else np.broadcast_to(a, batch + a.shape[-core:]))
+        .reshape(batch + (-1,)) for a, core in arrays], axis=-1)
+    fail(~(np.isfinite(b_c) & np.logical_and.reduce(np.isfinite(values), axis=-1)),
+         lambda i: NumericalError(
+             "non-finite solution: growth exponent theta_max*k = "
+             f"{(spectral.theta.max(axis=-1) * params.k)[i]:.1f} (exp overflows past about 709)"))
 
 
 def _nonnegative(x):
@@ -442,14 +501,25 @@ def _moment(th: float, k: float) -> float:
 
 def mean_wait(sol: StationarySolution) -> float:
     """E[W] = int x dF, term by term: the moment kernel on [0, k], and
-    int_k^inf x r e^{r(x-k)} dx = 1/r - k for each decaying tail term."""
+    int_k^inf x r e^{r(x-k)} dx = 1/r - k for each decaying tail term.  One
+    value per row of a stacked solution."""
     mix = sol.expansion
-    if mix.upper_rates.max() >= 0.0:
-        raise DivergentIntegral("tail matrix has a nonnegative eigenvalue")
-    below = sum(_moment(r, mix.k) * w.sum()
-                for r, w in zip(mix.lower_rates.tolist(), mix.lower_weights))
-    above = (1.0 / mix.upper_rates - mix.k) @ mix.upper_weights.sum(axis=1)
-    return float(below + above)
+    fail(np.maximum.reduce(mix.upper_rates, axis=-1) >= 0.0,
+         lambda i: DivergentIntegral("tail matrix has a nonnegative eigenvalue"))
+    k = per_row(mix.k, 1)
+    th, th_k = mix.lower_rates, k
+    if isinstance(k, np.ndarray):           # a stack's k: one per row
+        th, th_k = np.broadcast_arrays(th, k)
+    small = np.abs(th) * th_k < 1e-6
+    eb = np.exp(th * th_k)
+    moments = th_k * eb - (eb - 1.0) / np.where(small, 1.0, th)
+    for idx in zip(*np.nonzero(small)):
+        moments[idx] = _moment(float(th[idx]), float(th_k[idx] if th_k is not k else k))
+    below = 0.0
+    for term in (moments * np.add.reduce(mix.lower_weights, axis=-1)).T:
+        below = below + term            # the order of a sum over the terms
+    above = vec_dot(1.0 / mix.upper_rates - k, np.add.reduce(mix.upper_weights, axis=-1))
+    return below + above
 
 
 def scalar_mixture(sol: StationarySolution) -> ScalarMixture:

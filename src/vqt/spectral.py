@@ -15,14 +15,14 @@ threshold only the decaying solvent U2- is needed, since F stays bounded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .errors import Degenerate, ILL_CONDITIONED, NullSpaceDimension
-from .model import ModelMatrices, QueueParams
-from .numerics import cond_1norm, unitri_inv
+from .errors import Degenerate, ILL_CONDITIONED, NullSpaceDimension, fail
+from .model import ModelMatrices, QueueParams, per_row
+from .numerics import cond_1norm, eye, unitri_inv, vec_dot
 
 __all__ = [
     "SpectralData",
@@ -55,20 +55,17 @@ class SpectralData:
     warnings: tuple[str, ...] = ()
 
 
-def _quadratic_roots(s: float, p: float) -> tuple[float, float]:
-    """Roots of t^2 - s t - p = 0 with p >= 0, cancellation-safe.
-
-    The larger root is computed from the discriminant; the smaller one from
-    the product of roots, which avoids subtractive cancellation when the
-    discriminant dwarfs one root.
-    """
-    if p == 0.0:
-        return min(0.0, s), max(0.0, s)
-    plus = 0.5 * (s + math.sqrt(s * s + 4.0 * p))
-    return -p / plus, plus
+@cache
+def _coefficients(c: int) -> tuple[np.ndarray, ...]:
+    """k1, k2, k_theta, k_beta of quadratic i of each pencil (row 0 theta, row
+    1 beta): s = lambda - k1 mu1 - k2 mu2, p = k_theta lambda mu2 + k_beta
+    lambda mu1 (one of the two terms is 0.0, so p is the pencil's product)."""
+    i, z = np.arange(c, dtype=float), np.zeros(c)
+    return (np.array([i + 1, i]), np.array([c - 1 - i, c - i]),
+            np.array([c - 1 - i, z]), np.array([z, i]))
 
 
-def _left_null_vectors(roots: np.ndarray, lam: float, d_tilde: np.ndarray,
+def _left_null_vectors(roots: np.ndarray, lam, d_tilde: np.ndarray,
                        b: np.ndarray, orientation: str) -> np.ndarray:
     """Left null vectors of t^2 I - t (lam I - D_tilde) + lam (B - D_tilde) at
     all 2c roots, one row each.
@@ -78,26 +75,58 @@ def _left_null_vectors(roots: np.ndarray, lam: float, d_tilde: np.ndarray,
     near side.  One pass over the columns (forward if upper, backward if
     lower) solves column j of every row whose pivot it has passed; the sums
     also run over the exact zeros beyond each pivot, which changes nothing.
+    Stacked roots (B, 2c) give stacked rows (B, 2c, c).
     """
-    c = len(b)
+    c = b.shape[-1]
     eye = np.eye(c)
-    t = roots[:, None, None]
-    p = (t * t * eye - t * (lam * eye - d_tilde) + lam * (b - d_tilde)).reshape(2, c, c, c)
-    v = np.array([eye, eye])           # [half, pivot, entry]; root idx = half*c + pivot
+    t = roots[..., None, None]
+    lam = per_row(lam, 3)
+    p = t * t * eye - t * (lam * eye - d_tilde[..., None, :, :]) \
+        + lam * (b - d_tilde)[..., None, :, :]
+    batch = roots.shape[:-1]
+    p = p.reshape(batch + (2, c, c, c))
+    # [..., half, pivot, entry]; root idx = half*c + pivot
+    v = np.empty(batch + (2, c, c))
+    v[...] = eye
     if orientation == "upper":
         steps = [(j, slice(0, j)) for j in range(1, c)]
     else:
         steps = [(j, slice(j + 1, c)) for j in range(c - 2, -1, -1)]
     for j, s in steps:                 # s: pivots passed, and the entries solved
-        v[:, s, j] = -(v[:, s, None, s] @ p[:, s, s, j, None])[..., 0, 0] / p[:, s, j, j]
-    return v.reshape(2 * c, c)
+        v[..., s, j] = -(v[..., s, None, s] @ p[..., s, s, j, None])[..., 0, 0] \
+            / p[..., s, j, j]
+    return v.reshape(batch + (2 * c, c))
 
 
-def _check_distinct(roots: np.ndarray, scale: float, label: str) -> None:
-    n = len(roots)
-    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n) * scale
-    if gaps.min() <= 1e-9 * scale:
-        raise Degenerate(f"{label} eigenvalue collision (gap {gaps.min():.3e})")
+def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple]:
+    """(theta, phi) and (beta, psi): the roots of both pencils, checked for
+    collisions (theta first), and their left eigenvectors.
+
+    Quadratic i's roots t^2 - s t - p = 0 (p >= 0) come cancellation-safe:
+    the larger from the discriminant, the smaller from the product of roots.
+    p = 0 at one index of each pencil only (theta's c-1, beta's 0), where
+    the roots are min(0, s) = s - plus and max(0, s) = plus exactly, as
+    sqrt(s * s) is |s|.
+    """
+    c = params.c
+    lam, mu1, mu2 = per_row(params.lam, 2), per_row(params.mu1, 2), per_row(params.mu2, 2)
+    k1, k2, k_theta, k_beta = _coefficients(c)
+    s = lam - k1 * mu1 - k2 * mu2
+    p = k_theta * lam * mu2 + k_beta * lam * mu1
+    plus = 0.5 * (s + np.sqrt(s * s + 4.0 * p))
+    zero = p == 0.0                           # 1 + plus there: no 0 / 0
+    roots = np.concatenate((np.where(zero, s - plus, -p / (plus + zero)), plus), axis=-1)
+    gaps = np.abs(roots[..., :, None] - roots[..., None, :]) \
+        + eye(2 * c) * per_row(params.scale, 3)
+    low = np.minimum.reduce(gaps, axis=(-2, -1))
+    for k, label in enumerate(("theta", "beta")):
+        fail(low[..., k] <= 1e-9 * params.scale, lambda i: Degenerate(
+            f"{label} eigenvalue collision (gap {low[..., k][i]:.3e})"))
+    theta, beta = roots[..., 0, :], roots[..., 1, :]
+    return ((theta, _left_null_vectors(theta, params.lam, matrices.d_tilde_1, matrices.b1,
+                                       "upper")),
+            (beta, _left_null_vectors(beta, params.lam, matrices.d_tilde_2, matrices.b2,
+                                      "lower")))
 
 
 def compute_theta_spectrum(
@@ -109,14 +138,7 @@ def compute_theta_spectrum(
     - (c-1-i) lambda mu2 = 0; the smaller root sits at index i, the larger
     at i + c.  The eigenvector for the zero root is [0, ..., 0, 1].
     """
-    c, lam, mu1, mu2 = params.c, params.lam, params.mu1, params.mu2
-    theta = np.empty(2 * c)
-    for i in range(c):
-        s = lam - (i + 1) * mu1 - (c - 1 - i) * mu2
-        p = (c - 1 - i) * lam * mu2
-        theta[i], theta[i + c] = _quadratic_roots(s, p)
-    _check_distinct(theta, params.scale, "theta")
-    return theta, _left_null_vectors(theta, lam, matrices.d_tilde_1, matrices.b1, "upper")
+    return _spectra(params, matrices)[0]
 
 
 def compute_beta_spectrum(
@@ -127,79 +149,90 @@ def compute_beta_spectrum(
     Quadratic i is t^2 - t(lambda - i mu1 - (c-i) mu2) - i lambda mu1 = 0;
     beta_c = 0 comes from quadratic 0 and owns the eigenvector [1, 0, ..., 0].
     """
-    c, lam, mu1, mu2 = params.c, params.lam, params.mu1, params.mu2
-    beta = np.empty(2 * c)
-    for i in range(c):
-        s = lam - i * mu1 - (c - i) * mu2
-        p = i * lam * mu1
-        beta[i], beta[i + c] = _quadratic_roots(s, p)
-    _check_distinct(beta, params.scale, "beta")
-    return beta, _left_null_vectors(beta, lam, matrices.d_tilde_2, matrices.b2, "lower")
+    return _spectra(params, matrices)[1]
 
 
 def _assemble_u(values: np.ndarray, vectors: np.ndarray, orientation: str,
-                warnings: list[str], label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The solvent V^-1 diag(values) V and the basis inverse V^-1."""
+                conds: list, label) -> tuple[np.ndarray, np.ndarray]:
+    """The solvent V^-1 diag(values) V and the basis inverse V^-1; appends
+    (label, condition of V) to conds, for each label of a stack of bases."""
     # the pivot-normalized eigenvector bases are unitriangular, so their
     # inverses come from exact substitution rather than pivoted elimination
     v_inv = unitri_inv(vectors, orientation)
     cond = cond_1norm(vectors, v_inv)
-    if cond > _COND_WARN:
-        warnings.append(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond:.3e}")
-    return v_inv @ (values[:, None] * vectors), v_inv
+    conds += [(label, cond)] if isinstance(label, str) else [
+        (name, cond[..., i]) for i, name in enumerate(label)]
+    return v_inv @ (values[..., None] * vectors), v_inv
 
 
-def null_right_vectors(matrices: ModelMatrices) -> tuple[np.ndarray, np.ndarray]:
+def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.ndarray]:
     """Right null vectors of (B1 - D_tilde_1) and (B2 - D_tilde_2).
 
     Both matrices are triangular with exactly one zero diagonal entry under
-    non-degeneracy; the vectors come out by substitution and are normalized
-    to unit max-norm.
+    non-degeneracy, tested against 1e-9 max(scale, 1) with the caller's
+    (lambda-dependent) scale; the vectors come out by substitution and are
+    normalized to unit max-norm.
     """
     c = matrices.c
     y1 = matrices.b1 - matrices.d_tilde_1        # upper, zero at (c-1, c-1)
     y2 = matrices.b2 - matrices.d_tilde_2        # lower, zero at (0, 0)
-    tol = 1e-9 * max(matrices.params.scale, 1.0)
+    tol = 1e-9 * np.maximum(scale, 1.0)
     for y, pos in ((y1, c - 1), (y2, 0)):
-        diag = np.abs(np.diag(y))
-        if diag[pos] > tol or (np.partition(diag, 1)[1] if c > 1 else np.inf) <= tol:
-            raise NullSpaceDimension("null space of B - D_tilde is not 1-dimensional")
+        diag = np.abs(y.diagonal(axis1=-2, axis2=-1))
+        second = np.partition(diag, 1, axis=-1)[..., 1] if c > 1 else np.inf
+        fail((diag[..., pos] > tol) | (second <= tol), lambda i: NullSpaceDimension(
+            "null space of B - D_tilde is not 1-dimensional"))
 
-    phi_star_right = np.zeros(c)
-    phi_star_right[c - 1] = 1.0
+    phi_star_right = np.zeros(y1.shape[:-1])
+    phi_star_right[..., c - 1] = 1.0
     for i in range(c - 2, -1, -1):
-        phi_star_right[i] = -(y1[i, i + 1:] @ phi_star_right[i + 1:]) / y1[i, i]
-    psi_c_right = np.zeros(c)
-    psi_c_right[0] = 1.0
+        phi_star_right[..., i] = -vec_dot(y1[..., i, i + 1:], phi_star_right[..., i + 1:]) \
+            / y1[..., i, i]
+    psi_c_right = np.zeros(y2.shape[:-1])
+    psi_c_right[..., 0] = 1.0
     for i in range(1, c):
-        psi_c_right[i] = -(y2[i, :i] @ psi_c_right[:i]) / y2[i, i]
+        psi_c_right[..., i] = -vec_dot(y2[..., i, :i], psi_c_right[..., :i]) / y2[..., i, i]
 
-    phi_star_right /= np.abs(phi_star_right).max()
-    psi_c_right /= np.abs(psi_c_right).max()
+    phi_star_right /= np.maximum.reduce(np.abs(phi_star_right), axis=-1, keepdims=True)
+    psi_c_right /= np.maximum.reduce(np.abs(psi_c_right), axis=-1, keepdims=True)
     return phi_star_right, psi_c_right
+
+
+def _warnings(conds: list, growth) -> tuple:
+    """The warnings of one point, or a tuple of them per row of a stack (whose
+    growth is always per row)."""
+    # the increasing modes grow by exp(theta_max * k) across the threshold
+    # interval; past e^25 that cancellation visibly erodes the matching of
+    # the two branches at the threshold
+    flags = [(c, _COND_WARN, f"{label} eigenbasis condition {{:.3e}}") for label, c in conds]
+    flags.append((growth, GROWTH_WARN,
+                  "growth exponent theta_max*k = {:.1f} erodes threshold matching"))
+    stack = isinstance(growth, np.ndarray)
+    if stack:
+        flags = [(np.broadcast_to(v, growth.shape), limit, text) for v, limit, text in flags]
+    rows = [tuple(f"{ILL_CONDITIONED}: " + text.format(v[i]) for v, limit, text in flags
+                  if v[i] > limit) for i in (range(len(growth)) if stack else [()])]
+    return tuple(rows) if stack else rows[0]
 
 
 def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData:
     """Roots and bases of both pencils, the sign-split solvents (U1-, U1+,
-    U2-) with their basis inverses, and the null vectors."""
-    theta, phi = compute_theta_spectrum(params, matrices)
-    beta, psi = compute_beta_spectrum(params, matrices)
+    U2-) with their basis inverses, and the null vectors.  For a stack, every
+    array that depends on a per-row parameter has a leading row axis, and
+    warnings holds one tuple per row."""
+    (theta, phi), (beta, psi) = _spectra(params, matrices)
     c = params.c
-    warnings: list[str] = []
-    u1_minus, phi_minus_inv = _assemble_u(theta[:c], phi[:c], "upper", warnings, "u1_minus")
-    u1_plus, phi_plus_inv = _assemble_u(theta[c:], phi[c:], "upper", warnings, "u1_plus")
-    u2_minus, psi_minus_inv = _assemble_u(beta[:c], psi[:c], "lower", warnings, "u2_minus")
-    # the increasing modes grow by exp(theta_max * k) across the threshold
-    # interval; past e^25 that cancellation visibly erodes the matching of
-    # the two branches at the threshold
-    growth = float(theta.max() * params.k)
-    if growth > GROWTH_WARN:
-        warnings.append(
-            f"{ILL_CONDITIONED}: growth exponent theta_max*k = {growth:.1f} "
-            f"erodes threshold matching"
-        )
-    phi_star, psi_c = np.eye(c)[[c - 1, 0]]
-    phi_star_right, psi_c_right = null_right_vectors(matrices)
+    conds: list = []
+    halves = theta.shape[:-1] + (2, c)      # U1- and U1+ as a stack of two
+    u1, phi_inv = _assemble_u(theta.reshape(halves), phi.reshape(halves + (c,)), "upper",
+                              conds, ("u1_minus", "u1_plus"))
+    (u1_minus, u1_plus), (phi_minus_inv, phi_plus_inv) = (np.moveaxis(u1, -3, 0),
+                                                          np.moveaxis(phi_inv, -3, 0))
+    u2_minus, psi_minus_inv = _assemble_u(beta[..., :c], psi[..., :c, :], "lower", conds,
+                                          "u2_minus")
+    warnings = _warnings(conds, theta.max(axis=-1) * params.k)
+    phi_star, psi_c = eye(c)[[c - 1, 0]]
+    phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)
     return SpectralData(
         theta=theta,
         phi=phi,
@@ -215,5 +248,5 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
         u1_minus=u1_minus,
         u1_plus=u1_plus,
         u2_minus=u2_minus,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

@@ -1,0 +1,224 @@
+"""Stacked solves against solving each point on its own.
+
+solver.solve_rows solves points that share c in one pass with a leading row
+axis; every row must carry the bits of its own solve (signed zeros
+included), and every failing row the error its own solve raises.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from vqt import cli, numerics
+from vqt.errors import Degenerate, RowErrors, Singular, ValidationError, VqtError
+from vqt.model import validate_params
+from vqt.solver import eval_cdf, mean_wait, solve, solve_rows
+
+
+def same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def row(a, i, ndim):
+    """Row i of a stacked array whose single-point form has ndim axes; a
+    shared array is every row's."""
+    a = np.asarray(a)
+    return a[i] if a.ndim > ndim else a
+
+
+def valid(points):
+    out = []
+    for p in points:
+        try:
+            out.append(validate_params(*p))
+        except ValidationError:
+            pass
+    return out
+
+
+def check_rows(points):
+    """solve_rows against solve, row by row; returns (rows solved, rows failed)."""
+    sol, live, errors = solve_rows(points)
+    assert sorted(live + list(errors)) == list(range(len(points)))
+    for i, p in enumerate(points):
+        try:
+            single = solve(p)
+        except VqtError as exc:
+            assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+            continue
+        j = live.index(i)
+        if np.ndim(sol.b_c) == 0:           # the rows left are one point
+            assert sol.b_c == single.b_c
+            continue
+        assert len(sol.pi_levels) == len(single.pi_levels)
+        for level, want in zip(sol.pi_levels, single.pi_levels):
+            same(level[j], want)
+        same(sol.b_c[j], single.b_c)
+        same(sol.f_infinity[j], single.f_infinity)
+        assert sol.warnings[j] == single.warnings
+        mix, ref = sol.expansion, single.expansion
+        assert row(mix.k, j, 0) == ref.k
+        for name, ndim in (("lower_rates", 1), ("lower_weights", 2), ("lower_constant", 1),
+                           ("upper_rates", 1), ("upper_weights", 2), ("upper_constant", 1)):
+            same(row(getattr(mix, name), j, ndim), getattr(ref, name))
+        same(mean_wait(sol)[j], mean_wait(single))
+        same(sol.p_wait_zero[j], single.p_wait_zero)
+        for x in (0.0, 0.7, 3.0):
+            same(eval_cdf(sol, x)[1][j], eval_cdf(single, x)[1])
+    return len(live), len(errors)
+
+
+@pytest.mark.parametrize("mu1", [0.3, 0.6, 0.9])
+def test_paper_lambda_sweeps(mu1):
+    points = valid((3, lam, mu1, 0.8, 5.0) for lam in np.linspace(0.2, 2.3, 40).tolist())
+    solved, failed = check_rows(points)
+    assert solved == len(points) and not failed
+
+
+@pytest.mark.parametrize("c", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("name", ["mu1", "mu2", "k"])
+def test_seeded_sweeps(c, name):
+    rng = np.random.default_rng(1000 * c + len(name))
+    base = {"lam": round(float(rng.uniform(0.3, 0.7)) * c, 4),
+            "mu1": round(float(rng.uniform(0.6, 1.4)), 4), "mu2": 1.0,
+            "k": round(float(rng.uniform(0.2, 1.5)), 4)}
+    lo, hi = {"mu1": (0.5, 1.5), "mu2": (0.95, 1.6), "k": (0.1, 4.0)}[name]
+    points = valid(
+        (c, *({**base, name: v}[f] for f in ("lam", "mu1", "mu2", "k")))
+        for v in np.linspace(lo, hi, 25).tolist())
+    solved, _ = check_rows(points)
+    assert solved >= len(points) // 2
+
+
+def test_k_sweep_rows_get_their_own_growth_warnings_and_errors():
+    # past theta_max*k = 25 a row is flagged; near 184 the top level swamps
+    points = valid((3, 2.0, 0.3, 0.8, k) for k in np.linspace(0.5, 120.0, 12).tolist())
+    solved, failed = check_rows(points)
+    assert solved and failed
+    sol, live, errors = solve_rows(points)
+    assert len(set(sol.warnings)) > 1
+    assert all("swamps the top boundary level" in str(e) for e in errors.values())
+
+
+def test_degenerate_row_from_the_distinctness_check():
+    # 1.500000002 passes validate_params, but two theta roots meet there
+    points = valid((2, 1.0, mu1, 1.0, 1.0) for mu1 in (1.3, 1.500000002, 1.7, 1.9))
+    assert len(points) == 4
+    with pytest.raises(Degenerate, match="theta eigenvalue collision"):
+        solve(points[1])
+    solved, failed = check_rows(points)
+    assert (solved, failed) == (3, 1)
+
+
+def sweep(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def per_point_sweep(c, lam, mu1, mu2, k, name, values, metrics):
+    """The sweep's rows, each point solved on its own."""
+    lines = []
+    for v in values:
+        p = {"c": c, "lambda": lam, "mu1": mu1, "mu2": mu2, "k": k, name: v}
+        try:
+            sol, model = cli._solve_or_route(p["c"], p["lambda"], p["mu1"], p["mu2"], p["k"])
+        except ValidationError as exc:
+            lines.append(f"{cli._fmt(v)},{type(exc).__name__.lower()}" + "," * len(metrics))
+            continue
+        if model == "erlang_c":
+            got = {"mean": sol.mean(), "p_wait": sol.c_prob, "cdf@3": sol.cdf(3.0)}
+        else:
+            got = {"mean": mean_wait(sol), "p_wait": 1.0 - sol.p_wait_zero,
+                   "cdf@3": eval_cdf(sol, 3.0)[1]}
+        status = "erlang_c" if model == "erlang_c" else "ok"
+        lines.append(",".join([cli._fmt(v), status] + [cli._fmt(got[m]) for m in metrics]))
+    return lines
+
+
+@pytest.mark.parametrize("argv, name, values", [
+    # crosses mu1 = mu2 = 0.8: one erlang_c row
+    (["--c", "3", "--lambda", "2", "--mu1", "0.3", "--mu2", "0.8", "--k", "5",
+      "--sweep", "mu1=0.5:1.1:7"], "mu1", np.linspace(0.5, 1.1, 7)),
+    # mu1 = 1.5 fails validation, 1.500000002 the distinctness check
+    (["--c", "2", "--lambda", "1", "--mu1", "1", "--mu2", "1", "--k", "1",
+      "--sweep", "mu1=1.499999998:1.500000006:5"], "mu1",
+     np.linspace(1.499999998, 1.500000006, 5)),
+])
+def test_cli_sweep_rows_match_per_point(argv, name, values):
+    metrics = ["mean", "p_wait", "cdf@3"]
+    code, out, err = sweep(argv + ["--metrics", ",".join(metrics)])
+    assert code == 0 and err == ""
+    base = dict(zip(argv[0:10:2], argv[1:10:2]))
+    c, lam, mu1, mu2, k = (float(base[f"--{f}"]) for f in ("c", "lambda", "mu1", "mu2", "k"))
+    expect = per_point_sweep(int(c), lam, mu1, mu2, k, name, values.tolist(), metrics)
+    assert out.splitlines()[1:] == expect
+
+
+def test_600_point_sweep_fails_as_its_own_solve():
+    code, out, err = sweep(["--c", "6", "--lambda", "2", "--mu1", "0.3", "--mu2", "0.8",
+                            "--k", "5", "--sweep", "lambda=0.2:3.0:600",
+                            "--metrics", "mean,p_wait,cdf@5"])
+    assert (code, out) == (3, "")
+    assert err == "Singular: pivot -1.663e-15 below 1e-14 of its row scale at column 5\n"
+    lam = np.linspace(0.2, 3.0, 600)[598]
+    with pytest.raises(Singular) as single:
+        solve(validate_params(6, lam, 0.3, 0.8, 5.0))
+    assert f"Singular: {single.value}\n" == err and round(lam, 4) == 2.9953
+
+
+def test_stacked_lu_reports_each_singular_matrix():
+    rng = np.random.default_rng(7)
+    n = 5
+    good = [rng.normal(size=(n, n)) + 4 * np.eye(n) for _ in range(4)]
+    bad = good[1].copy()
+    bad[3] = 1e-16 * bad[2]                     # no usable pivot left in column 3
+    zero = good[2].copy()
+    zero[0] = 0.0
+    stack = np.array([good[0], bad, good[3], zero])
+    b = rng.normal(size=(4, n, 2))
+    with pytest.raises(RowErrors) as got:
+        numerics.lu_solve(stack, b)
+    assert sorted(got.value.errors) == [1, 3]
+    for i in (1, 3):
+        with pytest.raises(Singular) as single:
+            numerics.lu_solve(stack[i], b[i])
+        assert str(got.value.errors[i]) == str(single.value)
+    assert "at column" in str(got.value.errors[1])
+    assert str(got.value.errors[3]) == "matrix has a zero row"
+    # the elimination leaves the other matrices as their own factorization
+    ab = np.moveaxis(np.concatenate((stack, b), axis=-1), 0, -1).copy()
+    _, errors = numerics._factor_stack(ab, n)
+    assert sorted(errors) == [1, 3]
+    for i in (0, 2):
+        packed, _ = numerics.lu_factor(np.concatenate((stack[i], b[i]), axis=-1))
+        same(ab[..., i], packed)
+    # and a stack of the good ones solves to each one's own bits
+    ok = stack[[0, 2]]
+    x = numerics.lu_solve(ok, b[[0, 2]])
+    for j, i in enumerate((0, 2)):
+        same(x[j], numerics.lu_solve(stack[i], b[i]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
+def test_stacked_lu_matches_single_solves(n):
+    rng = np.random.default_rng(n)
+    kinds = [np.triu(rng.normal(size=(n, n))) + 3 * np.eye(n),
+             np.tril(rng.normal(size=(n, n))) + 3 * np.eye(n),
+             rng.normal(size=(n, n)) + n * np.eye(n)]
+    for stack in (np.array(kinds), np.array(kinds[:1] * 3)):
+        b = rng.normal(size=(len(stack), n, 3))
+        b[0, 0, 0] = -0.0
+        x = numerics.lu_solve(stack, b)
+        for i in range(len(stack)):
+            same(x[i], numerics.lu_solve(stack[i], b[i]))
+        # a shared matrix broadcasts against a stack of right-hand sides
+        x = numerics.lu_solve(stack[0], b)
+        for i in range(len(stack)):
+            same(x[i], numerics.lu_solve(stack[0], b[i]))

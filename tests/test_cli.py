@@ -254,12 +254,13 @@ class TestBadInput:
 
     @pytest.mark.parametrize("metrics", [
         "cdf@abc", "cdf@", "cdf@-1", "cdf@nan", "cdf@inf", "mean,cdf@-0.5", "median",
+        "", ",", "mean,mean", "mean,p_wait,mean",
     ])
     def test_sweep_metric_rejected_before_solving(self, capsys, monkeypatch, metrics):
         def no_solve(*args):
             raise AssertionError("solved before the metrics were checked")
 
-        monkeypatch.setattr(vqt.cli, "_solve_or_route", no_solve)
+        monkeypatch.setattr(vqt.cli, "_sweep_rows", no_solve)
         code, out, err = run(capsys, ["sweep", *self.MODEL, "--sweep", "lambda=0.5:1.5:3",
                                       "--metrics", metrics])
         assert code == 2
@@ -274,7 +275,7 @@ class TestBadInput:
         def no_solve(*args):
             raise AssertionError("solved before the range was checked")
 
-        monkeypatch.setattr(vqt.cli, "_solve_or_route", no_solve)
+        monkeypatch.setattr(vqt.cli, "_sweep_rows", no_solve)
         code, out, err = run(capsys, ["sweep", *self.MODEL, "--sweep", spec])
         assert code == 2
         assert out == ""

@@ -260,12 +260,12 @@ class TestUMatrices:
 class TestNullRightVectors:
     def test_scalar_case(self):
         p = validate_params(1, 1.0, 2.0, 1.5, 1.0)
-        phi_r, psi_r = null_right_vectors(build_matrices(p))
+        phi_r, psi_r = null_right_vectors(build_matrices(p), p.scale)
         assert phi_r[0] == 1.0 and psi_r[0] == 1.0
 
     def test_residual_worked_example(self, two_server_params):
         m = build_matrices(two_server_params)
-        phi_r, psi_r = null_right_vectors(m)
+        phi_r, psi_r = null_right_vectors(m, two_server_params.scale)
         assert np.abs((m.b1 - m.d_tilde_1) @ phi_r).max() < 1e-12
         assert np.abs((m.b2 - m.d_tilde_2) @ psi_r).max() < 1e-12
         assert np.abs(phi_r).max() == pytest.approx(1.0)
