@@ -10,7 +10,9 @@ Three subcommands:
   value.  A point whose ValidationError (Degenerate included) is its status
   leaves the others going; a NumericalError aborts the sweep, the first in
   row order.  A lambda, mu1, mu2 or k sweep is solved in stacked passes of
-  _SWEEP_CHUNK rows, each bit-identical to its own solve; c point by point.
+  _SWEEP_CHUNK rows, each bit-identical to its own solve; a c sweep point by
+  point, its points sharing one table of boundary levels, so each level is
+  computed once.
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical failure, 4 statistical
 mismatch.  Equal rates route to the Erlang-C reduction.
@@ -411,7 +413,8 @@ def _sweep_metrics(text: str) -> dict[str, float | None]:
 def _sweep_rows(base: dict, name: str, values: list[float],
                 metrics: dict[str, float | None]) -> list[dict]:
     """The sweep's rows: equal rates go to Erlang-C, the other valid points
-    to solver.solve_rows in chunks (one point at a time for c)."""
+    to solver.solve_rows in chunks (for c one point at a time, with one
+    table of boundary levels for the whole sweep)."""
     rows, pending = [], []
     for value in values:
         point = {**base, name: int(value) if name == "c" else value}
@@ -427,10 +430,11 @@ def _sweep_rows(base: dict, name: str, values: list[float],
             row.update((m, evals[m]() if x is None else sol.cdf(x)) for m, x in metrics.items())
         except ValidationError as exc:
             row["status"] = type(exc).__name__.lower()
-    size = 1 if name == "c" else _SWEEP_CHUNK
+    size, levels = (1, {}) if name == "c" else (_SWEEP_CHUNK, None)
     for start in range(0, len(pending), size):
         chunk = [row for row, _ in pending[start:start + size]]
-        sol, live, errors = solver.solve_rows([p for _, p in pending[start:start + size]])
+        sol, live, errors = solver.solve_rows([p for _, p in pending[start:start + size]],
+                                              levels)
         evals, got = {"mean": lambda: solver.mean_wait(sol),
                       "p_wait": lambda: 1.0 - sol.p_wait_zero}, {}
         try:        # a metric's NumericalError (mean's) is its row's, as above

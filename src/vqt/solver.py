@@ -306,10 +306,38 @@ def _concat(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.concatenate((a, b) if a.ndim == b.ndim else np.broadcast_arrays(a, b), axis=axis)
 
 
-def solve(params: QueueParams) -> StationarySolution:
+def _c_hat_levels(params: QueueParams, matrices: ModelMatrices,
+                  table: list[np.ndarray]) -> list[np.ndarray]:
+    """The boundary recursion's C_hat_0 .. C_hat_{c-2}, table's first.
+
+    Level n is B_hat_n (lambda (I - [0 | C_hat_{n-1}]) + Delta_n)^{-1}
+    (B_hat_0 / lambda at n = 0): it depends on lambda, mu1, mu2 and n alone,
+    not on c or k.  So points that share those rates share one table, which
+    this extends to the levels params needs.  A level joins the table only
+    once computed: one that raises leaves the table as it was, and every
+    later point that needs it computes it again and raises the same error.
+    """
+    lam, m = per_row(params.lam, 2), matrices
+    for n in range(len(table), params.c - 1):
+        if n == 0:
+            table.append(m.b_hat[0] / lam)
+            continue
+        shifted = np.zeros(table[-1].shape[:-1] + (n + 1,))
+        shifted[..., 1:] = table[-1]
+        table.append(m.b_hat[n] @ inv(lam * (eye(n + 1) - shifted) + m.delta[n]))
+    return table[:params.c - 1]
+
+
+def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution:
     """Run the whole pipeline for validated, non-degenerate parameters: one
     point, or a stack of points that share c (see ``solve_rows``), whose
-    failing rows raise RowErrors."""
+    failing rows raise RowErrors.
+
+    ``levels`` maps (lambda, mu1, mu2) to a table of ``_c_hat_levels``,
+    which solve reads and extends: points whose rates are shared floats, as
+    in a c sweep, compute each level once.  Without it, no table outlives
+    the call.
+    """
     matrices = build_matrices(params)
     spectral = build_spectral(params, matrices)
     m0, m1, m2 = particular_matrices(params, matrices, spectral)
@@ -326,16 +354,11 @@ def solve(params: QueueParams) -> StationarySolution:
     psi_c = spectral.psi_c
 
     # pi_n = pi_{n+1} C_hat_n below the top level, which couples to the
-    # continuous part through h15/h16.  [0 | C_hat_{n-1}] enters each level.
+    # continuous part through h15/h16 and takes [0 | C_hat_{c-2}].
     inner_top = lam2 * eye(c) + matrices.delta[c - 1] - h.h16
-    c_hat: list[np.ndarray] = []
+    table = [] if levels is None else levels.setdefault((params.lam, params.mu1, params.mu2), [])
+    c_hat = _c_hat_levels(params, matrices, table)
     if c > 1:
-        c_hat.append(matrices.b_hat[0] / lam2)
-        for n in range(1, c - 1):
-            shifted = np.zeros(c_hat[-1].shape[:-1] + (n + 1,))
-            shifted[..., 1:] = c_hat[-1]
-            c_hat.append(matrices.b_hat[n] @ inv(lam2 * (eye(n + 1) - shifted)
-                                                 + matrices.delta[n]))
         inner_top[..., 1:] -= lam2 * c_hat[c - 2]
     try:
         top = -h.h15 @ inv(inner_top)
@@ -415,18 +438,18 @@ def _stack(points: list[QueueParams]) -> QueueParams:
     return QueueParams(points[0].c, **fields)
 
 
-def solve_rows(points: list[QueueParams]) -> tuple[StationarySolution | None, list[int],
-                                                   dict[int, VqtError]]:
+def solve_rows(points: list[QueueParams], levels: dict | None = None
+               ) -> tuple[StationarySolution | None, list[int], dict[int, VqtError]]:
     """Solve validated points that share c in one stacked pass: (the
     solution of the rows that solved, a stack or, when they are one point, a
     plain one; their indices; {row: the error its own solve raises}).  Each
     solved row is bit-identical to its own solve.  Rows that fail a check
     are dropped and the pass reruns on the rest, so none computes past its
-    failure."""
+    failure.  ``levels`` goes to ``solve``."""
     live, errors = list(range(len(points))), {}
     while live:
         try:
-            return solve(_stack([points[i] for i in live])), live, errors
+            return solve(_stack([points[i] for i in live]), levels), live, errors
         except RowErrors as exc:
             errors.update((live[i], e) for i, e in exc.errors.items())
             live = [row for i, row in enumerate(live) if i not in exc.errors]
@@ -512,11 +535,13 @@ def mean_wait(sol: StationarySolution) -> float:
         th, th_k = np.broadcast_arrays(th, k)
     small = np.abs(th) * th_k < 1e-6
     eb = np.exp(th * th_k)
-    moments = th_k * eb - (eb - 1.0) / np.where(small, 1.0, th)
-    for idx in zip(*np.nonzero(small)):
+    # _moment(+-0.0, k) is +0.0, and every solve has a zero rate: only the
+    # other small roots take the series
+    moments = np.where(small, 0.0, th_k * eb - (eb - 1.0) / np.where(small, 1.0, th))
+    for idx in zip(*np.nonzero(small & (th != 0.0))):
         moments[idx] = _moment(float(th[idx]), float(th_k[idx] if th_k is not k else k))
-    below = 0.0
-    for term in (moments * np.add.reduce(mix.lower_weights, axis=-1)).T:
+    below, terms = 0.0, moments * np.add.reduce(mix.lower_weights, axis=-1)
+    for term in terms.tolist() if terms.ndim == 1 else terms.T:
         below = below + term            # the order of a sum over the terms
     above = vec_dot(1.0 / mix.upper_rates - k, np.add.reduce(mix.upper_weights, axis=-1))
     return below + above

@@ -7,13 +7,14 @@ included), and every failing row the error its own solve raises.
 
 import contextlib
 import io
+import sys
 
 import numpy as np
 import pytest
 
-from vqt import cli, numerics
+from vqt import cli, numerics, solver
 from vqt.errors import Degenerate, RowErrors, Singular, ValidationError, VqtError
-from vqt.model import validate_params
+from vqt.model import per_row, validate_params
 from vqt.solver import eval_cdf, mean_wait, solve, solve_rows
 
 
@@ -150,6 +151,20 @@ def per_point_sweep(c, lam, mu1, mu2, k, name, values, metrics):
     (["--c", "2", "--lambda", "1", "--mu1", "1", "--mu2", "1", "--k", "1",
       "--sweep", "mu1=1.499999998:1.500000006:5"], "mu1",
      np.linspace(1.499999998, 1.500000006, 5)),
+    # c sweeps share one table of boundary levels, in any order of c
+    (["--c", "2", "--lambda", "0.7", "--mu1", "0.8", "--mu2", "1", "--k", "0.5",
+      "--sweep", "c=1:16:16"], "c", np.linspace(1, 16, 16)),
+    # descending; c = 3 is degenerate (lambda = c*(mu2 - mu1))
+    (["--c", "2", "--lambda", "1.5", "--mu1", "0.6", "--mu2", "1.1", "--k", "1.5",
+      "--sweep", "c=12:2:11"], "c", np.linspace(12, 2, 11)),
+    (["--c", "2", "--lambda", "0.9", "--mu1", "1.3", "--mu2", "0.7", "--k", "0.8",
+      "--sweep", "c=2:20:10"], "c", np.linspace(2, 20, 10)),
+    # nonpositive rows, then unstable ones
+    (["--c", "2", "--lambda", "2.5", "--mu1", "0.9", "--mu2", "1", "--k", "2",
+      "--sweep", "c=-2:8:11"], "c", np.linspace(-2, 8, 11)),
+    # equal rates: every row is erlang_c
+    (["--c", "2", "--lambda", "0.7", "--mu1", "0.8", "--mu2", "0.8", "--k", "1",
+      "--sweep", "c=1:9:9"], "c", np.linspace(1, 9, 9)),
 ])
 def test_cli_sweep_rows_match_per_point(argv, name, values):
     metrics = ["mean", "p_wait", "cdf@3"]
@@ -222,3 +237,116 @@ def test_stacked_lu_matches_single_solves(n):
         x = numerics.lu_solve(stack[0], b)
         for i in range(len(stack)):
             same(x[i], numerics.lu_solve(stack[0], b[i]))
+
+
+def same_solution(got, want):
+    for level, ref in zip(got.pi_levels, want.pi_levels, strict=True):
+        same(level, ref)
+    same(got.b_c, want.b_c)
+    same(got.f_infinity, want.f_infinity)
+    assert got.warnings == want.warnings
+    for name in ("lower_rates", "lower_weights", "lower_constant",
+                 "upper_rates", "upper_weights", "upper_constant"):
+        same(getattr(got.expansion, name), getattr(want.expansion, name))
+
+
+def level_inversions(monkeypatch, fail_order=None):
+    """Wrap solver.inv to list the order of each boundary-level inversion;
+    the one of order fail_order raises a Singular that names its input."""
+    orders, real = [], solver.inv
+
+    def inv(a):
+        if sys._getframe(1).f_code.co_name == "_c_hat_levels":
+            orders.append(a.shape[-1])
+            if a.shape[-1] == fail_order:
+                raise Singular(f"level matrix of order {fail_order}, corner {a[0, 0]!r}")
+        return real(a)
+    monkeypatch.setattr(solver, "inv", inv)
+    return orders
+
+
+BASE = ["--c", "2", "--lambda", "0.7", "--mu1", "0.8", "--mu2", "1", "--k", "0.5"]
+
+
+@pytest.mark.parametrize("spec, top", [("c=1:16:16", 16), ("c=16:1:16", 16),
+                                       ("c=2:20:10", 20), ("c=3:3:1", 3)])
+def test_c_sweep_inverts_each_level_once(monkeypatch, spec, top):
+    orders = level_inversions(monkeypatch)
+    code, _, _ = sweep(BASE + ["--sweep", spec])
+    # level n inverts a matrix of order n + 1, for n = 1 .. c - 2
+    assert code == 0 and sorted(orders) == list(range(2, top))
+    orders.clear()
+    for c in range(1, 17):                     # each point on its own: sum of (c - 2)
+        solve(validate_params(c, 0.7, 0.8, 1.0, 0.5))
+    assert len(orders) == 105
+
+
+def test_consecutive_c_sweeps_share_nothing():
+    metrics = ["mean", "p_wait", "cdf@3"]
+    p = validate_params(8, 0.7, 0.8, 1.0, 0.5)
+    before = solve(p)
+    for lam, mu1 in ((0.7, 0.8), (1.6, 0.8), (1.6, 0.5)):
+        code, out, _ = sweep(["--c", "2", "--lambda", str(lam), "--mu1", str(mu1), "--mu2", "1",
+                              "--k", "0.5", "--sweep", "c=1:12:12", "--metrics", ",".join(metrics)])
+        assert code == 0
+        values = np.linspace(1, 12, 12).tolist()
+        assert out.splitlines()[1:] == per_point_sweep(2, lam, mu1, 1.0, 0.5, "c", values, metrics)
+    same_solution(solve(p), before)
+
+
+def test_failing_level_fails_every_point_that_needs_it(monkeypatch):
+    level_inversions(monkeypatch, fail_order=5)    # level 4, which c >= 6 needs
+    levels, top = {}, 0
+    for c in list(range(1, 13)) + [7, 3]:
+        p = validate_params(c, 0.7, 0.8, 1.0, 0.5)
+        sol, live, errors = solve_rows([p], levels)
+        try:
+            single = solve(p)
+        except Singular as exc:
+            assert c >= 6 and not live and str(errors[0]) == str(exc)
+        else:
+            assert c < 6 and live == [0]
+            same_solution(sol, single)
+        # levels join the table whole: C_hat_0 .. C_hat_3 at most
+        top = max(top, c)
+        assert len(levels[(0.7, 0.8, 1.0)]) == min(top - 1, 4)
+    with pytest.raises(Singular) as own:
+        solve(validate_params(6, 0.7, 0.8, 1.0, 0.5))
+    for spec in ("c=1:12:12", "c=12:1:12"):
+        assert sweep(BASE + ["--sweep", spec]) == (3, "", f"Singular: {own.value}\n")
+
+
+def mean_wait_by_moments(sol):
+    """mean_wait with every small root's moment, the zero rate's included,
+    from solver._moment."""
+    mix = sol.expansion
+    k = per_row(mix.k, 1)
+    th, th_k = mix.lower_rates, k
+    if isinstance(k, np.ndarray):
+        th, th_k = np.broadcast_arrays(th, k)
+    small = np.abs(th) * th_k < 1e-6
+    eb = np.exp(th * th_k)
+    moments = th_k * eb - (eb - 1.0) / np.where(small, 1.0, th)
+    for idx in zip(*np.nonzero(small)):
+        moments[idx] = solver._moment(float(th[idx]), float(th_k[idx] if th_k is not k else k))
+    below = 0.0
+    for term in (moments * np.add.reduce(mix.lower_weights, axis=-1)).T:
+        below = below + term
+    return below + numerics.vec_dot(1.0 / mix.upper_rates - k,
+                                    np.add.reduce(mix.upper_weights, axis=-1))
+
+
+def test_mean_wait_matches_the_moment_of_every_root():
+    sols = [solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5)) for c in (1, 2, 3, 8, 16)]
+    tiny = solve(validate_params(3, 2.0, 0.6, 0.8, 1e-7))
+    assert (np.abs(tiny.expansion.lower_rates) * 1e-7 < 1e-6).all()   # every root on the series
+    sols.append(tiny)
+    for name, values in (("lam", np.linspace(0.6, 2.4, 9)), ("mu1", np.linspace(0.5, 1.4, 9)),
+                         ("k", np.geomspace(1e-7, 3.0, 9))):
+        point = {"c": 3, "lam": 1.5, "mu1": 0.8, "mu2": 1.0, "k": 0.5}
+        stack, live, _ = solve_rows(valid(tuple({**point, name: v}.values())
+                                          for v in values.tolist()))
+        assert len(live) > 1
+        sols.append(stack)
+    for sol in sols:
+        same(mean_wait(sol), mean_wait_by_moments(sol))
