@@ -14,8 +14,13 @@ Three subcommands:
   point, its points sharing one table of boundary levels, so each level is
   computed once.
 
-Exit codes: 0 ok, 2 validation failure, 3 numerical failure, 4 statistical
-mismatch.  Equal rates route to the Erlang-C reduction.
+Probabilities print as the solver gives them, except that a value in
+(-1e-8, 0), roundoff below zero, prints as 0: each pi entry of ``solve``
+and each ``p_wait`` of ``sweep``.
+
+Exit codes: 0 ok, 2 validation failure or an ``--out`` path that cannot be
+written, 3 numerical failure, 4 statistical mismatch.  Equal rates route to
+the Erlang-C reduction.
 """
 
 from __future__ import annotations
@@ -213,6 +218,12 @@ def _float_array(a: np.ndarray, depth: int) -> str:
     return items[0]
 
 
+def _shown(p):
+    """A probability as printed: roundoff in (-1e-8, 0) as 0, anything
+    lower kept visible; per row of an array."""
+    return np.where((p > -1e-8) & (p < 0.0), 0.0, p)[()]
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -244,11 +255,7 @@ def run_solve(args) -> int:
         pdf = solver.eval_density(sol, grid).sum(axis=1)
         mean = solver.mean_wait(sol) if args.mean else None
         payload_extra = {"model": "threshold"}
-        pi_nested = [
-            [max(sol.pi(i, j), 0.0) if sol.pi(i, j) > -1e-8 else sol.pi(i, j)
-             for j in range(args.c - i)]
-            for i in range(args.c)
-        ]
+        pi_nested = [[_shown(sol.pi(i, j)) for j in range(args.c - i)] for i in range(args.c)]
         b_c = sol.b_c
         mixture = _mixture_payload(sol.mixture()) if args.mixture else None
     # The residual report draws its interior points from a fixed seed, so
@@ -436,7 +443,7 @@ def _sweep_rows(base: dict, name: str, values: list[float],
         sol, live, errors = solver.solve_rows([p for _, p in pending[start:start + size]],
                                               levels)
         evals, got = {"mean": lambda: solver.mean_wait(sol),
-                      "p_wait": lambda: 1.0 - sol.p_wait_zero}, {}
+                      "p_wait": lambda: _shown(1.0 - sol.p_wait_zero)}, {}
         try:        # a metric's NumericalError (mean's) is its row's, as above
             got = {m: evals[m]() if x is None else solver.eval_cdf(sol, x)[1]
                    for m, x in metrics.items()} if live else {}
@@ -478,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"solve": run_solve, "validate": run_validate, "sweep": run_sweep}
     try:
         return handler[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:      # OSError: --out not writable
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except NumericalError as exc:

@@ -20,11 +20,12 @@ One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
 IEEE operation, so any executor that does the same operations in the same
 order returns the same bits.  Finite single systems of order n <=
-_LIST_MAX_ORDER run on lists of Python floats, where the cost is a few list
-comprehensions instead of dozens of numpy calls on tiny arrays; larger
-systems, every input holding a NaN or an infinity, and stacks run on numpy
-arrays, a stack with its axis moved last: every step then reads as for one
-matrix, while each matrix takes its own pivots, swaps and tests.  Non-finite
+_LIST_MAX_ORDER run on lists of Python floats (lu_factor), where the cost is
+a few list comprehensions instead of dozens of numpy calls on tiny arrays;
+larger systems, every input holding a NaN or an infinity, and stacks run on
+numpy arrays (_factor_stack), a stack with its axis moved last: every step
+then reads as for one matrix, while each matrix takes its own pivots, swaps
+and tests.  Non-finite
 inputs stay on numpy because Python's max and comparisons order NaN
 differently from np.max and argmax, which would change the pivot or the
 error raised.  _LIST_MAX_ORDER = 8 is the measured crossover (BENCH_9.json):
@@ -87,46 +88,24 @@ def _pivot_error(pivot: float, column: int) -> Singular:
     )
 
 
-def lu_factor(a: np.ndarray | list[list[float]]) -> tuple:
-    """LU with scaled partial pivoting of [A | B]; returns (packed, perm).
+def _factor_stack(a: np.ndarray, n: int) -> dict[int, Singular]:
+    """LU with scaled partial pivoting of [A | B], the numpy executor.
 
-    a is n x (n + m).  Pivots and row scales come from the leading n columns
-    (A); the trailing m columns (B, none for a square a) go through the same
-    row swaps and updates, so packed holds the LU factors of P A followed by
-    L^-1 P B.  Pivots are selected and the singularity test applied relative
-    to each candidate row's own max-norm, so strongly row-graded but regular
-    matrices (eigenvector bases of well-separated spectra) factor cleanly.
-    Raises Singular when the best pivot falls below 1e-14 of its row scale.
+    a is n x (n + m), or a stack of them with the stack axis last.  Pivots
+    and row scales come from the leading n columns (A); the trailing m
+    columns (B) go through the same row swaps and updates, so a ends up
+    holding the LU factors of P A followed by L^-1 P B.  Pivots are selected
+    and the singularity test applied relative to each candidate row's own
+    max-norm, so strongly row-graded but regular matrices (eigenvector bases
+    of well-separated spectra) factor cleanly.  Returns {matrix: Singular}
+    for each matrix whose best pivot falls below 1e-14 of its row scale.
 
-    The executor follows the input.  A list of row lists of finite floats,
-    which is how lu_solve passes its finite systems of order up to
-    _LIST_MAX_ORDER, is eliminated in place on Python floats and comes back
-    as lists (packed rows, perm); anything else is copied into a numpy array
-    and comes back as arrays.  Both give the same bits.
-    """
-    if isinstance(a, list):
-        return _factor_rows(a)
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] < a.shape[0]:
-        raise ValueError("matrix must be square")
-    pivots, errors = _factor_stack(a, len(a))
-    _raise(errors, False)
-    perm = np.arange(len(a))
-    for j, p in enumerate(pivots):
-        perm[[j, j + p]] = perm[[j + p, j]]
-    return a, perm
-
-
-def _factor_stack(a: np.ndarray, n: int) -> tuple[list, dict[int, Singular]]:
-    """lu_factor's elimination of [A | B], or of a stack of them with the
-    stack axis last, in place: (each column's pivot offsets, {matrix:
-    Singular}).  The tests come after the loop: a pivot stays on the
-    diagonal of U and its row scale moves with it, so the first |u_jj| below
-    1e-14 of its row scale is where the elimination alone stops, with the
-    same pivot.  What a failed matrix computes past that point is never read
-    (hence the errstate)."""
+    The tests come after the loop: a pivot stays on the diagonal of U and
+    its row scale moves with it, so the first |u_jj| below 1e-14 of its row
+    scale is where the elimination alone stops, with the same pivot.  What a
+    failed matrix computes past that point is never read (hence the
+    errstate)."""
     row_scale = np.maximum.reduce(np.abs(a[:, :n]), axis=1)
-    pivots = []
     with np.errstate(all="ignore"):
         for j in range(n):
             p = (np.abs(a[j:, j]) / row_scale[j:]).argmax(axis=0)  # the first largest, or NaN
@@ -141,12 +120,13 @@ def _factor_stack(a: np.ndarray, n: int) -> tuple[list, dict[int, Singular]]:
                     x[j, ..., swap], x[q, ..., swap] = x[q, ..., swap], x[j, ..., swap]
             a[j + 1:, j] /= a[j, j]
             a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
-            pivots.append(p)
-    return pivots, _diagonal_errors(a[:, :n], row_scale)
+    return _diagonal_errors(a[:, :n], row_scale)
 
 
-def _factor_rows(rows: list[list[float]]) -> tuple[list[list[float]], list[int]]:
-    """lu_factor's elimination on finite Python floats, in place.
+def lu_factor(rows: list[list[float]]) -> list[list[float]]:
+    """_factor_stack's elimination of one finite [A | B] given as row lists,
+    in place on Python floats; returns the rows.  Raises the Singular that
+    _factor_stack reports.
 
     The pivot is the first row of largest |a_ij| / row scale, the row that
     numpy's argmax picks; the multipliers and updates are u - l * v row by
@@ -156,7 +136,6 @@ def _factor_rows(rows: list[list[float]]) -> tuple[list[list[float]], list[int]]
     row_scale = [max(map(abs, r[:n])) for r in rows]
     if 0.0 in row_scale:
         raise Singular("matrix has a zero row")
-    perm = list(range(n))
     for j in range(n):
         p, best = j, abs(rows[j][j]) / row_scale[j]
         for i in range(j + 1, n):
@@ -168,13 +147,12 @@ def _factor_rows(rows: list[list[float]]) -> tuple[list[list[float]], list[int]]
         if p != j:
             rows[j], rows[p] = rows[p], rows[j]
             row_scale[j], row_scale[p] = row_scale[p], row_scale[j]
-            perm[j], perm[p] = perm[p], perm[j]
         pivot = rows[j]
         d, tail = pivot[j], pivot[j + 1:]
         for r in rows[j + 1:]:
             r[j] = l = r[j] / d
             r[j + 1:] = [u - l * v for u, v in zip(r[j + 1:], tail)]
-    return rows, perm
+    return rows
 
 
 @cache
@@ -245,10 +223,10 @@ def _back_substitute_rows(rows: list[list[float]]) -> list[list[float]]:
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b by scaled partial-pivot LU; b may have several columns.
 
-    lu_factor eliminates [a | b], which leaves [U | L^-1 P b]; back
-    substitution finishes.  A finite upper-triangular a with a finite b
-    skips lu_factor and goes straight to back substitution after lu_factor's
-    pivot tests.  Scaled partial pivoting keeps every pivot of such a matrix
+    The elimination of [a | b] (lu_factor on lists, _factor_stack on
+    arrays) leaves [U | L^-1 P b]; back substitution finishes.  A finite
+    upper-triangular a with a finite b skips the elimination and goes
+    straight to back substitution after its pivot tests.  Scaled partial pivoting keeps every pivot of such a matrix
     on the diagonal, so the elimination would only subtract exact zero
     products; a non-finite entry would turn 0 * inf into NaN there, so such
     inputs keep the full path.  The lower-triangular inputs (B2, the M1 and
@@ -279,7 +257,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 if _is_upper_rows(rows):
                     _check_diagonal_rows(rows)
                 else:
-                    rows = lu_factor(rows)[0]
+                    rows = lu_factor(rows)
                 x = np.array(_back_substitute_rows(rows))
                 return x[:, 0] if vector else x
         ab = np.concatenate((a, x), axis=1)
@@ -293,11 +271,11 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.count_nonzero(full):
         errors = _diagonal_errors(ab[:, :n])
     elif np.count_nonzero(full) == full.size:
-        errors = _factor_stack(ab, n)[1]
+        errors = _factor_stack(ab, n)
     else:                               # each matrix of the stack on its own path
         upper, rows = np.flatnonzero(~full), np.flatnonzero(full)
         sub = ab[..., rows]
-        errors = {int(rows[i]): e for i, e in _factor_stack(sub, n)[1].items()}
+        errors = {int(rows[i]): e for i, e in _factor_stack(sub, n).items()}
         ab[..., rows] = sub
         errors.update((int(upper[i]), e) for i, e in _diagonal_errors(ab[:, :n, upper]).items())
     _raise(errors, ab.ndim == 3)

@@ -69,14 +69,15 @@ class AuxChain:
     through F(k), F'(0) and the tail constant; h15/h16 solve the glued system
     for F'(0); h19/h20 give the limit F(inf).  dm2 = (D_tilde_1 - D_tilde_2) M2
     is the threshold-memory factor behind h9, which the mixture's upper
-    branch reuses.
+    branch reuses; du_inv = (U1+ - U1-)^{-1} comes from the substitution
+    behind h1/h5, and the mixture's lower branch reuses it.
     """
 
     h1: np.ndarray; h2: np.ndarray; h3: np.ndarray; h4: np.ndarray
     h5: np.ndarray; h6: np.ndarray; h7: np.ndarray; h8: np.ndarray
     h9: np.ndarray; h10: np.ndarray; h11: np.ndarray; h12: np.ndarray
     h13: np.ndarray; h14: np.ndarray; h15: np.ndarray; h16: np.ndarray
-    h19: np.ndarray; h20: np.ndarray; dm2: np.ndarray
+    h19: np.ndarray; h20: np.ndarray; dm2: np.ndarray; du_inv: np.ndarray
 
 
 def _expm(roots: np.ndarray, vectors: np.ndarray, inverse: np.ndarray,
@@ -102,16 +103,18 @@ def h_chain(
 
     e_minus = _expm(sp.theta[..., :c], sp.phi[..., :c, :], sp.phi_minus_inv, k)
     e_plus = _expm(sp.theta[..., c:], sp.phi[..., c:, :], sp.phi_plus_inv, k)
-    du = u1p - u1m
+    u1m_e_minus = u1m @ e_minus
 
-    # h1 and h5 share du: one solve with both right-hand sides side by side
-    # (back substitution treats each column on its own)
-    both = lu_solve(du, np.concatenate([e_plus - e_minus, u1p @ e_plus - u1m @ e_minus], -1))
-    h1, h5 = both[..., :c], both[..., c:]
+    # h1, h5 and du_inv share du = U1+ - U1-: one solve with the three
+    # right-hand sides side by side (back substitution, or the elimination
+    # of an upper-triangular du, treats each column on its own)
+    rhs = [e_plus - e_minus, u1p @ e_plus - u1m_e_minus, np.broadcast_to(eye, e_plus.shape)]
+    blocks = lu_solve(u1p - u1m, np.concatenate(rhs, -1))
+    h1, h5, du_inv = blocks[..., :c], blocks[..., c:2 * c], blocks[..., 2 * c:]
     h2 = m0 @ (eye - e_minus + u1m @ h1)
     h3 = h1 + d1 @ h2
     h4 = -lam * b1 @ h2
-    h6 = m0 @ (u1m @ e_minus - u1m @ h5)
+    h6 = m0 @ (u1m_e_minus - u1m @ h5)
     h7 = h5 - d1 @ h6
     h8 = lam * b1 @ h6
 
@@ -138,7 +141,7 @@ def h_chain(
     h20 = h16 @ h17 - h18
 
     return AuxChain(h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
-                    h11, h12, h13, h14, h15, h16, h19, h20, dm2)
+                    h11, h12, h13, h14, h15, h16, h19, h20, dm2, du_inv)
 
 
 @dataclass(frozen=True)
@@ -165,35 +168,35 @@ class ScalarMixture:
         weights, so the lower branch sums w (e^{rx} - 1) and vanishes exactly
         at x = 0.
         """
+        return self._terms(x, lambda r, y: np.expm1(r * y), lambda r, y: np.exp(r * y),
+                           self.upper_constant)
+
+    def density(self, x):
+        """F'(x), shaped as ``components``; at x = k the lower branch is used."""
+        slope = lambda r, y: r * np.exp(r * y)
+        return self._terms(x, slope, slope, None)
+
+    def _terms(self, x, lower, upper, constant):
+        """sum_i weights[i] f(rates[i], y) on each point's branch, f = lower
+        at y = x <= k and f = upper at y = x - k plus constant (if any) above
+        it; shaped as ``components``."""
+        def above(y):
+            terms = vec_mat(upper(self.upper_rates, y), self.upper_weights)
+            return terms if constant is None else constant + terms
+
         if isinstance(x, float):        # one point, also on every row of a stack
             below = x <= self.k
             if not isinstance(below, np.ndarray):
                 if below:
-                    return vec_mat(np.expm1(self.lower_rates * x), self.lower_weights)
-                return self.upper_constant + vec_mat(np.exp(self.upper_rates * (x - self.k)),
-                                                     self.upper_weights)
+                    return vec_mat(lower(self.lower_rates, x), self.lower_weights)
+                return above(x - self.k)
             with np.errstate(over="ignore", invalid="ignore"):  # each row keeps its branch
-                lower = vec_mat(np.expm1(self.lower_rates * x), self.lower_weights)
-                upper = self.upper_constant + vec_mat(
-                    np.exp(self.upper_rates * (x - self.k)[:, None]), self.upper_weights)
-            return np.where(below[:, None], lower, upper)
+                lo = vec_mat(lower(self.lower_rates, x), self.lower_weights)
+                up = above((x - self.k)[:, None])
+            return np.where(below[:, None], lo, up)
         out, below, x_lo, x_up = self._split(x)
-        out[below] = vec_mat(np.expm1(self.lower_rates * x_lo), self.lower_weights)
-        out[~below] = self.upper_constant + vec_mat(np.exp(self.upper_rates * x_up),
-                                                    self.upper_weights)
-        return out
-
-    def density(self, x):
-        """F'(x), shaped as ``components``; at x = k the lower branch is used."""
-        if isinstance(x, float):
-            if x <= self.k:
-                return (self.lower_rates * np.exp(self.lower_rates * x)) @ self.lower_weights
-            return (self.upper_rates * np.exp(self.upper_rates * (x - self.k))) @ self.upper_weights
-        out, below, x_lo, x_up = self._split(x)
-        out[below] = vec_mat(self.lower_rates * np.exp(self.lower_rates * x_lo),
-                             self.lower_weights)
-        out[~below] = vec_mat(self.upper_rates * np.exp(self.upper_rates * x_up),
-                              self.upper_weights)
+        out[below] = vec_mat(lower(self.lower_rates, x_lo), self.lower_weights)
+        out[~below] = above(x_up)
         return out
 
     def _split(self, x):
@@ -260,7 +263,7 @@ def _expand(
     f_at_k: np.ndarray,
     f_infinity: np.ndarray,
     alpha2: np.ndarray,
-    dm2: np.ndarray,
+    h: AuxChain,
 ) -> ScalarMixture:
     """Expand both branches into explicit (rate, weight-vector) terms.
 
@@ -272,21 +275,21 @@ def _expand(
     """
     sp, m, c = spectral, matrices, params.c
     # w du = rhs has du's columns as its rows, so its pivots are tested
-    # against those; inv then back-substitutes on the upper triangular du
+    # against those; h_chain's solve with du gave its inverse
     du = sp.u1_plus - sp.u1_minus
     _check_diagonal_pivots(du.T)      # .T of a stack puts its axis last
-    w = vec_mat(f_prime_0 + vec_mat(alpha0_m0, sp.u1_minus), inv(du))
+    w = vec_mat(f_prime_0 + vec_mat(alpha0_m0, sp.u1_minus), h.du_inv)
     a_minus = vec_mat(-w - alpha0_m0, sp.phi_minus_inv)
     a_plus = vec_mat(w, sp.phi_plus_inv)
     lower_weights = np.concatenate([a_minus, a_plus], axis=-1)[..., None] * sp.phi
 
     # Coefficient row of e^{U2- (x-k)}; the tail constant is F(inf) itself
     # (the b_c convention cancels there).
-    tail_head = f_at_k - f_infinity - vec_mat(alpha2, dm2)
+    tail_head = f_at_k - f_infinity - vec_mat(alpha2, h.dm2)
     b_minus = vec_mat(tail_head, sp.psi_minus_inv)
     # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
     # eigenvectors of D_tilde_1 by its defining conjugation.
-    memory = vec_mat(alpha2, m.b1_inv)[..., None] * (m.b1 @ dm2)
+    memory = vec_mat(alpha2, m.b1_inv)[..., None] * (m.b1 @ h.dm2)
     top_rates = m.delta[c - 1].diagonal(axis1=-2, axis2=-1)
     upper_rates = _concat(sp.beta[..., :c], -(per_row(params.mu1, 1) + top_rates))
 
@@ -296,7 +299,7 @@ def _expand(
         lower_weights=lower_weights,
         lower_constant=alpha0_m0,
         upper_rates=upper_rates,
-        upper_weights=_concat(b_minus[..., None] * sp.psi[..., :c, :], memory, axis=-2),
+        upper_weights=_concat(b_minus[..., None] * sp.psi, memory, axis=-2),
         upper_constant=f_infinity.copy(),
     )
 
@@ -403,7 +406,7 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         + vec_mat(lam * f_at_k, eye(c) - matrices.b2 @ d2_inv)
 
     expansion = _expand(params, matrices, spectral, f_prime_0, vec_mat(alpha0, m0),
-                        f_at_k, f_infinity, alpha2, h.dm2)
+                        f_at_k, f_infinity, alpha2, h)
     _check_finite(params, spectral, b_c, pi_levels, f_infinity, expansion)
     return StationarySolution(
         params=params,

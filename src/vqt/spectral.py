@@ -4,8 +4,9 @@ Both pencils are triangular, so the 2c eigenvalues split into c scalar
 quadratics, one per diagonal position.  Pairing each eigenvalue with the
 quadratic it came from (instead of sorting by value) keeps the null-mode
 eigenvectors identified even when magnitudes cross.  The left eigenvectors
-of all 2c roots come out of one substitution pass over the stacked pencils,
-one batched product per column.  The three solvents of the quadratic
+come out of one substitution pass over the stacked pencils, one batched
+product per column: for all 2c roots of theta, and for the c decaying roots
+of beta, the only ones a solve reads.  The three solvents of the quadratic
 matrix equations, U = V^-1 diag(roots) V, come from the sign-split halves of
 the roots and bases (theta/phi for U1- and U1+, beta/psi for U2-).  The bases
 are unitriangular by construction, so their inverses come from substitution;
@@ -26,8 +27,6 @@ from .numerics import cond_1norm, eye, unitri_inv, vec_dot
 
 __all__ = [
     "SpectralData",
-    "compute_theta_spectrum",
-    "compute_beta_spectrum",
     "null_right_vectors",
     "build_spectral",
 ]
@@ -42,16 +41,16 @@ class SpectralData:
     phi: np.ndarray              # rows: left eigenvectors, pivot normalized to 1
     phi_minus_inv: np.ndarray    # inverse of phi[:c], the basis of U1-
     phi_plus_inv: np.ndarray     # inverse of phi[c:], the basis of U1+
-    beta: np.ndarray
-    psi: np.ndarray
-    psi_minus_inv: np.ndarray    # inverse of psi[:c], the basis of U2-
+    beta: np.ndarray             # 2c roots, index i and i+c from quadratic i
+    psi: np.ndarray              # rows: left eigenvectors of beta[:c], the basis of U2-
+    psi_minus_inv: np.ndarray    # inverse of psi
     phi_star: np.ndarray         # left null-mode vector [0, ..., 0, 1]
     psi_c: np.ndarray            # left null-mode vector [1, 0, ..., 0]
     phi_star_right: np.ndarray   # right null vector of B1 - D_tilde_1
     psi_c_right: np.ndarray      # right null vector of B2 - D_tilde_2
     u1_minus: np.ndarray         # phi_minus_inv @ diag(theta[:c]) @ phi[:c]
     u1_plus: np.ndarray          # phi_plus_inv @ diag(theta[c:]) @ phi[c:]
-    u2_minus: np.ndarray         # psi_minus_inv @ diag(beta[:c]) @ psi[:c]
+    u2_minus: np.ndarray         # psi_minus_inv @ diag(beta[:c]) @ psi
     warnings: tuple[str, ...] = ()
 
 
@@ -68,14 +67,14 @@ def _coefficients(c: int) -> tuple[np.ndarray, ...]:
 def _left_null_vectors(roots: np.ndarray, lam, d_tilde: np.ndarray,
                        b: np.ndarray, orientation: str) -> np.ndarray:
     """Left null vectors of t^2 I - t (lam I - D_tilde) + lam (B - D_tilde) at
-    all 2c roots, one row each.
+    the roots, one row each: all 2c, or the first c (one half).
 
     Root idx zeroes diagonal entry idx % c, its pivot, of its triangular
     pencil; its row is 1 there, 0 beyond it, and found by substitution on the
     near side.  One pass over the columns (forward if upper, backward if
     lower) solves column j of every row whose pivot it has passed; the sums
     also run over the exact zeros beyond each pivot, which changes nothing.
-    Stacked roots (B, 2c) give stacked rows (B, 2c, c).
+    Stacked roots (B, n) give stacked rows (B, n, c).
     """
     c = b.shape[-1]
     eye = np.eye(c)
@@ -83,10 +82,10 @@ def _left_null_vectors(roots: np.ndarray, lam, d_tilde: np.ndarray,
     lam = per_row(lam, 3)
     p = t * t * eye - t * (lam * eye - d_tilde[..., None, :, :]) \
         + lam * (b - d_tilde)[..., None, :, :]
-    batch = roots.shape[:-1]
-    p = p.reshape(batch + (2, c, c, c))
+    batch, halves = roots.shape[:-1], roots.shape[-1] // c
+    p = p.reshape(batch + (halves, c, c, c))
     # [..., half, pivot, entry]; root idx = half*c + pivot
-    v = np.empty(batch + (2, c, c))
+    v = np.empty(batch + (halves, c, c))
     v[...] = eye
     if orientation == "upper":
         steps = [(j, slice(0, j)) for j in range(1, c)]
@@ -95,12 +94,13 @@ def _left_null_vectors(roots: np.ndarray, lam, d_tilde: np.ndarray,
     for j, s in steps:                 # s: pivots passed, and the entries solved
         v[..., s, j] = -(v[..., s, None, s] @ p[..., s, s, j, None])[..., 0, 0] \
             / p[..., s, j, j]
-    return v.reshape(batch + (2 * c, c))
+    return v.reshape(batch + (halves * c, c))
 
 
 def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple]:
-    """(theta, phi) and (beta, psi): the roots of both pencils, checked for
-    collisions (theta first), and their left eigenvectors.
+    """(theta, phi) and (beta, psi): the 2c roots of both pencils, checked for
+    collisions (theta first), and the left eigenvectors of all 2c theta
+    roots and of the c decaying beta roots.
 
     Quadratic i's roots t^2 - s t - p = 0 (p >= 0) come cancellation-safe:
     the larger from the discriminant, the smaller from the product of roots.
@@ -125,31 +125,8 @@ def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple
     theta, beta = roots[..., 0, :], roots[..., 1, :]
     return ((theta, _left_null_vectors(theta, params.lam, matrices.d_tilde_1, matrices.b1,
                                        "upper")),
-            (beta, _left_null_vectors(beta, params.lam, matrices.d_tilde_2, matrices.b2,
-                                      "lower")))
-
-
-def compute_theta_spectrum(
-    params: QueueParams, matrices: ModelMatrices
-) -> tuple[np.ndarray, np.ndarray]:
-    """All 2c roots and left eigenvectors of the below-threshold pencil.
-
-    Quadratic i is t^2 - t(lambda - (i+1) mu1 - (c-1-i) mu2)
-    - (c-1-i) lambda mu2 = 0; the smaller root sits at index i, the larger
-    at i + c.  The eigenvector for the zero root is [0, ..., 0, 1].
-    """
-    return _spectra(params, matrices)[0]
-
-
-def compute_beta_spectrum(
-    params: QueueParams, matrices: ModelMatrices
-) -> tuple[np.ndarray, np.ndarray]:
-    """Same for the above-threshold pencil (lower triangular).
-
-    Quadratic i is t^2 - t(lambda - i mu1 - (c-i) mu2) - i lambda mu1 = 0;
-    beta_c = 0 comes from quadratic 0 and owns the eigenvector [1, 0, ..., 0].
-    """
-    return _spectra(params, matrices)[1]
+            (beta, _left_null_vectors(beta[..., :c], params.lam, matrices.d_tilde_2,
+                                      matrices.b2, "lower")))
 
 
 def _assemble_u(values: np.ndarray, vectors: np.ndarray, orientation: str,
@@ -228,8 +205,7 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
                               conds, ("u1_minus", "u1_plus"))
     (u1_minus, u1_plus), (phi_minus_inv, phi_plus_inv) = (np.moveaxis(u1, -3, 0),
                                                           np.moveaxis(phi_inv, -3, 0))
-    u2_minus, psi_minus_inv = _assemble_u(beta[..., :c], psi[..., :c, :], "lower", conds,
-                                          "u2_minus")
+    u2_minus, psi_minus_inv = _assemble_u(beta[..., :c], psi, "lower", conds, "u2_minus")
     warnings = _warnings(conds, theta.max(axis=-1) * params.k)
     phi_star, psi_c = eye(c)[[c - 1, 0]]
     phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)

@@ -22,7 +22,7 @@ from vqt.model import build_matrices, inspect_params, validate_params
 from vqt.reference import erlang_c, single_server
 from vqt.simulator import SimConfig, simulate
 from vqt.solver import eval_cdf, eval_density, mean_wait, scalar_mixture, solve, verify_solution
-from vqt.spectral import compute_beta_spectrum, compute_theta_spectrum
+from vqt.spectral import _spectra
 
 from conftest import TWO_SERVER, class_swap_matrix, random_stable_params
 
@@ -69,8 +69,7 @@ def test_criterion_1_golden_two_server(golden):
 def test_criterion_2_eigenvalue_regression():
     p = validate_params(**TWO_SERVER)
     m = build_matrices(p)
-    theta, _ = compute_theta_spectrum(p, m)
-    beta, _ = compute_beta_spectrum(p, m)
+    (theta, _), (beta, _) = _spectra(p, m)
     want_theta = [1.5631, -1.4331, 0.5, 0.0]
     want_beta = [-0.24, -1.1615, 0.0]
     t_err = max(min(abs(t - got) for got in theta) for t in want_theta)

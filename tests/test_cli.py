@@ -329,8 +329,36 @@ class TestBadInput:
         assert proc.stderr == ("NumericalError: non-finite solution: growth exponent "
                                "theta_max*k = 734.1 (exp overflows past about 709)\n")
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--grid-points", "3"],
+        ["sweep", "--sweep", "lambda=0.5:1.5:3"],
+        ["validate", "--events", "1000", "--replications", "1"],
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run(capsys, [command[0], *self.MODEL, *command[1:],
+                                      "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"FileNotFoundError: [Errno 2] No such file or directory: '{path}'\n"
+        assert not path.parent.exists()
+
 
 class TestSweep:
+    def test_roundoff_below_zero_p_wait_prints_0(self, capsys):
+        # the boundary mass rounds above 1 at c = 18 and 20: 1 - P(W = 0)
+        # is -2.2e-16 at c = 20, and prints as 0 as pi entries do in solve
+        code, out, _ = run(capsys, [
+            "sweep", "--c", "2", "--lambda", "0.9", "--mu1", "1.3", "--mu2", "0.7",
+            "--k", "0.8", "--sweep", "c=2:20:10", "--metrics", "mean,p_wait,cdf@3",
+        ])
+        assert code == 0
+        rows = {r[0]: r for r in (l.split(",") for l in out.strip().splitlines()[1:])}
+        assert 1.0 - solve(validate_params(20, 0.9, 1.3, 0.7, 0.8)).p_wait_zero < 0
+        assert rows["20"][3] == "0" and rows["18"][3] == "0"
+        assert all(float(r[3]) > 0 for c, r in rows.items() if int(c) <= 16)
+        assert float(rows["20"][2]) > 0
+
     def test_degenerate_row_skipped_neighbors_ok(self, capsys):
         code, out, _ = run(capsys, [
             "sweep", "--c", "3", "--lambda", "2", "--mu1", "0.3", "--mu2", "0.8",

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vqt import numerics
+from vqt import solver as solver_module
 from vqt.errors import NumericalError, Singular
 from vqt.model import build_matrices, tilde_q, validate_params
 from vqt.numerics import cond_1norm, inv, lu_solve
@@ -12,6 +15,7 @@ from vqt.reference import erlang_c_prob
 from vqt.solver import (
     _expand,
     _lower_convolution,
+    _stack,
     eval_cdf,
     eval_density,
     h_chain,
@@ -74,7 +78,7 @@ def _matrix_chain_route(p):
     alpha1 = alpha0 @ d1_inv @ d2 - lam * f_at_k @ (m.b1 @ d1_inv @ d2 - m.b2)
     alpha2 = alpha1 @ d2_inv - f_prime_at_k + lam * f_at_k @ (np.eye(c) - m.b2 @ d2_inv)
     a0m0 = alpha0 @ m0
-    mix = _expand(p, m, sp, f_prime_0, a0m0, f_at_k, f_infinity, alpha2, h.dm2)
+    mix = _expand(p, m, sp, f_prime_0, a0m0, f_at_k, f_infinity, alpha2, h)
     w = lu_solve((sp.u1_plus - sp.u1_minus).T, f_prime_0 + a0m0 @ sp.u1_minus)
     lower = np.concatenate([(-w - a0m0) @ sp.phi_minus_inv, w @ sp.phi_plus_inv])
     return pi_levels, b_c, dataclasses.replace(mix, lower_weights=lower[:, None] * sp.phi)
@@ -155,8 +159,52 @@ class TestHChain:
         assert np.abs(lhs - rhs).max() < 1e-8
         assert np.abs(left - s.f_prime_at_k).max() < 1e-12
 
+    @pytest.mark.parametrize("points", [
+        [(3, 2.0, 0.8, 0.7, 5.0)],
+        [(8, lam, 0.8, 1.0, 0.5) for lam in (1.0, 3.0, 5.6, 7.5)],
+        # theta_max*k = 1383 at k = 800 (c = 3), 1051 and 4206 at k = 200
+        # and 800 (c = 8): past about 709 the rows' h1/h5 blocks overflow,
+        # and du takes the full elimination there
+        [(3, 2.1, 0.8, 1.0, k) for k in (0.01, 1.0, 200.0, 800.0)],
+        [(8, 5.6, 0.8, 1.0, k) for k in (0.01, 1.0, 200.0, 800.0)],
+    ])
+    def test_du_inv_is_inv_of_the_u1_gap(self, points):
+        # one substitution with U1+ - U1- serves h1, h5 and the mixture's w:
+        # its third block is inv(U1+ - U1-) bit for bit, row by row
+        p = _stack([validate_params(*q) for q in points])
+        m = build_matrices(p)
+        sp = build_spectral(p, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = h_chain(p, m, sp, *particular_matrices(p, m, sp))
+        want = inv(sp.u1_plus - sp.u1_minus)
+        assert h.du_inv.shape == np.shape(h.h1)
+        assert h.du_inv.tobytes() == np.broadcast_to(want, h.du_inv.shape).tobytes()
+        if np.ndim(p.k):
+            assert not np.isfinite(h.h1[-1]).all() and np.isfinite(h.h1[0]).all()
+
 
 class TestSolve:
+    @pytest.mark.parametrize("c, lu_solves, lu_factors", [(3, 10, 6), (8, 15, 6), (16, 23, 0)])
+    def test_lu_calls_per_solve(self, monkeypatch, c, lu_solves, lu_factors):
+        # one substitution with U1+ - U1- (h_chain's, shared with the
+        # mixture) and psi for the c decaying beta roots only
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(numerics, name)
+
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(numerics, "lu_solve", counted("lu_solve"))
+        monkeypatch.setattr(solver_module, "lu_solve", numerics.lu_solve)
+        monkeypatch.setattr(numerics, "lu_factor", counted("lu_factor"))
+        s = solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5))
+        assert (calls["lu_solve"], calls["lu_factor"]) == (lu_solves, lu_factors)
+        assert s.spectral.psi.shape[-2] == c
+
     def test_worked_example_golden_values(self, two_server_solution):
         s = two_server_solution
         assert s.pi(0, 0) == pytest.approx(0.0224116, abs=GOLDEN_TOL)

@@ -3,12 +3,7 @@ import pytest
 
 from vqt.model import build_matrices, validate_params
 from vqt.numerics import unitri_inv
-from vqt.spectral import (
-    build_spectral,
-    compute_beta_spectrum,
-    compute_theta_spectrum,
-    null_right_vectors,
-)
+from vqt.spectral import _left_null_vectors, _spectra, build_spectral, null_right_vectors
 
 from conftest import random_stable_params
 
@@ -24,6 +19,18 @@ def pencil_residual(values, vectors, lam, d_tilde, b):
         p = pencil(theta, lam, d_tilde, b)
         worst = max(worst, np.abs(v @ p).max() / max(np.abs(v).max(), 1.0))
     return worst
+
+
+def theta_spectrum(p, m):
+    """All 2c theta roots and their left eigenvectors."""
+    return _spectra(p, m)[0]
+
+
+def beta_spectrum(p, m):
+    """All 2c beta roots and the left eigenvectors of all 2c (a solve keeps
+    the c decaying ones)."""
+    beta = _spectra(p, m)[1][0]
+    return beta, _left_null_vectors(beta, p.lam, m.d_tilde_2, m.b2, "lower")
 
 
 def reference_left_null(pencil_at_root, pivot, orientation):
@@ -75,8 +82,8 @@ class TestBatchedSubstitution:
             m = build_matrices(p)
             c = p.c
             for (roots, vectors), d_tilde, b, orientation in (
-                (compute_theta_spectrum(p, m), m.d_tilde_1, m.b1, "upper"),
-                (compute_beta_spectrum(p, m), m.d_tilde_2, m.b2, "lower"),
+                (theta_spectrum(p, m), m.d_tilde_1, m.b1, "upper"),
+                (beta_spectrum(p, m), m.d_tilde_2, m.b2, "lower"),
             ):
                 expected = np.array([
                     reference_left_null(pencil(t, p.lam, d_tilde, b), idx % c, orientation)
@@ -91,20 +98,31 @@ class TestBatchedSubstitution:
     def test_exact_pivots_and_zeros(self, c):
         p = scan_params(c)
         m = build_matrices(p)
-        _, phi = compute_theta_spectrum(p, m)
-        _, psi = compute_beta_spectrum(p, m)
+        _, phi = theta_spectrum(p, m)
+        _, psi = beta_spectrum(p, m)
         for idx in range(2 * c):
             pivot = idx % c
             assert phi[idx, pivot] == 1.0 and psi[idx, pivot] == 1.0
             assert not phi[idx, :pivot].any()
             assert not psi[idx, pivot + 1:].any()
 
+    @pytest.mark.parametrize("c", [1, 2, 8, 24])
+    def test_decaying_beta_rows_only(self, c):
+        # a solve reads psi for the c decaying beta roots only: _spectra
+        # finds those rows, with the bits of the pass over all 2c roots
+        p = scan_params(c)
+        m = build_matrices(p)
+        (_, phi), (beta, psi) = _spectra(p, m)
+        assert beta.shape == (2 * c,) and phi.shape == (2 * c, c)
+        assert psi.tobytes() == beta_spectrum(p, m)[1][:c].tobytes()
+        assert build_spectral(p, m).psi.shape == (c, c)
+
     @pytest.mark.parametrize("c", [16, 24])
     def test_pencil_residual_at_scan_points(self, c):
         p = scan_params(c)
         m = build_matrices(p)
-        theta, phi = compute_theta_spectrum(p, m)
-        beta, psi = compute_beta_spectrum(p, m)
+        theta, phi = theta_spectrum(p, m)
+        beta, psi = beta_spectrum(p, m)
         assert pencil_residual(theta, phi, p.lam, m.d_tilde_1, m.b1) < 1e-10
         assert pencil_residual(beta, psi, p.lam, m.d_tilde_2, m.b2) < 1e-10
 
@@ -123,9 +141,8 @@ class TestUnitriInv:
         p = scan_params(16)
         m = build_matrices(p)
         c = p.c
-        _, phi = compute_theta_spectrum(p, m)
-        _, psi = compute_beta_spectrum(p, m)
-        for v, orientation in ((phi[:c], "upper"), (phi[c:], "upper"), (psi[:c], "lower")):
+        (_, phi), (_, psi) = _spectra(p, m)
+        for v, orientation in ((phi[:c], "upper"), (phi[c:], "upper"), (psi, "lower")):
             x = unitri_inv(v, orientation)
             # graded bases: compare against the row scales of the product
             scale = np.abs(v).max(axis=1, keepdims=True) * np.abs(x).max(axis=0)
@@ -139,21 +156,21 @@ class TestUnitriInv:
 class TestThetaSpectrum:
     def test_worked_example_roots(self, two_server_params):
         m = build_matrices(two_server_params)
-        theta, _ = compute_theta_spectrum(two_server_params, m)
+        theta, _ = theta_spectrum(two_server_params, m)
         assert np.allclose(theta, [-1.4331, 0.0, 1.5631, 0.5], atol=5e-5)
 
     def test_single_server_roots(self):
         for lam, mu1 in ((1.0, 2.0), (2.0, 1.5)):
             p = validate_params(1, lam, mu1, max(lam * 1.2, mu1 * 1.7), 1.0)
             m = build_matrices(p)
-            theta, _ = compute_theta_spectrum(p, m)
+            theta, _ = theta_spectrum(p, m)
             assert theta[0] == pytest.approx(min(0.0, lam - mu1))
             assert theta[1] == pytest.approx(max(0.0, lam - mu1))
 
     def test_residuals_random_c5(self):
         p = validate_params(5, 3.0, 0.9, 1.1, 1.0)
         m = build_matrices(p)
-        theta, phi = compute_theta_spectrum(p, m)
+        theta, phi = theta_spectrum(p, m)
         assert pencil_residual(theta, phi, p.lam, m.d_tilde_1, m.b1) < 1e-10
 
     def test_sign_pattern_and_null_vector(self):
@@ -161,7 +178,7 @@ class TestThetaSpectrum:
         for _ in range(20):
             p = random_stable_params(rng)
             m = build_matrices(p)
-            theta, phi = compute_theta_spectrum(p, m)
+            theta, phi = theta_spectrum(p, m)
             c = p.c
             assert all(theta[i] < 0 for i in range(c - 1))
             assert theta[c - 1] == pytest.approx(min(0.0, p.lam - c * p.mu1), abs=1e-12)
@@ -177,7 +194,7 @@ class TestThetaSpectrum:
         for _ in range(20):
             p = random_stable_params(rng)
             m = build_matrices(p)
-            theta, _ = compute_theta_spectrum(p, m)
+            theta, _ = theta_spectrum(p, m)
             for i in range(p.c):
                 s = p.lam - (i + 1) * p.mu1 - (p.c - 1 - i) * p.mu2
                 prod = -(p.c - 1 - i) * p.lam * p.mu2
@@ -189,20 +206,20 @@ class TestThetaSpectrum:
 class TestBetaSpectrum:
     def test_worked_example_roots(self, two_server_params):
         m = build_matrices(two_server_params)
-        beta, _ = compute_beta_spectrum(two_server_params, m)
+        beta, _ = beta_spectrum(two_server_params, m)
         assert np.allclose(beta, [-0.24, -1.1615, 0.0, 1.2915], atol=5e-5)
 
     def test_single_server(self):
         p = validate_params(1, 1.0, 2.0, 1.5, 1.0)
         m = build_matrices(p)
-        beta, psi = compute_beta_spectrum(p, m)
+        beta, psi = beta_spectrum(p, m)
         assert beta[0] == pytest.approx(1.0 - 1.5)
         assert beta[1] == 0.0
 
     def test_residuals_c3(self):
         p = validate_params(3, 2.0, 0.8, 0.7, 5.0)
         m = build_matrices(p)
-        beta, psi = compute_beta_spectrum(p, m)
+        beta, psi = beta_spectrum(p, m)
         assert pencil_residual(beta, psi, p.lam, m.d_tilde_2, m.b2) < 1e-10
 
     def test_sign_pattern_and_psi_c(self):
@@ -210,7 +227,7 @@ class TestBetaSpectrum:
         for _ in range(20):
             p = random_stable_params(rng)
             m = build_matrices(p)
-            beta, psi = compute_beta_spectrum(p, m)
+            beta, psi = beta_spectrum(p, m)
             c = p.c
             assert all(beta[i] < 0 for i in range(c))
             assert beta[c] == 0.0
