@@ -18,6 +18,9 @@ Probabilities print as the solver gives them, except that a value in
 (-1e-8, 0), roundoff below zero, prints as 0: each pi entry of ``solve``
 and each ``p_wait`` of ``sweep``.
 
+``--out`` is checked before any solve or simulation and written only by a
+run that succeeds: a failed run leaves no new file and an old one as it was.
+
 Exit codes: 0 ok, 2 validation failure or an ``--out`` path that cannot be
 written, 3 numerical failure, 4 statistical mismatch.  Equal rates route to
 the Erlang-C reduction.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -484,6 +488,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"solve": run_solve, "validate": run_validate, "sweep": run_sweep}
     try:
+        if args.out is not None:        # an unwritable --out fails before the work
+            new = not os.path.lexists(args.out)
+            open(args.out, "a").close()         # creates a missing file, truncates none
+            if new:
+                os.remove(args.out)
         return handler[args.command](args)
     except (ValidationError, OSError) as exc:      # OSError: --out not writable
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

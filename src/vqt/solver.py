@@ -151,6 +151,7 @@ class ScalarMixture:
     Below the threshold F(x) = lower_constant + sum_i lower_weights[i]
     e^{lower_rates[i] x}, above it upper_constant + sum_i upper_weights[i]
     e^{upper_rates[i] (x - k)}; row i of a weight array multiplies rate i.
+    On a stack, k and each array that a per-row parameter reaches lead with rows.
     """
 
     k: float
@@ -162,7 +163,7 @@ class ScalarMixture:
     upper_constant: np.ndarray
 
     def components(self, x):
-        """F(x): shape (c,) for a scalar x, x.shape + (c,) for an array.
+        """F(x), shape x.shape + rows + (c,): rows = () on one solution, (R,) on a stack.
 
         Since F(0) = 0, the lower constant is minus the sum of the lower
         weights, so the lower branch sums w (e^{rx} - 1) and vanishes exactly
@@ -177,43 +178,37 @@ class ScalarMixture:
         return self._terms(x, slope, slope, None)
 
     def _terms(self, x, lower, upper, constant):
-        """sum_i weights[i] f(rates[i], y) on each point's branch, f = lower
-        at y = x <= k and f = upper at y = x - k plus constant (if any) above
-        it; shaped as ``components``."""
-        def above(y):
-            terms = vec_mat(upper(self.upper_rates, y), self.upper_weights)
+        """sum_i weights[i] f(rates[i], y) on each (point, row) pair's branch:
+        f = lower at y = x <= k, f = upper at y = x - k plus constant (if any)
+        above it.  Shaped as ``components``."""
+        if isinstance(x, float) and not isinstance(self.k, np.ndarray):   # one branch for all rows
+            if x <= self.k:
+                return vec_mat(lower(self.lower_rates, x), self.lower_weights)
+            terms = vec_mat(upper(self.upper_rates, x - self.k), self.upper_weights)
             return terms if constant is None else constant + terms
-
-        if isinstance(x, float):        # one point, also on every row of a stack
-            below = x <= self.k
-            if not isinstance(below, np.ndarray):
-                if below:
-                    return vec_mat(lower(self.lower_rates, x), self.lower_weights)
-                return above(x - self.k)
-            with np.errstate(over="ignore", invalid="ignore"):  # each row keeps its branch
-                lo = vec_mat(lower(self.lower_rates, x), self.lower_weights)
-                up = above((x - self.k)[:, None])
-            return np.where(below[:, None], lo, up)
-        out, below, x_lo, x_up = self._split(x)
-        out[below] = vec_mat(lower(self.lower_rates, x_lo), self.lower_weights)
-        out[~below] = above(x_up)
-        return out
-
-    def _split(self, x):
-        """Output buffer, lower-branch mask, and the points of each branch as
-        columns (the upper ones offset by k)."""
+        rows = self.upper_constant.shape[:-1]       # () on one solution, (R,) on a stack
         x = np.asarray(x, dtype=float)
+        if rows:                                    # each point on every row
+            x = x[..., None].repeat(rows[0], axis=-1)
         below = x <= self.k
-        out = np.empty(x.shape + self.upper_constant.shape)
-        return out, below, x[below][:, None], (x[~below] - self.k)[:, None]
+        out = np.empty(x.shape + self.upper_constant.shape[-1:])
+        for mask, f, rates, weights, offset, const in (
+                (below, lower, self.lower_rates, self.lower_weights, None, None),
+                (~below, upper, self.upper_rates, self.upper_weights, self.k, constant)):
+            r = np.nonzero(mask)[-1] if rows else None      # each pair's row
+            pick = lambda a, core: a if r is None or np.ndim(a) == core else a[r]
+            y = x[mask] if offset is None else x[mask] - pick(offset, 0)
+            terms = vec_mat(f(pick(rates, 1), y[:, None]), pick(weights, 2))
+            out[mask] = terms if const is None else pick(const, 1) + terms
+        return out
 
 
 @dataclass(frozen=True)
 class StationarySolution:
     """Immutable stationary solution; all evaluators are pure.  A stack's
     (``solve_rows``) has a row axis on each array that a per-row parameter
-    reaches and a warnings tuple per row; eval_cdf at one point, mean_wait
-    and p_wait_zero give a value per row."""
+    reaches and a warnings tuple per row; every evaluator but verify_solution
+    gives a value per row, after the axes of its points."""
 
     params: QueueParams
     matrices: ModelMatrices
@@ -231,8 +226,9 @@ class StationarySolution:
     expansion: ScalarMixture            # F as explicit exponential terms
     warnings: tuple[str, ...] = ()
 
-    def pi(self, i: int, j: int) -> float:
-        return float(self.pi_levels[i + j][i])
+    def pi(self, i: int, j: int):
+        level = self.pi_levels[i + j]
+        return float(level[i]) if level.ndim == 1 else level[:, i]
 
     @cached_property
     def p_wait_zero(self) -> float:
@@ -436,8 +432,6 @@ def _stack(points: list[QueueParams]) -> QueueParams:
         raise ValueError("a stack of points must share c")
     fields = {f: np.array([getattr(p, f) for p in points]) for f in ("lam", "mu1", "mu2", "k")}
     fields = {f: v if (v != v[0]).any() else float(v[0]) for f, v in fields.items()}
-    if not any(isinstance(v, np.ndarray) for v in fields.values()):
-        return points[0]
     return QueueParams(points[0].c, **fields)
 
 
@@ -494,22 +488,18 @@ def _nonnegative(x):
 
 
 def eval_cdf(sol: StationarySolution, x):
-    """Component vector F(x) and the total P(W <= x).
-
-    A scalar x gives shapes (c,) and float; an (N,) array of points gives
-    (N, c) and (N,), each row equal to the one-point call.
+    """Component vector F(x) and the total P(W <= x), of shapes x.shape +
+    rows + (c,) and x.shape + rows, rows = () on one solution and (R,) on a
+    stack of R.  Each entry equals the one-point call on its own row's solve.
     """
-    x = _nonnegative(x)
-    comps = sol.expansion.components(x)
-    if comps.ndim == 1:
-        # np.add.reduce is comps.sum() without its Python-level wrapper
-        return comps, sol.p_wait_zero + float(np.add.reduce(comps))
-    return comps, sol.p_wait_zero + comps.sum(axis=-1)
+    comps = sol.expansion.components(_nonnegative(x))
+    # np.add.reduce is comps.sum() without its Python-level wrapper
+    return comps, sol.p_wait_zero + np.add.reduce(comps, axis=-1)
 
 
 def eval_density(sol: StationarySolution, x) -> np.ndarray:
-    """Component vector F'(x), shape (c,) or (N, c) as in ``eval_cdf``; at
-    x = k both one-sided limits agree."""
+    """Component vector F'(x), shaped as ``eval_cdf``'s F; at x = k both
+    one-sided limits agree."""
     return sol.expansion.density(_nonnegative(x))
 
 
@@ -533,18 +523,16 @@ def mean_wait(sol: StationarySolution) -> float:
     fail(np.maximum.reduce(mix.upper_rates, axis=-1) >= 0.0,
          lambda i: DivergentIntegral("tail matrix has a nonnegative eigenvalue"))
     k = per_row(mix.k, 1)
-    th, th_k = mix.lower_rates, k
-    if isinstance(k, np.ndarray):           # a stack's k: one per row
-        th, th_k = np.broadcast_arrays(th, k)
+    th, th_k = np.broadcast_arrays(mix.lower_rates, k)
     small = np.abs(th) * th_k < 1e-6
     eb = np.exp(th * th_k)
     # _moment(+-0.0, k) is +0.0, and every solve has a zero rate: only the
     # other small roots take the series
     moments = np.where(small, 0.0, th_k * eb - (eb - 1.0) / np.where(small, 1.0, th))
     for idx in zip(*np.nonzero(small & (th != 0.0))):
-        moments[idx] = _moment(float(th[idx]), float(th_k[idx] if th_k is not k else k))
+        moments[idx] = _moment(float(th[idx]), float(th_k[idx]))
     below, terms = 0.0, moments * np.add.reduce(mix.lower_weights, axis=-1)
-    for term in terms.tolist() if terms.ndim == 1 else terms.T:
+    for term in terms.T:
         below = below + term            # the order of a sum over the terms
     above = vec_dot(1.0 / mix.upper_rates - k, np.add.reduce(mix.upper_weights, axis=-1))
     return below + above
@@ -631,8 +619,10 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     Covers the boundary conditions, branch matching at the threshold, the
     interior balance equations, normalization, the null-vector orthogonality
     of the particular terms, and the integro-differential equation below the
-    threshold at random interior points.
+    threshold at random interior points.  It takes one point, not a stack.
     """
+    if np.ndim(sol.b_c):
+        raise ValueError("verify_solution takes one point: verify solve(points[i]) for row i")
     rng = np.random.default_rng(rng)
     p, m, sp = sol.params, sol.matrices, sol.spectral
     mix = sol.expansion

@@ -146,14 +146,14 @@ def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.n
     """Right null vectors of (B1 - D_tilde_1) and (B2 - D_tilde_2).
 
     Both matrices are triangular with exactly one zero diagonal entry under
-    non-degeneracy, tested against 1e-9 max(scale, 1) with the caller's
-    (lambda-dependent) scale; the vectors come out by substitution and are
-    normalized to unit max-norm.
+    non-degeneracy, tested against 1e-9 scale (relative, as the collision
+    check) with the caller's scale; the vectors come out by substitution and
+    are normalized to unit max-norm.
     """
     c = matrices.c
     y1 = matrices.b1 - matrices.d_tilde_1        # upper, zero at (c-1, c-1)
     y2 = matrices.b2 - matrices.d_tilde_2        # lower, zero at (0, 0)
-    tol = 1e-9 * np.maximum(scale, 1.0)
+    tol = 1e-9 * scale
     for y, pos in ((y1, c - 1), (y2, 0)):
         diag = np.abs(y.diagonal(axis1=-2, axis2=-1))
         second = np.partition(diag, 1, axis=-1)[..., 1] if c > 1 else np.inf

@@ -15,7 +15,7 @@ import pytest
 from vqt import cli, numerics, solver
 from vqt.errors import Degenerate, RowErrors, Singular, ValidationError, VqtError
 from vqt.model import per_row, validate_params
-from vqt.solver import eval_cdf, eval_density, mean_wait, solve, solve_rows
+from vqt.solver import eval_cdf, eval_density, mean_wait, solve, solve_rows, verify_solution
 
 
 def same(got, want):
@@ -42,10 +42,23 @@ def valid(points):
     return out
 
 
+def straddling_grid(k):
+    """Points below, at and above each of a stack's thresholds."""
+    k = np.atleast_1d(k)
+    return np.unique(np.concatenate([np.linspace(0.0, 3.0, 7), k, 0.5 * k, 1.5 * k]))
+
+
 def check_rows(points):
     """solve_rows against solve, row by row; returns (rows solved, rows failed)."""
     sol, live, errors = solve_rows(points)
     assert sorted(live + list(errors)) == list(range(len(points)))
+    if sol is not None and np.ndim(sol.b_c):
+        xs = straddling_grid(sol.expansion.k)
+        grid_f, grid_total = eval_cdf(sol, xs)
+        grid_density = eval_density(sol, xs)
+        c, rows = sol.params.c, len(live)
+        assert grid_f.shape == grid_density.shape == xs.shape + (rows, c)
+        assert grid_total.shape == xs.shape + (rows,)
     for i, p in enumerate(points):
         try:
             single = solve(p)
@@ -72,7 +85,39 @@ def check_rows(points):
         for x in (0.0, 0.7, 3.0):
             same(eval_cdf(sol, x)[1][j], eval_cdf(single, x)[1])
             same(eval_density(sol, x)[j], eval_density(single, x))
+        want_f, want_total = eval_cdf(single, xs)
+        same(grid_f[:, j], want_f)
+        same(grid_total[:, j], want_total)
+        same(grid_density[:, j], eval_density(single, xs))
+        for a in range(c):
+            for b in range(c - a):
+                assert type(single.pi(a, b)) is float
+                same(sol.pi(a, b)[j], single.pi(a, b))
     return len(live), len(errors)
+
+
+def test_k_stack_grid_point_below_some_thresholds_and_above_others():
+    points = valid((3, 1.5, 0.8, 1.0, k) for k in (0.3, 0.6, 0.9, 1.2))
+    sol, _, _ = solve_rows(points)
+    below = straddling_grid(sol.expansion.k)[:, None] <= sol.expansion.k
+    assert (below.any(axis=1) & ~below.all(axis=1)).any()
+    assert check_rows(points) == (4, 0)
+    # points of any shape lead: a (2, 2) grid gives (2, 2) + rows
+    xs = np.array([0.0, 0.75, 0.9, 2.0])
+    f, total = eval_cdf(sol, xs)
+    f2, total2 = eval_cdf(sol, xs.reshape(2, 2))
+    same(f2, f.reshape(2, 2, 4, 3))
+    same(total2, total.reshape(2, 2, 4))
+    same(eval_density(sol, xs.reshape(2, 2)), eval_density(sol, xs).reshape(2, 2, 4, 3))
+
+
+def test_verify_solution_takes_one_point():
+    points = [validate_params(2, lam, 0.75, 1.12, 0.45) for lam in (0.5, 1.0, 2.0)]
+    stack, _, _ = solve_rows(points)
+    with pytest.raises(ValueError, match=r"verify_solution takes one point: "
+                                         r"verify solve\(points\[i\]\) for row i"):
+        verify_solution(stack, rng=0)
+    assert verify_solution(solve(points[0]), rng=0).max_residual < 1e-8
 
 
 @pytest.mark.parametrize("mu1", [0.3, 0.6, 0.9])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import vqt
+from vqt import cli, solver
 from vqt.cli import GridSpec, _json, build_parser, main
 from vqt.model import inspect_params, validate_params
 from vqt.reference import erlang_c
@@ -334,7 +335,11 @@ class TestBadInput:
         ["sweep", "--sweep", "lambda=0.5:1.5:3"],
         ["validate", "--events", "1000", "--replications", "1"],
     ])
-    def test_unwritable_out_exits_2(self, capsys, tmp_path, command):
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        def work(*args, **kwargs):
+            raise AssertionError("solve or simulation ran before the --out check")
+        monkeypatch.setattr(cli, "simulate_replicated", work)
+        monkeypatch.setattr(solver, "solve", work)
         path = tmp_path / "missing" / "out.csv"
         code, out, err = run(capsys, [command[0], *self.MODEL, *command[1:],
                                       "--out", str(path)])
@@ -342,6 +347,25 @@ class TestBadInput:
         assert out == ""
         assert err == f"FileNotFoundError: [Errno 2] No such file or directory: '{path}'\n"
         assert not path.parent.exists()
+        code, out, err = run(capsys, [command[0], *self.MODEL, *command[1:],
+                                      "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--mean", "--grid-points", "3"],
+        ["validate", "--events", "1000", "--replications", "1"],
+    ])
+    def test_failed_run_leaves_out_as_it_was(self, capsys, tmp_path, command):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for path in (new, old):
+            code, out, err = run(capsys, [command[0], *self.OVERFLOW, *command[1:],
+                                          "--out", str(path)])
+            assert code == 3 and out == "" and "NumericalError" in err
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
 
 
 class TestSweep:

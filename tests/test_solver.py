@@ -257,6 +257,17 @@ class TestSolve:
                 pytest.raises(NumericalError, match=r"theta_max\*k = 734\.1"):
             solve(p)
 
+    @pytest.mark.parametrize("factor", [1e-6, 1e-9, 1e-12])
+    def test_tiny_rates_solve_as_unit_time(self, factor):
+        # rates times s and k over s give W over s: the null-space test is
+        # relative to the rate scale, so a tiny time unit solves as unit time
+        unit = solve(validate_params(2, 2.0, 0.75, 1.12, 0.45))
+        sol = solve(validate_params(2, 2.0 * factor, 0.75 * factor, 1.12 * factor,
+                                    0.45 / factor))
+        xs = np.array([0.0, 0.1, 0.45, 1.0, 3.0])
+        assert mean_wait(sol) * factor == pytest.approx(mean_wait(unit), rel=1e-12)
+        assert eval_cdf(sol, xs / factor)[1] == pytest.approx(eval_cdf(unit, xs)[1], rel=1e-12)
+
 
 class TestBoundaryRoute:
     def test_matches_matrix_chain_route(self):
