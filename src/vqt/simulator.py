@@ -7,8 +7,8 @@ delays sample the stationary law directly.  Maximal independence from the
 analytic code is the point.
 
 Randomness is counter-based (a splitmix64 bijection of the draw index), so
-results are a pure function of (params, config), chunking cannot change the
-stream, and replication seeds come from the same documented constants.
+results are a pure function of (params, config), no result depends on the
+block size, and replication seeds come from the same documented constants.
 Exponential variates use the inverse transform.
 
 The event loop is the FCFS many-server recursion (Kiefer and Wolfowitz,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,7 +48,7 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 
 _BATCHES = 32
 _Z95 = 1.96
-_CHUNK = 1 << 19
+_CHUNK = 1 << 15                # arrivals per block: a block's arrays stay in cache
 
 
 def splitmix64(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -73,6 +74,18 @@ class Estimate(NamedTuple):
     half_width: float
 
 
+def _check_count(name: str, value) -> None:
+    """A positive integer: Python or numpy ints, not floats and not bools."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     num_arrivals: int
@@ -82,16 +95,14 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        if self.num_arrivals < 1:
-            raise ValueError("num_arrivals must be positive")
+        _check_count("num_arrivals", self.num_arrivals)
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if not all(map(math.isfinite, self.grid)):
             raise ValueError("grid points must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be sorted ascending")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
+        _check_count("replications", self.replications)
 
 
 @dataclass(frozen=True)
@@ -141,16 +152,24 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     service uniforms live in two disjoint counter ranges so the draw layout
     is set once and for all.
 
-    After the loop, per chunk: the wait is start - t_i, the same subtraction
-    the loop classified.  The queue length seen at arrival i counts the
-    earlier customers who waited and have not started by t_i.  FCFS start
-    epochs never decrease (each is the minimum free time, and the minimum
-    never falls), so those who started by t_i form a prefix of the waiters'
-    starts and one ``searchsorted`` counts them exactly; a customer who does
-    not wait finds no queue.  Starts still after a chunk's last arrival carry
-    into the next chunk.  Indicator sums (P(W = 0), the CDF points) are
-    integer counts, exact in any order; the wait and queue-length sums keep
-    one float ``bincount`` per chunk.
+    Arrivals stream through in blocks of ``_CHUNK``, and no result depends
+    on the block size.  The arrival epochs are one running sum carried
+    across blocks.  After the loop, per block: the wait is start - t_i, the
+    same subtraction the loop classified.  The queue length seen at arrival
+    i counts the earlier customers who waited and have not started by t_i.
+    FCFS start epochs never decrease (each is the minimum free time, and the
+    minimum never falls), so those who started by t_i form a prefix of the
+    waiters' starts and one ``searchsorted`` counts them exactly; a customer
+    who does not wait finds no queue.  Starts still after a block's last
+    arrival carry into the next block.
+
+    Each batch's wait sum is one sequential sum: the partial sum carried in
+    from earlier blocks goes in front of the block's ``bincount`` weights.
+    Queue-length sums are integer-valued, so exact in any order.  So are the
+    counts of waits at or below each level (0, k and the grid points): one
+    ``searchsorted`` places each wait among the levels, one ``bincount``
+    tallies batch x level codes, and a cumulative sum over the levels at the
+    end turns the tallies into counts.
     """
     if config.replications != 1:
         raise ValueError("simulate runs one replication: use simulate_replicated")
@@ -166,14 +185,13 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     # live-index bounds of the batches; the last takes the remainder
     edges = np.minimum(np.arange(_BATCHES + 1) * batch_size, used)
     edges[-1] = used
-    grid = np.asarray(config.grid, dtype=float)
+    levels = np.sort([*config.grid, 0.0, k])   # a repeated level repeats a column
+    width = len(levels) + 1
 
     sum_w = np.zeros(_BATCHES)
     sum_q = np.zeros(_BATCHES)
-    counts = np.zeros(_BATCHES, dtype=np.int64)
-    n_zero = np.zeros(_BATCHES, dtype=np.int64)
-    n_le = np.zeros((len(grid), _BATCHES), dtype=np.int64)
-    n_class2 = 0
+    # tally[j, g]: batch j's waits in (levels[g-1], levels[g]]; last column: above all
+    tally = np.zeros((_BATCHES, width), dtype=np.int64)
     t_first = t_last = 0.0
 
     free = [0.0] * c                # heap of server free times
@@ -186,7 +204,8 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     while done < n:
         m = min(_CHUNK, n - done)
         gaps = -np.log1p(-_uniforms(config.seed, m, done)) / lam
-        arrivals = t + np.cumsum(gaps)
+        gaps[0] += t                # the epochs are one running sum across blocks
+        arrivals = np.cumsum(gaps)
         t = float(arrivals[-1])
         draws = -np.log1p(-_uniforms(config.seed, m, n + done))
         starts = array("d")
@@ -212,26 +231,31 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
             if done <= warmup:
                 t_first = float(arrivals[lo])
             t_last = t
-            bounds = np.clip(edges + (warmup - done), 0, m).tolist()
+            bounds = np.clip(edges + (warmup - done), 0, m)
             b = np.repeat(np.arange(_BATCHES), np.diff(bounds))
-            sum_w += np.bincount(b, weights=waits[lo:], minlength=_BATCHES)
+            # batch j is open at the block's first live arrival; its partial
+            # sum goes in front, so each batch's wait sum is one sequential sum
+            j = b[0]
+            sum_w[j:] = np.bincount(np.concatenate(((j,), b)),
+                                    weights=np.concatenate((sum_w[j:j + 1], waits[lo:])),
+                                    minlength=_BATCHES)[j:]
             sum_q += np.bincount(b, weights=qlen[lo:], minlength=_BATCHES)
-            for j, (s, e) in enumerate(zip(bounds, bounds[1:])):
-                counts[j] += e - s
-                n_zero[j] += e - s - np.count_nonzero(waited[s:e])
-                for g, x in enumerate(grid):
-                    n_le[g, j] += np.count_nonzero(waits[s:e] <= x)
-            n_class2 += int(np.count_nonzero(waits[lo:] > k))
+            tally += np.bincount(b * width + np.searchsorted(levels, waits[lo:]),
+                                 minlength=tally.size).reshape(tally.shape)
         queued = queued[np.searchsorted(queued, t, side="right"):]
         done += m
 
+    # at_or_below[j, g]: batch j's waits <= levels[g]; last column: all of them
+    at_or_below = tally.cumsum(axis=1)
+    counts = at_or_below[:, -1].astype(float)
+    zero, at_k = np.searchsorted(levels, (0.0, k))
     horizon = max(t_last - t_first, 1e-300)
-    counts = counts.astype(float)
     return SimEstimate(
-        p_wait_zero=_indicator_estimate(n_zero.astype(float), counts),
-        cdf_points=tuple(_indicator_estimate(row.astype(float), counts) for row in n_le),
+        p_wait_zero=_indicator_estimate(at_or_below[:, zero].astype(float), counts),
+        cdf_points=tuple(_indicator_estimate(at_or_below[:, g].astype(float), counts)
+                         for g in np.searchsorted(levels, config.grid)),
         mean_wait=_batch_estimate(sum_w, counts),
-        class2_fraction=n_class2 / used,
+        class2_fraction=(used - int(at_or_below[:, at_k].sum())) / used,
         seed_used=config.seed,
         num_used=used,
         queue_len_seen=_batch_estimate(sum_q, counts),

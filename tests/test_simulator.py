@@ -1,14 +1,15 @@
+import tracemalloc
 from bisect import insort
 from collections import deque
 
 import numpy as np
 import pytest
 
+from vqt import simulator
 from vqt.model import inspect_params, validate_params
 from vqt.reference import erlang_c
 from vqt.simulator import (
     _BATCHES,
-    _CHUNK,
     Estimate,
     SimConfig,
     SimEstimate,
@@ -58,6 +59,28 @@ class TestSimConfig:
     def test_rejects_bad_warmup(self):
         with pytest.raises(ValueError):
             SimConfig(num_arrivals=100, warmup_fraction=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_arrivals", 1000.0),       # used to run the whole loop, then raise TypeError
+        ("num_arrivals", True),         # used to simulate one arrival
+        ("num_arrivals", np.float64(1000)),
+        ("replications", 2.0),
+        ("replications", True),
+    ])
+    def test_rejects_non_integral_sizes(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(**{"num_arrivals": 100, field: value})
+
+    @pytest.mark.parametrize("field", ["num_arrivals", "replications"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_non_positive_sizes(self, field, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            SimConfig(**{"num_arrivals": 100, field: value})
+
+    def test_accepts_numpy_integers(self, two_server_params):
+        cfg = SimConfig(num_arrivals=np.int64(1000), seed=3, replications=np.int32(2))
+        assert simulate_replicated(two_server_params, cfg) == simulate_replicated(
+            two_server_params, SimConfig(num_arrivals=1000, seed=3, replications=2))
 
 
 class TestSimulate:
@@ -154,9 +177,10 @@ class TestReplication:
 
 
 def reference_simulate(params, config):
-    """The simulator as first written: a sorted list of server free times
-    (pop + insort), a deque of pending start epochs for the queue length, and
-    one float bincount per indicator.  ``simulate`` must match it bit for bit.
+    """The simulator as first written, in one pass over all arrivals: a
+    sorted list of server free times (pop + insort), a deque of pending start
+    epochs for the queue length, and one float bincount per indicator.
+    ``simulate`` must match it bit for bit.
     """
     n = config.num_arrivals
     lam, k, c = params.lam, params.k, params.c
@@ -174,62 +198,49 @@ def reference_simulate(params, config):
     sum_q = np.zeros(_BATCHES)
     sum_le = np.zeros((len(grid), _BATCHES))
     counts = np.zeros(_BATCHES)
-    n_class2 = 0
-    t_first = t_last = 0.0
 
     free = [0.0] * c
     pending = deque()
-    t = 0.0
     inv_mu1, inv_mu2 = 1.0 / params.mu1, 1.0 / params.mu2
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        gaps = -np.log1p(-_uniforms(config.seed, m, done)) / lam
-        arrivals = t + np.cumsum(gaps)
-        t = float(arrivals[-1])
-        draws = -np.log1p(-_uniforms(config.seed, m, n + done))
-        arrivals_l = arrivals.tolist()
-        draws_l = draws.tolist()
-        waits = [0.0] * m
-        qlens = [0] * m
-        for i in range(m):
-            ti = arrivals_l[i]
-            while pending and pending[0] <= ti:
-                pending.popleft()
-            qlens[i] = len(pending)
-            earliest = free[0]
-            w = earliest - ti
-            if w > 0.0:
-                waits[i] = w
-                start = earliest
-                pending.append(start)
-            else:
-                w = 0.0
-                start = ti
-            dur = draws_l[i] * (inv_mu1 if w <= k else inv_mu2)
-            free[0] = start + dur
-            if c > 1 and free[0] > free[1]:
-                v = free.pop(0)
-                insort(free, v)
+    arrivals = np.cumsum(-np.log1p(-_uniforms(config.seed, n, 0)) / lam)
+    draws = -np.log1p(-_uniforms(config.seed, n, n))
+    arrivals_l = arrivals.tolist()
+    draws_l = draws.tolist()
+    waits = [0.0] * n
+    qlens = [0] * n
+    for i in range(n):
+        ti = arrivals_l[i]
+        while pending and pending[0] <= ti:
+            pending.popleft()
+        qlens[i] = len(pending)
+        earliest = free[0]
+        w = earliest - ti
+        if w > 0.0:
+            waits[i] = w
+            start = earliest
+            pending.append(start)
+        else:
+            w = 0.0
+            start = ti
+        dur = draws_l[i] * (inv_mu1 if w <= k else inv_mu2)
+        free[0] = start + dur
+        if c > 1 and free[0] > free[1]:
+            v = free.pop(0)
+            insort(free, v)
 
-        w_arr = np.asarray(waits)
-        idx = np.arange(done, done + m)
-        live = idx >= warmup
-        if live.any():
-            w_live = w_arr[live]
-            t_live = arrivals[live]
-            if counts.sum() == 0:
-                t_first = float(t_live[0])
-            t_last = float(t_live[-1])
-            b = np.minimum((idx[live] - warmup) // batch_size, _BATCHES - 1)
-            counts += np.bincount(b, minlength=_BATCHES)
-            sum_w += np.bincount(b, weights=w_live, minlength=_BATCHES)
-            sum_zero += np.bincount(b, weights=(w_live == 0.0), minlength=_BATCHES)
-            sum_q += np.bincount(b, weights=np.asarray(qlens, float)[live], minlength=_BATCHES)
-            for g, x in enumerate(grid):
-                sum_le[g] += np.bincount(b, weights=(w_live <= x), minlength=_BATCHES)
-            n_class2 += int((w_live > k).sum())
-        done += m
+    live = np.arange(n) >= warmup
+    w_live = np.asarray(waits)[live]
+    t_live = arrivals[live]
+    t_first = float(t_live[0])
+    t_last = float(t_live[-1])
+    b = np.minimum((np.arange(n)[live] - warmup) // batch_size, _BATCHES - 1)
+    counts += np.bincount(b, minlength=_BATCHES)
+    sum_w += np.bincount(b, weights=w_live, minlength=_BATCHES)
+    sum_zero += np.bincount(b, weights=(w_live == 0.0), minlength=_BATCHES)
+    sum_q += np.bincount(b, weights=np.asarray(qlens, float)[live], minlength=_BATCHES)
+    for g, x in enumerate(grid):
+        sum_le[g] += np.bincount(b, weights=(w_live <= x), minlength=_BATCHES)
+    n_class2 = int((w_live > k).sum())
 
     horizon = max(t_last - t_first, 1e-300)
     return SimEstimate(
@@ -281,10 +292,10 @@ class TestBitIdenticalToReference:
 
     @pytest.mark.parametrize("warmup", [0.1, 0.9])
     def test_queue_carried_across_chunks(self, warmup):
-        # rho = 0.95 keeps customers queued at the chunk boundary; with
-        # warmup 0.9 the first counted arrival falls in the second chunk
+        # rho = 0.95 keeps customers queued at the block boundaries; with
+        # warmup 0.9 the first counted arrival falls in a later block
         n = 600_000
-        assert n > _CHUNK
+        assert n > simulator._CHUNK
         params = inspect_params(3, 2.85, 0.9, 1.0, 1.0)
         cfg = SimConfig(num_arrivals=n, warmup_fraction=warmup, seed=2024, grid=self.GRID)
         est = simulate(params, cfg)
@@ -298,3 +309,49 @@ class TestBitIdenticalToReference:
                                                      grid=self.GRID))
                 for s in splitmix64(404, 3)]
         assert simulate_replicated(params, cfg) == pool_estimates(runs, 404)
+
+
+class TestBlockInvariance:
+    """No result depends on the block size: every ``_CHUNK`` gives the
+    one-pass reference's estimate, every bit."""
+
+    CHUNKS = (1, 7, 4096, simulator._CHUNK, 1 << 20)
+
+    @pytest.mark.parametrize("params, cfg", [
+        # warmup 1110 ends inside a block for every block size but 1
+        (inspect_params(2, 1.6, 0.8, 1.0, 0.5),
+         SimConfig(num_arrivals=3_000, warmup_fraction=0.37, seed=41, grid=(0.1, 0.5, 2.0))),
+        # batches of 140: live arrival 3596 (block boundary 4096) is inside batch 25
+        (inspect_params(4, 3.0, 0.7, 1.0, 1.5),
+         SimConfig(num_arrivals=5_000, seed=42, grid=(0.25, 1.0, 4.0))),
+        # rho = 0.95: arrivals see 17 waiting on average, so queues cross the
+        # block boundaries; the grid holds 0.0
+        (inspect_params(3, 2.85, 0.9, 1.0, 1.0),
+         SimConfig(num_arrivals=4_000, warmup_fraction=0.2, seed=43, grid=(0.0, 1.0, 6.0))),
+        (inspect_params(1, 0.8, 0.9, 1.0, 0.3),
+         SimConfig(num_arrivals=2_000, seed=44)),
+    ], ids=["warmup-mid-block", "batch-straddles-block", "queue-carried", "empty-grid"])
+    def test_same_estimate_for_every_block_size(self, monkeypatch, params, cfg):
+        expected = reference_simulate(params, cfg)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+            assert simulate(params, cfg) == expected, chunk
+
+
+@pytest.mark.parametrize("chunk", [4096, simulator._CHUNK])
+def test_working_set_bounded_by_block_size(monkeypatch, chunk):
+    # four times the arrivals may not raise the traced peak by a quarter:
+    # what simulate holds is sized by the block, not by num_arrivals
+    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    params = inspect_params(2, 1.4, 0.8, 1.0, 0.5)
+    simulate(params, SimConfig(num_arrivals=100))   # one-off set-up is no working set
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            simulate(params, SimConfig(num_arrivals=n, seed=3, grid=(0.25, 0.5, 1.0)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(160_000) < 1.25 * traced_peak(40_000)
