@@ -251,16 +251,12 @@ def run_solve(args) -> int:
         pdf = np.array([sol.density(x) for x in grid])
         mean = sol.mean() if args.mean else None
         payload_extra = {"model": "erlang_c", "p_wait": sol.c_prob}
-        pi_nested = None
-        b_c = None
         mixture = None
     else:
         comps, cdf = solver.eval_cdf(sol, grid)
         pdf = solver.eval_density(sol, grid).sum(axis=1)
         mean = solver.mean_wait(sol) if args.mean else None
         payload_extra = {"model": "threshold"}
-        pi_nested = [[_shown(sol.pi(i, j)) for j in range(args.c - i)] for i in range(args.c)]
-        b_c = sol.b_c
         mixture = _mixture_payload(sol.mixture()) if args.mixture else None
     # The residual report draws its interior points from a fixed seed, so
     # the same command prints the same residuals.
@@ -306,8 +302,10 @@ def run_solve(args) -> int:
         "pdf": pdf,
     }
     if model == "threshold":
-        payload["pi"] = pi_nested
-        payload["b_c"] = b_c
+        # pi(i, j) is entry i of level i + j
+        levels = [_shown(level).tolist() for level in sol.pi_levels]
+        payload["pi"] = [[levels[i + j][i] for j in range(args.c - i)] for i in range(args.c)]
+        payload["b_c"] = sol.b_c
         payload["components"] = comps
         payload["warnings"] = list(sol.warnings)
     if mean is not None:

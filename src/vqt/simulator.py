@@ -74,15 +74,19 @@ class Estimate(NamedTuple):
     half_width: float
 
 
-def _check_count(name: str, value) -> None:
-    """A positive integer: Python or numpy ints, not floats and not bools."""
+def _integer(name: str, value) -> int:
+    """value as a Python int: Python or numpy ints, not floats and not bools."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < 1:
+
+
+def _check_count(name: str, value) -> None:
+    """A positive integer (see ``_integer``)."""
+    if _integer(name, value) < 1:
         raise ValueError(f"{name} must be positive")
 
 
@@ -96,6 +100,8 @@ class SimConfig:
 
     def __post_init__(self):
         _check_count("num_arrivals", self.num_arrivals)
+        # splitmix64 masks the seed as a Python int; a numpy int overflows there
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if not all(map(math.isfinite, self.grid)):

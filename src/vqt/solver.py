@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -560,17 +560,39 @@ class ResidualReport:
         return "\n".join(lines)
 
 
+@cache
+def _balance_index(c: int) -> tuple[np.ndarray, ...]:
+    """The interior states (i, j), i + j < c - 1, level by level, as
+    (i, j, i + 1, j + 1) in floats and the positions in the concatenated pi
+    levels of pi(i, j), pi(i + 1, j), pi(i, j + 1), and of pi(i - 1, j) with
+    the states that have it (i > 0).  Made once per order and read-only."""
+    n = np.repeat(np.arange(c - 1), np.arange(1, c))
+    own = np.arange(n.size)                 # level n starts at n (n + 1) / 2
+    i = own - n * (n + 1) // 2
+    inner = np.flatnonzero(i > 0)
+    out = (i.astype(float), (n - i).astype(float), i + 1.0, (n - i) + 1.0,
+           own, own + n + 2, own + n + 1, inner, own[inner] - n[inner] - 1)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _balance_residual(sol: StationarySolution) -> float:
-    p, worst = sol.params, 0.0
-    for n in range(p.c - 1):           # interior levels i + j < c - 1
-        for i in range(n + 1):
-            j = n - i
-            lhs = (p.lam + i * p.mu1 + j * p.mu2) * sol.pi(i, j)
-            rhs = (i + 1) * p.mu1 * sol.pi(i + 1, j) + (j + 1) * p.mu2 * sol.pi(i, j + 1)
-            if i > 0:
-                rhs += p.lam * sol.pi(i - 1, j)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    """max |lhs - rhs| of the balance equation of every interior state, each
+    entry summed in the order (lam + i mu1 + j mu2) pi(i, j) against
+    (i + 1) mu1 pi(i + 1, j) + (j + 1) mu2 pi(i, j + 1) [+ lam pi(i - 1, j)]."""
+    p = sol.params
+    i, j, i1, j1, own, right, up, inner, left = _balance_index(p.c)
+    pi = np.concatenate(sol.pi_levels)
+    lhs = (p.lam + i * p.mu1 + j * p.mu2) * pi[own]
+    rhs = i1 * p.mu1 * pi[right] + j1 * p.mu2 * pi[up]
+    rhs[inner] += p.lam * pi[left]
+    # fmax from 0.0 skips a NaN as Python's max(worst, ...) does
+    return float(np.fmax.reduce(np.abs(lhs - rhs), initial=0.0))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -598,19 +620,20 @@ def _lower_convolution(sol: StationarySolution, x) -> np.ndarray:
     return (mix.lower_weights * g).sum(axis=-2) @ m.b1
 
 
-def _integro_residual(sol: StationarySolution, xs: np.ndarray) -> float:
+def _integro_residual(sol: StationarySolution, xs: np.ndarray, f: np.ndarray,
+                      f_prime: np.ndarray) -> float:
     # Residual of the renewal-style identity below the threshold:
     # F'(x) = lam F(x) - lam int_0^x F(y) B1 Q1(x-y) dy + F'(0)
-    #         - lam pi_top B1 (I - Q1(x)) D1^{-1}.
+    #         - lam pi_top B1 (I - Q1(x)) D1^{-1},
+    # with f = F(xs) and f_prime = F'(xs), one row per point.
     # B1 Q1(s) = diag(e^{-a s}) B1 turns the convolution into scalar
     # integrals of the mixture's terms, done exactly in _lower_convolution.
-    # Every term is evaluated at all points at once, one row per point.
     m, lam = sol.matrices, sol.params.lam
     pi_top = sol.pi_levels[-1]
-    rhs = (lam * eval_cdf(sol, xs)[0] - lam * _lower_convolution(sol, xs) + sol.f_prime_0
-           - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(1, xs, m))
+    rhs = (lam * f - lam * _lower_convolution(sol, xs) + sol.f_prime_0
+           - lam * pi_top @ m.b1 @ (eye(sol.params.c) - tilde_q(1, xs, m))
            @ m.d_tilde_1_inv)
-    return float(np.max(np.abs(eval_density(sol, xs) - rhs)))
+    return _max_abs(f_prime - rhs)
 
 
 def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
@@ -619,28 +642,33 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     Covers the boundary conditions, branch matching at the threshold, the
     interior balance equations, normalization, the null-vector orthogonality
     of the particular terms, and the integro-differential equation below the
-    threshold at random interior points.  It takes one point, not a stack.
+    threshold at ten interior points drawn uniformly on [0, k) from
+    ``np.random.default_rng(rng)``.  F and F' are evaluated in one pass at
+    all twelve points it reads, 0, k and those ten, each on the lower branch
+    with the values of a one-point ``eval_cdf``/``eval_density`` call.  It
+    takes one point, not a stack.
     """
     if np.ndim(sol.b_c):
         raise ValueError("verify_solution takes one point: verify solve(points[i]) for row i")
-    rng = np.random.default_rng(rng)
+    xs = np.random.default_rng(rng).uniform(0.0, sol.params.k, size=10)
     p, m, sp = sol.params, sol.matrices, sol.spectral
     mix = sol.expansion
+    rates, weights = mix.lower_rates, mix.lower_weights
+    ry = rates * np.concatenate(([0.0, p.k], xs))[:, None]
+    f = vec_mat(np.expm1(ry), weights)                  # rows: F(0), F(k), F(xs)
+    f_prime = vec_mat(rates * np.exp(ry), weights)
     res: dict[str, float] = {}
 
-    res["con1_F0"] = float(np.max(np.abs(mix.lower_constant + mix.lower_weights.sum(axis=0))))
-    res["con2_value_at_k"] = float(np.max(np.abs(
-        mix.components(p.k) - (mix.upper_constant + mix.upper_weights.sum(axis=0))
-    )))
-    res["con3_slope_at_k"] = float(np.max(np.abs(
-        mix.density(p.k) - mix.upper_rates @ mix.upper_weights
-    )))
+    res["con1_F0"] = _max_abs(mix.lower_constant + np.add.reduce(weights, axis=0))
+    res["con2_value_at_k"] = _max_abs(
+        f[1] - (mix.upper_constant + np.add.reduce(mix.upper_weights, axis=0)))
+    res["con3_slope_at_k"] = _max_abs(f_prime[1] - mix.upper_rates @ mix.upper_weights)
 
     pi_top = sol.pi_levels[-1]
-    slope0 = pi_top @ (p.lam * np.eye(p.c) + m.delta[p.c - 1])
+    slope0 = pi_top @ (p.lam * eye(p.c) + m.delta[p.c - 1])
     if p.c > 1:
         slope0[1:] -= p.lam * sol.pi_levels[-2]
-    res["con4_slope_at_0"] = float(np.max(np.abs(mix.density(0.0) - slope0)))
+    res["con4_slope_at_0"] = _max_abs(f_prime[0] - slope0)
 
     res["con5_balance"] = _balance_residual(sol)
     # b_c enters with a flipped sign under the stored convention.
@@ -653,7 +681,6 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     res["null_mode_alpha0"] = abs(float(sol.alpha0 @ sp.phi_star_right)) / scale
     res["null_mode_alpha1"] = abs(float(sol.alpha1 @ sp.psi_c_right)) / scale
 
-    xs = rng.uniform(0.0, p.k, size=10)
-    res["integro_differential"] = _integro_residual(sol, xs)
+    res["integro_differential"] = _integro_residual(sol, xs, f[2:], f_prime[2:])
 
     return ResidualReport(residuals=res, warnings=sol.warnings)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from bisect import insort
 from collections import deque
@@ -81,6 +82,31 @@ class TestSimConfig:
         cfg = SimConfig(num_arrivals=np.int64(1000), seed=3, replications=np.int32(2))
         assert simulate_replicated(two_server_params, cfg) == simulate_replicated(
             two_server_params, SimConfig(num_arrivals=1000, seed=3, replications=2))
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True, np.float64(3)])
+    def test_rejects_non_integral_seed(self, seed):
+        # 1.5, "3" and None used to raise TypeError in splitmix64, and True
+        # to simulate as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(num_arrivals=100, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3), np.int8(3)])
+    def test_numpy_integer_seed_is_a_python_int(self, two_server_params, seed):
+        # np.int64(3) used to overflow in splitmix64's 64-bit mask
+        cfg = SimConfig(num_arrivals=1000, seed=seed, replications=2)
+        assert type(cfg.seed) is int and cfg.seed == 3
+        plain = SimConfig(num_arrivals=1000, seed=3, replications=2)
+        assert simulate_replicated(two_server_params, cfg) == simulate_replicated(
+            two_server_params, plain)
+        one = dataclasses.replace(cfg, replications=1)
+        assert simulate(two_server_params, one) == simulate(
+            two_server_params, dataclasses.replace(plain, replications=1))
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5])
+    def test_integer_seeds_keep_their_stream(self, two_server_params, seed):
+        cfg = SimConfig(num_arrivals=500, seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == seed
+        assert simulate(two_server_params, cfg) == reference_simulate(two_server_params, cfg)
 
 
 class TestSimulate:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from vqt import numerics
 from vqt import solver as solver_module
-from vqt.errors import NumericalError, Singular
+from vqt.errors import NumericalError, Singular, VqtError
 from vqt.model import build_matrices, tilde_q, validate_params
 from vqt.numerics import cond_1norm, inv, lu_solve
 from vqt.reference import erlang_c_prob
@@ -523,6 +523,146 @@ class TestVerifySolution:
                 s, expansion=dataclasses.replace(mix, lower_weights=weights))
             bad = verify_solution(wrong, rng=0).residuals["integro_differential"]
             assert bad > 1e4 * base
+
+
+def _reference_balance_residual(sol):
+    p, worst = sol.params, 0.0
+    for n in range(p.c - 1):           # interior levels i + j < c - 1
+        for i in range(n + 1):
+            j = n - i
+            lhs = (p.lam + i * p.mu1 + j * p.mu2) * sol.pi(i, j)
+            rhs = (i + 1) * p.mu1 * sol.pi(i + 1, j) + (j + 1) * p.mu2 * sol.pi(i, j + 1)
+            if i > 0:
+                rhs += p.lam * sol.pi(i - 1, j)
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _reference_integro_residual(sol, xs):
+    m, lam = sol.matrices, sol.params.lam
+    pi_top = sol.pi_levels[-1]
+    rhs = (lam * eval_cdf(sol, xs)[0] - lam * _lower_convolution(sol, xs) + sol.f_prime_0
+           - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(1, xs, m))
+           @ m.d_tilde_1_inv)
+    return float(np.max(np.abs(eval_density(sol, xs) - rhs)))
+
+
+def reference_verify(sol, rng=None):
+    """The residual report as first written, one evaluator call per point
+    and a double loop over the balance equations.  ``verify_solution`` must
+    match it bit for bit."""
+    rng = np.random.default_rng(rng)
+    p, m, sp = sol.params, sol.matrices, sol.spectral
+    mix = sol.expansion
+    res = {}
+
+    res["con1_F0"] = float(np.max(np.abs(mix.lower_constant + mix.lower_weights.sum(axis=0))))
+    res["con2_value_at_k"] = float(np.max(np.abs(
+        mix.components(p.k) - (mix.upper_constant + mix.upper_weights.sum(axis=0))
+    )))
+    res["con3_slope_at_k"] = float(np.max(np.abs(
+        mix.density(p.k) - mix.upper_rates @ mix.upper_weights
+    )))
+
+    pi_top = sol.pi_levels[-1]
+    slope0 = pi_top @ (p.lam * np.eye(p.c) + m.delta[p.c - 1])
+    if p.c > 1:
+        slope0[1:] -= p.lam * sol.pi_levels[-2]
+    res["con4_slope_at_0"] = float(np.max(np.abs(mix.density(0.0) - slope0)))
+
+    res["con5_balance"] = _reference_balance_residual(sol)
+    res["con6_normalization"] = abs(
+        -sol.b_c * float(sp.psi_c.sum()) + float((sol.alpha1 @ sol.m1).sum())
+        + sol.p_wait_zero - 1.0
+    )
+
+    scale = max(np.abs(sol.alpha0).max(), np.abs(sol.alpha1).max(), 1.0)
+    res["null_mode_alpha0"] = abs(float(sol.alpha0 @ sp.phi_star_right)) / scale
+    res["null_mode_alpha1"] = abs(float(sol.alpha1 @ sp.psi_c_right)) / scale
+
+    xs = rng.uniform(0.0, p.k, size=10)
+    res["integro_differential"] = _reference_integro_residual(sol, xs)
+    return res
+
+
+# The inputs named as silent wrong answers (ROADMAP item 1): residuals far
+# from zero must match the reference as exactly as clean ones.
+NAMED_INPUTS = [
+    (8, 4.004, 1.5, 1.0, 0.5),
+    (24, 16.799999999999997, 0.8, 1.0, 0.5),
+    (24, 16.8, 0.8, 1.0, 0.5),
+    (12, 5.03289, 0.6549, 1.0, 0.332),
+    (24, 19.132594520618298, 0.7424959476836241, 2.781652614944676, 0.02208765673970857),
+    (2, 2e6, 750000.0, 1.12e6, 4.5e-7),
+    (2, 2.0, 0.75, 1.12, 0.45),             # the README's examples
+    (3, 2.0, 0.3, 0.8, 5.0),
+]
+
+
+def _seeded_draws(n, seed=2017):
+    """n solvable draws with c <= 24, log-uniform k and loads up to 0.97."""
+    rng = np.random.default_rng(seed)
+    while n:
+        c = int(rng.integers(1, 25))
+        mu1, mu2 = rng.uniform(0.2, 3.0, size=2)
+        lam = rng.uniform(0.05, 0.97) * c * mu2
+        k = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
+        try:
+            s = solve(validate_params(c, float(lam), float(mu1), float(mu2), k))
+        except VqtError:
+            continue
+        n -= 1
+        yield s
+
+
+class TestVerifyMatchesReference:
+    """``verify_solution`` evaluates the mixture once for all its points and
+    the balance equations in one pass; every residual keeps the bits of the
+    per-point report (``==``, and the same Python type)."""
+
+    @staticmethod
+    def _check(s):
+        for rng in (0, 7, "generator"):
+            if rng == "generator":    # default_rng consumes a passed generator
+                got = verify_solution(s, rng=np.random.default_rng(99)).residuals
+                want = reference_verify(s, rng=np.random.default_rng(99))
+            else:
+                got, want = verify_solution(s, rng=rng).residuals, reference_verify(s, rng=rng)
+            assert list(got) == list(want)
+            for name, value in want.items():
+                assert got[name] == value and type(got[name]) is type(value), (name, rng)
+
+    @pytest.mark.parametrize("c", range(1, 25))
+    def test_load_scan(self, c):
+        self._check(solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5)))
+
+    @pytest.mark.parametrize("args", NAMED_INPUTS)
+    def test_named_inputs(self, args):
+        self._check(solve(validate_params(*args)))
+
+    def test_seeded_draws(self):
+        for s in _seeded_draws(200):
+            self._check(s)
+
+    def test_generator_is_consumed_as_before(self, two_server_solution):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        verify_solution(two_server_solution, rng=a)
+        reference_verify(two_server_solution, rng=b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestBalanceResidual:
+    def test_reads_every_entry(self):
+        s = solve(validate_params(6, 3.0, 0.8, 1.0, 0.5))
+        assert verify_solution(s, rng=0).residuals["con5_balance"] <= 1e-12
+        for n, level in enumerate(s.pi_levels):
+            for i in range(n + 1):
+                levels = list(s.pi_levels)
+                levels[n] = level.copy()
+                levels[n][i] += 1e-3
+                wrong = dataclasses.replace(s, pi_levels=tuple(levels))
+                bad = verify_solution(wrong, rng=0).residuals["con5_balance"]
+                assert bad > 1e-6, (i, n - i)
 
 
 class TestTailRate:
