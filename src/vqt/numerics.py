@@ -10,11 +10,9 @@ also takes a stack (a leading axis), each matrix getting its own call's bits.
 The LU solve keeps its scaled pivot test everywhere, because that test is
 what rejects ill-conditioned inputs.  It eliminates the augmented matrix
 [A | B] and back-substitutes.  Upper-triangular inputs (B1, the M0 argument,
-U1+ - U1-, the boundary recursion's level matrices) go to back substitution
-directly.  A row-vector system x A = B with an upper-triangular A is B @
-inv(A) after the pivot test on A's columns, never an elimination of the
-lower-triangular transpose, whose row swaps wreck the substitution's accuracy
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 8).
+the boundary recursion's level matrices) go to back substitution directly.
+The solver's bordered boundary system is the one solve left to LAPACK: the
+scaled test rejects inputs there that solve clean.
 
 One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
@@ -230,9 +228,9 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     on the diagonal, so the elimination would only subtract exact zero
     products; a non-finite entry would turn 0 * inf into NaN there, so such
     inputs keep the full path.  The lower-triangular inputs (B2, the M1 and
-    M2 arguments, U2-) and the full ones (core, the top boundary level) are
-    factored with pivoting: the scaled test can pick another row there (B2
-    swaps rows at c = 7 with lam = 0.7c, mu1 = 0.8, mu2 = 1).
+    M2 arguments) are factored with pivoting: the scaled test can pick
+    another row there (B2 swaps rows at c = 7 with lam = 0.7c, mu1 = 0.8,
+    mu2 = 1).
 
     a and b may be stacks (N, n, n) and (N, n, m), one of them shared: each
     system takes its own path and the failing ones raise RowErrors.  A 1-D b

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 from array import array
 from dataclasses import dataclass
@@ -84,6 +85,13 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value) -> float:
+    """value as a float: a real number (Python or numpy), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_count(name: str, value) -> None:
     """A positive integer (see ``_integer``)."""
     if _integer(name, value) < 1:
@@ -102,8 +110,15 @@ class SimConfig:
         _check_count("num_arrivals", self.num_arrivals)
         # splitmix64 masks the seed as a Python int; a numpy int overflows there
         object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "warmup_fraction", _real("warmup_fraction", self.warmup_fraction))
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        try:
+            points = tuple(self.grid)
+        except TypeError:
+            raise ValueError(f"grid must be a sequence of numbers, got {self.grid!r}") from None
+        # a tuple of floats, so that the frozen config hashes
+        object.__setattr__(self, "grid", tuple(_real("grid points", x) for x in points))
         if not all(map(math.isfinite, self.grid)):
             raise ValueError("grid points must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):

@@ -3,10 +3,14 @@
 The pipeline follows the matrix representation of the distribution: the
 sub-distribution vector F(x) = [P(0 < W <= x, state i)] solves a pair of
 constant-coefficient second-order linear systems, one below and one above
-the threshold, glued by continuity of F and F'.  Twenty auxiliary matrices
-reduce the boundary conditions to a single scalar unknown, the tail constant
-b_c, which the normalization fixes.  Boundary (W = 0) probabilities follow
-from a backward recursion over occupancy levels.
+the threshold, glued by continuity of F and F'.  The boundary conditions
+are one linear system of order 2c in the top boundary level and the
+coefficients of the lower branch's growing modes, anchored at the threshold
+so that no exponential grows (the decoupling of Ascher, Mattheij and
+Russell, Numerical Solution of Boundary Value Problems for ODEs, SIAM 1995,
+chs. 4 and 6).  It is solved with the tail constant b_c set to 1, and the
+normalization then fixes b_c.  The lower boundary (W = 0) probabilities
+follow from a backward recursion over occupancy levels.
 
 ``solve`` expands F once into its explicit exponential mixture and stores it
 on the solution; every evaluator (F, F', E[W], the residual report) reads
@@ -24,16 +28,14 @@ import numpy as np
 from .errors import (DivergentIntegral, NegativeProbability, NumericalError, RowErrors,
                      Singular, VqtError, fail)
 from .model import ModelMatrices, QueueParams, build_matrices, per_row, tilde_q
-from .numerics import _check_diagonal_pivots, eye, inv, lu_solve, vec_dot, vec_mat
-from .spectral import GROWTH_WARN, SpectralData, build_spectral
+from .numerics import _check_diagonal_pivots, eye, inv, vec_dot, vec_mat
+from .spectral import SpectralData, build_spectral
 
 __all__ = [
-    "AuxChain",
     "StationarySolution",
     "ScalarMixture",
     "ResidualReport",
     "particular_matrices",
-    "h_chain",
     "solve",
     "solve_rows",
     "eval_cdf",
@@ -51,97 +53,101 @@ def particular_matrices(
 
     m0/m1 pin down the constant particular terms of the two branches (the
     rank-one diag corrections remove the null modes); m2 drives the memory
-    term carried across the threshold by below-threshold jumps.
+    term carried across the threshold by below-threshold jumps.  A row
+    orthogonal to the null vector, as alpha0 and alpha1 are, has the same
+    product with m0/m1 whatever the correction's size; it is scale^2, in the
+    rate^2 units of lam (B - D_tilde), so that the rounding of that
+    orthogonality is not amplified by scale^2 at large rates.
     """
     c, lam, mu1 = params.c, per_row(params.lam, 2), per_row(params.mu1, 2)
-    m0 = inv(lam * (matrices.b1 - matrices.d_tilde_1) + np.diag(spectral.phi_star))
-    m1 = inv(lam * (matrices.b2 - matrices.d_tilde_2) + np.diag(spectral.psi_c))
+    null = per_row(params.scale, 2) ** 2
+    m0 = inv(lam * (matrices.b1 - matrices.d_tilde_1) + null * np.diag(spectral.phi_star))
+    m1 = inv(lam * (matrices.b2 - matrices.d_tilde_2) + null * np.diag(spectral.psi_c))
     m2 = inv((c * mu1 + lam) * (c * mu1 * eye(c) - matrices.d_tilde_2)
              + lam * matrices.b2)
     return m0, m1, m2
 
 
-@dataclass(frozen=True)
-class AuxChain:
-    """The twenty auxiliary matrices of the boundary-condition reduction.
+# log of the largest float: past this theta_max*k, e^{theta_max k} overflows
+_LOG_MAX = math.log(np.finfo(float).max)
 
-    h1..h8 express F(k) and F'(k-) through F'(0); h9..h14 express F'(k+)
-    through F(k), F'(0) and the tail constant; h15/h16 solve the glued system
-    for F'(0); h19/h20 give the limit F(inf).  dm2 = (D_tilde_1 - D_tilde_2) M2
-    is the threshold-memory factor behind h9, which the mixture's upper
-    branch reuses; du_inv = (U1+ - U1-)^{-1} comes from the substitution
-    behind h1/h5, and the mixture's lower branch reuses it.
+
+def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralData,
+              m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, slope_0: np.ndarray):
+    """The boundary conditions as one system of order 2c, solved at b_c = 1.
+
+    Its unknown is the row x = [pi_{c-1}, q]: the top boundary level and
+    q = w e^{U1+ k}, the coefficients of the lower branch's growing modes
+    anchored at k, so only the bounded e^{U1- k} and e^{-U1+ k} appear.
+    Every quantity solve stores is linear in x and b_c.  ``terms`` gives
+    them for row blocks (..., r, c) of pi_{c-1} and q: on the blocks [I; 0]
+    and [0; I] their 2c x c matrices, which make the system's columns, and
+    on a solution row their values.  The columns are the definition of w,
+    w (U1+ - U1-) = F'(0) + alpha0 M0 U1-, and the slope glue
+    F'(k-) = F'(k+).  slope_0 takes pi_{c-1} to F'(0) (con4).  Returns
+    (x, F(inf) / b_c, terms, dm2 = (D_tilde_1 - D_tilde_2) M2).
     """
-
-    h1: np.ndarray; h2: np.ndarray; h3: np.ndarray; h4: np.ndarray
-    h5: np.ndarray; h6: np.ndarray; h7: np.ndarray; h8: np.ndarray
-    h9: np.ndarray; h10: np.ndarray; h11: np.ndarray; h12: np.ndarray
-    h13: np.ndarray; h14: np.ndarray; h15: np.ndarray; h16: np.ndarray
-    h19: np.ndarray; h20: np.ndarray; dm2: np.ndarray; du_inv: np.ndarray
-
-
-def _expm(roots: np.ndarray, vectors: np.ndarray, inverse: np.ndarray,
-          x: float) -> np.ndarray:
-    """e^{U x} for the solvent U = inverse @ diag(roots) @ vectors."""
-    return inverse @ (np.exp(roots * per_row(x, 1))[..., None] * vectors)
-
-
-def h_chain(
-    params: QueueParams,
-    matrices: ModelMatrices,
-    spectral: SpectralData,
-    m0: np.ndarray,
-    m1: np.ndarray,
-    m2: np.ndarray,
-) -> AuxChain:
-    lam, k, c = per_row(params.lam, 2), params.k, params.c
-    b1, b2 = matrices.b1, matrices.b2
-    d1, d2 = matrices.d_tilde_1, matrices.d_tilde_2
-    sp = spectral
+    c, k, lam = params.c, per_row(params.k, 1), per_row(params.lam, 2)
+    m, sp = matrices, spectral
     u1m, u1p, u2m = sp.u1_minus, sp.u1_plus, sp.u2_minus
-    eye = np.eye(c)
+    d1, d2, d2_inv = m.d_tilde_1, m.d_tilde_2, m.d_tilde_2_inv
+    e_minus = sp.phi_minus_inv @ (np.exp(sp.theta[..., :c] * k)[..., None] * sp.phi[..., :c, :])
+    decay = np.exp(-sp.theta[..., c:] * k)
+    e_plus_inv = sp.phi_plus_inv @ (decay[..., None] * sp.phi[..., c:, :])
+    bridge = m.b1 @ m.d_tilde_1_inv @ d2
+    stay = eye(c) - m.b2 @ d2_inv
 
-    e_minus = _expm(sp.theta[..., :c], sp.phi[..., :c, :], sp.phi_minus_inv, k)
-    e_plus = _expm(sp.theta[..., c:], sp.phi[..., c:, :], sp.phi_plus_inv, k)
-    u1m_e_minus = u1m @ e_minus
+    def terms(pi: np.ndarray, q: np.ndarray) -> dict[str, np.ndarray]:
+        t = {"f_prime_0": pi @ slope_0}
+        t["alpha0"] = t["f_prime_0"] @ d1 - lam * pi @ m.b1
+        t["alpha0_m0"] = a0m0 = t["alpha0"] @ m0
+        t["w"] = w = q @ e_plus_inv
+        # F(k) and F'(k-) of F(x) = w (e^{U1+ x} - e^{U1- x}) + alpha0 M0 (I - e^{U1- x})
+        t["f_at_k"] = f_k = q - w @ e_minus + a0m0 - a0m0 @ e_minus
+        t["f_prime_at_k"] = q @ u1p - (w + a0m0) @ u1m @ e_minus
+        # alpha1 = alpha0 D1^-1 D2 - lam F(k) (B1 D1^-1 D2 - B2), where alpha0 D1^-1
+        # = F'(0) - lam pi_{c-1} B1 D1^-1 spares F'(0) the round trip through D1
+        t["alpha1"] = t["f_prime_0"] @ d2 - lam * (pi + f_k) @ bridge + lam * f_k @ m.b2
+        t["alpha2"] = t["alpha1"] @ d2_inv - t["f_prime_at_k"] + lam * f_k @ stay
+        # the coefficients of the 2c theta roots, the growing ones (q phi+^-1) e^{-theta+ k}
+        t["lower"] = _concat((-w - a0m0) @ sp.phi_minus_inv,
+                             q @ sp.phi_plus_inv * decay[..., None, :])
+        return t
 
-    # h1, h5 and du_inv share du = U1+ - U1-: one solve with the three
-    # right-hand sides side by side (back substitution, or the elimination
-    # of an upper-triangular du, treats each column on its own)
-    rhs = [e_plus - e_minus, u1p @ e_plus - u1m_e_minus, np.broadcast_to(eye, e_plus.shape)]
-    blocks = lu_solve(u1p - u1m, np.concatenate(rhs, -1))
-    h1, h5, du_inv = blocks[..., :c], blocks[..., c:2 * c], blocks[..., 2 * c:]
-    h2 = m0 @ (eye - e_minus + u1m @ h1)
-    h3 = h1 + d1 @ h2
-    h4 = -lam * b1 @ h2
-    h6 = m0 @ (u1m_e_minus - u1m @ h5)
-    h7 = h5 - d1 @ h6
-    h8 = lam * b1 @ h6
-
-    d1_inv, d2_inv = matrices.d_tilde_1_inv, matrices.d_tilde_2_inv
+    # The first c columns hold w (U1+ - U1-), whose rows are the columns of
+    # U1+ - U1-.  Where those fail the scaled pivot test, the eigenbases behind
+    # U1+ and U1- have no digits left, and the system would return an answer
+    # that breaks its own invariants (test_lower_weight_pivots_tested_by_column).
+    _check_diagonal_pivots((u1p - u1m).T)      # .T of a stack puts its axis last
+    t = terms(eye(2 * c)[:, :c], eye(2 * c)[:, c:])
     dm2 = (d1 - d2) @ m2
-    h9 = dm2 @ u2m + d1 @ dm2
-    h10 = u2m - lam * (eye - b2 @ d2_inv) @ h9
-    h11 = m1 @ u2m + d2_inv @ h9
-    bridge = b1 @ d1_inv @ d2          # recurring factor B1 D1^{-1} D2
-    h12 = h10 + lam * (bridge - b2) @ h11
-    h13 = d2 @ h11
-    h14 = lam * bridge @ h11
+    # F'(k+) = (F(k) - F(inf)) U2- - alpha2 (dm2 U2- + D_tilde_1 dm2), where
+    # F(inf) = alpha1 M1 - b_c psi_c puts b_c psi_c U2- on the right-hand side
+    glue = t["f_prime_at_k"] - (t["f_at_k"] - t["alpha1"] @ m1) @ u2m \
+        + t["alpha2"] @ (dm2 @ u2m + d1 @ dm2)
+    system = _concat(t["w"] @ (u1p - u1m) - t["f_prime_0"] - t["alpha0_m0"] @ u1m, glue)
+    x = _row_solve(system, _concat(np.zeros(c), u2m[..., 0, :]))
+    return x, vec_mat(vec_mat(x, t["alpha1"]), m1) - sp.psi_c, terms, dm2
 
-    # Sign convention: h15 carries a leading minus (and h19 compensates), so
-    # the boundary level rows come out nonpositive and the tail constant b_c
-    # negative.  Only products of the pair are observable.
-    core = h7 - h7 @ h9 - h3 @ h12 + h13
-    h15 = -u2m @ inv(core)
-    h16 = (h14 + h4 @ h12 - h8 + h8 @ h9) @ lu_solve(u2m, -h15)
 
-    h17 = d2 @ m1 - lam * h3 @ (bridge - b2) @ m1
-    h18 = lam * bridge @ m1 + lam * h4 @ (bridge - b2) @ m1
-    h19 = -(eye + h15 @ h17)
-    h20 = h16 @ h17 - h18
-
-    return AuxChain(h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
-                    h11, h12, h13, h14, h15, h16, h19, h20, dm2, du_inv)
+def _row_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with x a = b for a row b, by LAPACK: (..., n, n) and (..., n), each
+    matrix of a stack on its own; an exactly singular one raises Singular
+    (RowErrors on a stack)."""
+    a = np.swapaxes(a, -1, -2)
+    b = np.broadcast_to(b, a.shape[:-1])[..., None]     # (..., n, 1): stacked columns
+    try:
+        return np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            raise Singular("the boundary system is singular") from None
+    errors = {}
+    for i in range(len(a)):
+        try:
+            np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            errors[i] = Singular("the boundary system is singular")
+    raise RowErrors(errors)
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,6 @@ class StationarySolution:
     alpha0: np.ndarray
     alpha1: np.ndarray
     m1: np.ndarray
-    h: AuxChain
     f_infinity: np.ndarray
     expansion: ScalarMixture            # F as explicit exponential terms
     warnings: tuple[str, ...] = ()
@@ -254,38 +259,31 @@ def _expand(
     params: QueueParams,
     matrices: ModelMatrices,
     spectral: SpectralData,
-    f_prime_0: np.ndarray,
+    lower: np.ndarray,
     alpha0_m0: np.ndarray,
     f_at_k: np.ndarray,
     f_infinity: np.ndarray,
     alpha2: np.ndarray,
-    h: AuxChain,
+    dm2: np.ndarray,
 ) -> ScalarMixture:
     """Expand both branches into explicit (rate, weight-vector) terms.
 
-    Lower branch: F(x) = w (e^{U1+ x} - e^{U1- x}) + alpha0 M0 (I - e^{U1- x})
-    with w = (F'(0) + alpha0 M0 U1-) (U1+ - U1-)^{-1}, one term per root of
-    the below-threshold pencil.  Upper branch: the c decaying tail modes of
-    U2-, the threshold-memory modes (one per diagonal entry of D_tilde_1) and
-    the constant F(inf).
+    Lower branch: F(x) = w (e^{U1+ x} - e^{U1- x}) + alpha0 M0 (I - e^{U1- x}),
+    one term per root of the below-threshold pencil; ``lower`` is the
+    coefficient row of those 2c roots in their eigenbasis.  Upper branch:
+    the c decaying tail modes of U2-, the threshold-memory modes (one per
+    diagonal entry of D_tilde_1) and the constant F(inf).
     """
     sp, m, c = spectral, matrices, params.c
-    # w du = rhs has du's columns as its rows, so its pivots are tested
-    # against those; h_chain's solve with du gave its inverse
-    du = sp.u1_plus - sp.u1_minus
-    _check_diagonal_pivots(du.T)      # .T of a stack puts its axis last
-    w = vec_mat(f_prime_0 + vec_mat(alpha0_m0, sp.u1_minus), h.du_inv)
-    a_minus = vec_mat(-w - alpha0_m0, sp.phi_minus_inv)
-    a_plus = vec_mat(w, sp.phi_plus_inv)
-    lower_weights = np.concatenate([a_minus, a_plus], axis=-1)[..., None] * sp.phi
+    lower_weights = lower[..., None] * sp.phi
 
     # Coefficient row of e^{U2- (x-k)}; the tail constant is F(inf) itself
     # (the b_c convention cancels there).
-    tail_head = f_at_k - f_infinity - vec_mat(alpha2, h.dm2)
+    tail_head = f_at_k - f_infinity - vec_mat(alpha2, dm2)
     b_minus = vec_mat(tail_head, sp.psi_minus_inv)
     # Memory term alpha2 e^{-D1 y} (D1 - D2) M2: rows of B1 are exact left
     # eigenvectors of D_tilde_1 by its defining conjugation.
-    memory = vec_mat(alpha2, m.b1_inv)[..., None] * (m.b1 @ h.dm2)
+    memory = vec_mat(alpha2, m.b1_inv)[..., None] * (m.b1 @ dm2)
     top_rates = m.delta[c - 1].diagonal(axis1=-2, axis2=-1)
     upper_rates = _concat(sp.beta[..., :c], -(per_row(params.mu1, 1) + top_rates))
 
@@ -340,41 +338,24 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     matrices = build_matrices(params)
     spectral = build_spectral(params, matrices)
     m0, m1, m2 = particular_matrices(params, matrices, spectral)
-    # Past theta_max*k of about 709, exp of the growth modes overflows in
-    # h_chain.  The inf and NaN it leaves end in one NumericalError
-    # (_check_finite's, or a Singular pivot), so numpy's warnings would only
-    # repeat it.  The scope is kept to h_chain: ufuncs run slower under a
-    # non-default errstate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = h_chain(params, matrices, spectral, m0, m1, m2)
+    # Past theta_max*k = log(float max) the mixture's growing terms overflow at k.
+    fail(spectral.theta.max(axis=-1) * params.k > _LOG_MAX, _overflow_error(params, spectral))
 
-    c, lam = params.c, per_row(params.lam, 1)
-    lam2 = per_row(params.lam, 2)
+    c, lam = params.c, per_row(params.lam, 2)
     psi_c = spectral.psi_c
-
-    # pi_n = pi_{n+1} C_hat_n below the top level, which couples to the
-    # continuous part through h15/h16 and takes [0 | C_hat_{c-2}].
-    inner_top = lam2 * eye(c) + matrices.delta[c - 1] - h.h16
+    # pi_n = pi_{n+1} C_hat_n below the top level, and F'(0) = pi_{c-1} slope_0
     table = [] if levels is None else levels.setdefault((params.lam, params.mu1, params.mu2), [])
     c_hat = _c_hat_levels(params, matrices, table)
+    slope_0 = lam * eye(c) + matrices.delta[c - 1]
     if c > 1:
-        inner_top[..., 1:] -= lam2 * c_hat[c - 2]
-    try:
-        top = -h.h15 @ inv(inner_top)
-    except (Singular, RowErrors) as exc:     # h16 lifts inner_top's row scale
-        growth = spectral.theta.max(axis=-1) * params.k
-        errors = {i: e if growth[i] <= GROWTH_WARN else Singular(
-            f"{e}; growth exponent theta_max*k = {growth[i]:.1f} (past {GROWTH_WARN:g}) "
-            "swamps the top boundary level") for i, e in getattr(exc, "errors", {(): exc}).items()}
-        if errors.get(()) is exc:
-            raise
-        raise (RowErrors(errors) if isinstance(exc, RowErrors) else errors[()]) from exc
+        slope_0[..., 1:] -= lam * c_hat[c - 2]
+    x, f_infinity, terms, dm2 = _boundary(params, matrices, spectral, m0, m1, m2, slope_0)
 
-    # Only the psi_c row of each level product is read: rows[n] = pi_n / b_c.
-    rows = [vec_mat(psi_c, top)]
+    # Normalise: rows[n] = pi_n / b_c, and F(inf) / b_c.
+    rows = [x[..., :c]]
     for level in reversed(c_hat):
         rows.insert(0, vec_mat(rows[0], level))
-    total = vec_dot(psi_c, h.h19 @ np.ones(c)) + vec_dot(rows[c - 1], h.h20 @ np.ones(c))
+    total = np.add.reduce(f_infinity, axis=-1)
     for row in rows:
         total += row.sum(axis=-1)
     b_c = 1.0 / total
@@ -387,22 +368,12 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         floor = np.where(low < floor, low, floor)
     fail(floor < -1e-8, lambda i: NegativeProbability(f"pi entry {floor[i]:.3e} below -1e-8"))
 
-    pi_top = pi_levels[c - 1]
-    f_prime_0 = vec_mat(pi_top, h.h16) - b_c1 * vec_mat(psi_c, h.h15)
-    f_at_k = vec_mat(f_prime_0, h.h3) + vec_mat(pi_top, h.h4)
-    f_prime_at_k = vec_mat(f_prime_0, h.h7) + vec_mat(pi_top, h.h8)
-    f_infinity = vec_mat(pi_top, h.h20) + b_c1 * vec_mat(psi_c, h.h19)
-
-    d1, d2 = matrices.d_tilde_1, matrices.d_tilde_2
-    d1_inv, d2_inv = matrices.d_tilde_1_inv, matrices.d_tilde_2_inv
-    alpha0 = vec_mat(f_prime_0, d1) - vec_mat(lam * pi_top, matrices.b1)
-    bridge = vec_mat(vec_mat(alpha0, d1_inv), d2)
-    alpha1 = bridge - vec_mat(lam * f_at_k, matrices.b1 @ d1_inv @ d2 - matrices.b2)
-    alpha2 = vec_mat(alpha1, d2_inv) - f_prime_at_k \
-        + vec_mat(lam * f_at_k, eye(c) - matrices.b2 @ d2_inv)
-
-    expansion = _expand(params, matrices, spectral, f_prime_0, vec_mat(alpha0, m0),
-                        f_at_k, f_infinity, alpha2, h)
+    x = b_c1 * x
+    v = terms(x[..., None, :c], x[..., None, c:])
+    v = {name: value[..., 0, :] for name, value in v.items()}
+    f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * psi_c
+    expansion = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
+                        f_infinity, v["alpha2"], dm2)
     _check_finite(params, spectral, b_c, pi_levels, f_infinity, expansion)
     return StationarySolution(
         params=params,
@@ -410,13 +381,12 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         spectral=spectral,
         pi_levels=pi_levels,
         b_c=b_c,
-        f_prime_0=f_prime_0,
-        f_at_k=f_at_k,
-        f_prime_at_k=f_prime_at_k,
-        alpha0=alpha0,
-        alpha1=alpha1,
+        f_prime_0=v["f_prime_0"],
+        f_at_k=v["f_at_k"],
+        f_prime_at_k=v["f_prime_at_k"],
+        alpha0=v["alpha0"],
+        alpha1=v["alpha1"],
         m1=m1,
-        h=h,
         f_infinity=f_infinity,
         expansion=expansion,
         warnings=spectral.warnings,
@@ -456,10 +426,17 @@ def solve_rows(points: list[QueueParams], levels: dict | None = None
     return None, live, errors
 
 
+def _overflow_error(params: QueueParams, spectral: SpectralData):
+    """The NumericalError of row i (() on one point) that names its growth exponent."""
+    growth = spectral.theta.max(axis=-1) * params.k
+    return lambda i: NumericalError(
+        f"non-finite solution: growth exponent theta_max*k = {growth[i]:.1f} "
+        "(exp overflows past about 709)")
+
+
 def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
     """Raise ``NumericalError`` (per row) unless pi, b_c, F(inf) and every
-    mixture array are finite.  The usual cause is exp overflow in
-    ``h_chain`` once the growth exponent theta_max*k passes about 709."""
+    mixture array are finite."""
     batch = np.shape(b_c)
     arrays = [(a, 1) for a in (*pi_levels, f_infinity, mix.lower_rates, mix.lower_constant,
                                 mix.upper_rates, mix.upper_constant)]
@@ -469,9 +446,7 @@ def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
         (a if a.ndim == core + len(batch) else np.broadcast_to(a, batch + a.shape[-core:]))
         .reshape(batch + (-1,)) for a, core in arrays], axis=-1)
     fail(~(np.isfinite(b_c) & np.logical_and.reduce(np.isfinite(values), axis=-1)),
-         lambda i: NumericalError(
-             "non-finite solution: growth exponent theta_max*k = "
-             f"{(spectral.theta.max(axis=-1) * params.k)[i]:.1f} (exp overflows past about 709)"))
+         _overflow_error(params, spectral))
 
 
 def _nonnegative(x):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqt.model import QueueParams, validate_params
+from vqt.model import QueueParams, per_row, validate_params
 from vqt.solver import solve
 
 # Worked two-server case used throughout: k=0.45, lambda=2, mu1=0.75, mu2=1.12.
@@ -21,6 +21,12 @@ def two_server_solution(two_server_params):
 @pytest.fixture(scope="session")
 def three_server_solution():
     return solve(validate_params(3, 2.0, 0.8, 0.7, 5.0))
+
+
+def solvent_expm(roots: np.ndarray, vectors: np.ndarray, inverse: np.ndarray,
+                 x: float) -> np.ndarray:
+    """e^{U x} for the solvent U = inverse @ diag(roots) @ vectors."""
+    return inverse @ (np.exp(roots * per_row(x, 1))[..., None] * vectors)
 
 
 def _root_families(c, lam, mu1, mu2):

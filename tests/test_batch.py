@@ -143,13 +143,15 @@ def test_seeded_sweeps(c, name):
 
 
 def test_k_sweep_rows_get_their_own_growth_warnings_and_errors():
-    # past theta_max*k = 25 a row is flagged; near 184 the top level swamps
-    points = valid((3, 2.0, 0.3, 0.8, k) for k in np.linspace(0.5, 120.0, 12).tolist())
+    # past theta_max*k = 25 a row is flagged; past about 709 (k > 386 here)
+    # the growing terms of its mixture overflow at k
+    points = valid((3, 2.0, 0.3, 0.8, k) for k in np.linspace(0.5, 480.0, 12).tolist())
     solved, failed = check_rows(points)
     assert solved and failed
     sol, live, errors = solve_rows(points)
     assert len(set(sol.warnings)) > 1
-    assert all("swamps the top boundary level" in str(e) for e in errors.values())
+    assert sorted(errors) == [9, 10, 11]
+    assert all("exp overflows past about 709" in str(e) for e in errors.values())
 
 
 def test_degenerate_row_from_the_distinctness_check():

@@ -300,17 +300,32 @@ class TestBadInput:
         assert out == ""
         assert "NumericalError" in err and "theta_max*k" in err
 
+    GROWTH = ["--c", "8", "--lambda", "9.219533391614547", "--mu1", "2.732484510277274",
+              "--mu2", "2.2966611484135684", "--k", "23.467079576678415"]
+
     def test_top_level_singular_names_growth(self, capsys):
-        # h16 lifts the row scale of the top level's matrix past 2e15 long
-        # before exp overflows; the error says so
-        code, out, err = run(capsys, [
-            "solve", "--c", "8", "--lambda", "9.219533391614547", "--mu1", "2.732484510277274",
-            "--mu2", "2.2966611484135684", "--k", "23.467079576678415"])
-        assert code == 3
-        assert out == ""
-        assert err == ("Singular: pivot 2.437e+01 below 1e-14 of its row scale at column 0; "
-                       "growth exponent theta_max*k = 194.5 (past 25) swamps the top "
-                       "boundary level\n")
+        # theta_max*k = 194.5: the twenty-matrix route's top-level matrix
+        # failed its pivot test here (exit 3); the bordered system solves it
+        # to the multiprecision value of P(W <= 0.1)
+        code, out, err = run(capsys, ["solve", *self.GROWTH, "--grid-max", "0.2",
+                                      "--grid-points", "3", "--format", "json", "--verify"])
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["cdf"][1] == pytest.approx(0.993046485855, abs=1e-11)
+        assert max(payload["residuals"].values()) <= 1e-12
+        assert payload["warnings"] == [
+            "IllConditioned: growth exponent theta_max*k = 194.5 erodes threshold matching"]
+
+    def test_growth_input_validates(self, capsys):
+        # the same input against the simulator, on points below the CDF's
+        # saturated end
+        code, out, _ = run(capsys, ["validate", *self.GROWTH, "--events", "200000",
+                                    "--grid", "0,0.02,0.05,0.1,0.2"])
+        assert code == 0
+        z = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:6]]
+        z.append(float(out.split("z=")[1]))
+        assert max(map(abs, z)) <= 4.0
 
     @pytest.mark.parametrize("command", [
         ["solve", "--mean"],
@@ -370,18 +385,25 @@ class TestBadInput:
 
 class TestSweep:
     def test_roundoff_below_zero_p_wait_prints_0(self, capsys):
-        # the boundary mass rounds above 1 at c = 18 and 20: 1 - P(W = 0)
-        # is -2.2e-16 at c = 20, and prints as 0 as pi entries do in solve
+        # 1 - P(W = 0) falls below one ulp of 1 near c = 16: it rounds to 0.0
+        # at c = 18 and 20 here, and to -2.2e-16 at c = 18 and 20 with
+        # lambda = 0.3; both print as 0, as pi entries do in solve
         code, out, _ = run(capsys, [
             "sweep", "--c", "2", "--lambda", "0.9", "--mu1", "1.3", "--mu2", "0.7",
             "--k", "0.8", "--sweep", "c=2:20:10", "--metrics", "mean,p_wait,cdf@3",
         ])
         assert code == 0
         rows = {r[0]: r for r in (l.split(",") for l in out.strip().splitlines()[1:])}
-        assert 1.0 - solve(validate_params(20, 0.9, 1.3, 0.7, 0.8)).p_wait_zero < 0
         assert rows["20"][3] == "0" and rows["18"][3] == "0"
         assert all(float(r[3]) > 0 for c, r in rows.items() if int(c) <= 16)
         assert float(rows["20"][2]) > 0
+        code, out, _ = run(capsys, [
+            "sweep", "--c", "18", "--lambda", "0.3", "--mu1", "1.3", "--mu2", "0.7",
+            "--k", "0.8", "--sweep", "c=18:20:2", "--metrics", "p_wait"])
+        assert code == 0
+        for c in (18, 20):
+            assert 1.0 - solve(validate_params(c, 0.3, 1.3, 0.7, 0.8)).p_wait_zero < 0
+        assert out.strip().splitlines()[1:] == ["18,ok,0", "20,ok,0"]
 
     def test_degenerate_row_skipped_neighbors_ok(self, capsys):
         code, out, _ = run(capsys, [

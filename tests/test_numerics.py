@@ -8,8 +8,10 @@ from vqt import numerics
 from vqt.errors import Singular
 from vqt.model import build_matrices, validate_params
 from vqt.numerics import inv, lu_solve
-from vqt.solver import _expm, _moment
+from vqt.solver import _moment
 from vqt.spectral import _assemble_u, build_spectral
+
+from conftest import solvent_expm as _expm
 
 
 def expm_reference(a: np.ndarray) -> np.ndarray:
@@ -296,7 +298,8 @@ class TestExecutors:
 
 
 class TestMatFunc:
-    """The solvent exponential e^{Ux} = V^-1 diag(e^{roots x}) V (solver._expm)
+    """The solvent exponential e^{Ux} = V^-1 diag(e^{roots x}) V (the form of
+    e^{U1- k} and e^{-U1+ k} in solver._boundary)
     and the assembly of U itself (spectral._assemble_u)."""
 
     def test_identity_function_reconstructs(self):

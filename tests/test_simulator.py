@@ -62,6 +62,31 @@ class TestSimConfig:
             SimConfig(num_arrivals=100, warmup_fraction=1.0)
 
     @pytest.mark.parametrize("field, value", [
+        ("warmup_fraction", "0.1"),     # used to raise TypeError
+        ("warmup_fraction", None),
+        ("warmup_fraction", False),     # used to be taken as 0
+        ("grid", ("1",)),
+        ("grid", (0.5, True)),
+        ("grid", None),
+    ])
+    def test_rejects_non_real_fields(self, field, value):
+        with pytest.raises(ValueError, match="must be a real number|must be a sequence"):
+            SimConfig(**{"num_arrivals": 100, field: value})
+
+    def test_real_fields_stored_as_floats(self, two_server_params):
+        # a list grid used to be stored as a list, and the frozen config
+        # then failed to hash
+        cfg = SimConfig(num_arrivals=1000, warmup_fraction=np.float64(0.25), seed=3,
+                        grid=[np.float64(0.1), 1])
+        assert cfg.grid == (0.1, 1.0) and type(cfg.grid[1]) is float
+        assert type(cfg.warmup_fraction) is float
+        assert hash(cfg) == hash(SimConfig(num_arrivals=1000, warmup_fraction=0.25, seed=3,
+                                           grid=(0.1, 1.0)))
+        assert simulate_replicated(two_server_params, cfg) == simulate_replicated(
+            two_server_params, SimConfig(num_arrivals=1000, warmup_fraction=0.25, seed=3,
+                                         grid=(0.1, 1.0)))
+
+    @pytest.mark.parametrize("field, value", [
         ("num_arrivals", 1000.0),       # used to run the whole loop, then raise TypeError
         ("num_arrivals", True),         # used to simulate one arrival
         ("num_arrivals", np.float64(1000)),
