@@ -1,26 +1,28 @@
 """Minimal dense linear-algebra kernel.
 
-The solution pipeline needs three operations on small dense matrices: LU
-solves, the inverses of the unitriangular eigenvector bases by substitution,
-and the 1-norm condition of a basis.  Matrix functions need no kernel: every
-matrix exponential the pipeline forms is of a solvent V^-1 diag(roots) V whose
+The solution pipeline needs three operations on small dense matrices: the
+inverses of triangular matrices by LU (B1 and B2, the M0/M1/M2 arguments of
+the particular terms, the boundary recursion's level matrices), the inverses
+of the unitriangular eigenvector bases by substitution, and the 1-norm
+condition of a basis.  Matrix functions need no kernel: every matrix
+exponential the pipeline forms is of a solvent V^-1 diag(roots) V whose
 roots and bases are known in closed form (see ``spectral``).  Each operation
 also takes a stack (a leading axis), each matrix getting its own call's bits.
 
-The LU solve keeps its scaled pivot test everywhere, because that test is
-what rejects ill-conditioned inputs.  It eliminates the augmented matrix
-[A | B] and back-substitutes.  Upper-triangular inputs (B1, the M0 argument,
-the boundary recursion's level matrices) go to back substitution directly.
+inv keeps its scaled pivot test everywhere, because that test is what
+rejects ill-conditioned inputs.  It eliminates the augmented matrix [A | I]
+and back-substitutes.  Upper-triangular inputs (B1, the M0 argument, the
+boundary recursion's level matrices) go to back substitution directly.
 The solver's bordered boundary system is the one solve left to LAPACK: the
 scaled test rejects inputs there that solve clean.
 
 One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
 IEEE operation, so any executor that does the same operations in the same
-order returns the same bits.  Finite single systems of order n <=
+order returns the same bits.  Finite single matrices of order n <=
 _LIST_MAX_ORDER run on lists of Python floats (lu_factor), where the cost is
 a few list comprehensions instead of dozens of numpy calls on tiny arrays;
-larger systems, every input holding a NaN or an infinity, and stacks run on
+larger matrices, every input holding a NaN or an infinity, and stacks run on
 numpy arrays (_factor_stack), a stack with its axis moved last: every step
 then reads as for one matrix, while each matrix takes its own pivots, swaps
 and tests.  Non-finite
@@ -42,7 +44,6 @@ from .errors import RowErrors, Singular
 
 __all__ = [
     "lu_factor",
-    "lu_solve",
     "inv",
     "unitri_inv",
     "cond_1norm",
@@ -51,7 +52,7 @@ __all__ = [
 # Pivot threshold: relative to the max-norm of the matrix being factored.
 _PIVOT_TOL = 1e-14
 
-# Largest order whose finite LU solves run on Python floats.
+# Largest order whose finite inverses run on Python floats.
 _LIST_MAX_ORDER = 8
 
 
@@ -181,12 +182,9 @@ def _diagonal_errors(a: np.ndarray, row_scale=None) -> dict[int, Singular]:
 
 def _check_diagonal_pivots(a: np.ndarray) -> None:
     """Raise _diagonal_errors' Singular, or RowErrors for a stack (n, n, N)."""
-    _raise(_diagonal_errors(a), a.ndim == 3)
-
-
-def _raise(errors: dict[int, Singular], stack: bool) -> None:
+    errors = _diagonal_errors(a)
     if errors:
-        raise RowErrors(errors) if stack else errors[0]
+        raise RowErrors(errors) if a.ndim == 3 else errors[0]
 
 
 def _is_upper_rows(rows: list[list[float]]) -> bool:
@@ -218,77 +216,51 @@ def _back_substitute_rows(rows: list[list[float]]) -> list[list[float]]:
     return x
 
 
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by scaled partial-pivot LU; b may have several columns.
+def inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of a (n, n), or of each matrix of a stack (N, n, n).
 
-    The elimination of [a | b] (lu_factor on lists, _factor_stack on
-    arrays) leaves [U | L^-1 P b]; back substitution finishes.  A finite
-    upper-triangular a with a finite b skips the elimination and goes
-    straight to back substitution after its pivot tests.  Scaled partial pivoting keeps every pivot of such a matrix
-    on the diagonal, so the elimination would only subtract exact zero
-    products; a non-finite entry would turn 0 * inf into NaN there, so such
-    inputs keep the full path.  The lower-triangular inputs (B2, the M1 and
-    M2 arguments) are factored with pivoting: the scaled test can pick
-    another row there (B2 swaps rows at c = 7 with lam = 0.7c, mu1 = 0.8,
-    mu2 = 1).
+    The elimination of [a | I] (lu_factor on lists, _factor_stack on
+    arrays) leaves [U | L^-1 P]; back substitution finishes.  A finite
+    upper-triangular a skips the elimination and goes straight to back
+    substitution after its pivot tests: scaled partial pivoting keeps every
+    pivot of such a matrix on the diagonal, so the elimination would only
+    subtract exact zero products.  A non-finite entry would turn 0 * inf
+    into NaN there, so such inputs keep the full path.  The lower-triangular
+    inputs (B2, the M1 and M2 arguments) are factored with pivoting: the
+    scaled test can pick another row there (B2 swaps rows at c = 7 with
+    lam = 0.7c, mu1 = 0.8, mu2 = 1).
 
-    a and b may be stacks (N, n, n) and (N, n, m), one of them shared: each
-    system takes its own path and the failing ones raise RowErrors.  A 1-D b
-    is one right-hand side.  Finite single systems of order n <=
+    A stack takes the shortcut only if every matrix in it is finite and
+    upper triangular, and is eliminated whole otherwise; the failing
+    matrices raise RowErrors.  Finite single matrices of order n <=
     _LIST_MAX_ORDER take every step on Python floats, all others on numpy.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError("matrix must be square")
-    vector = b.ndim == 1
-    x = b[:, None] if vector else b
     n = a.shape[-1]
-    if a.ndim == x.ndim == 2:
-        if len(x) != n:
-            raise ValueError("right-hand side does not match the matrix")
-        if n <= _LIST_MAX_ORDER:
-            rows = [ra + rx for ra, rx in zip(a.tolist(), x.tolist())]
-            # A finite sum means finite entries; a sum that overflows only
-            # sends finite rows on to the numpy executor: the same bits.
-            if math.isfinite(sum(map(sum, rows))):
-                if _is_upper_rows(rows):
-                    _check_diagonal_rows(rows)
-                else:
-                    rows = lu_factor(rows)
-                x = np.array(_back_substitute_rows(rows))
-                return x[:, 0] if vector else x
-        ab = np.concatenate((a, x), axis=1)
-    else:
-        batch = np.broadcast_shapes(a.shape[:-2], x.shape[:-2])
-        ab = np.concatenate((np.broadcast_to(a, batch + a.shape[-2:]),
-                             np.broadcast_to(x, batch + x.shape[-2:])), -1)
+    if a.ndim == 2 and n <= _LIST_MAX_ORDER:
+        rows = [r + e for r, e in zip(a.tolist(), eye(n).tolist())]
+        # A finite sum means finite entries; a sum that overflows only
+        # sends finite rows on to the numpy executor: the same bits.
+        if math.isfinite(sum(map(sum, rows))):
+            if _is_upper_rows(rows):
+                _check_diagonal_rows(rows)
+            else:
+                rows = lu_factor(rows)
+            return np.array(_back_substitute_rows(rows))
+    ab = np.concatenate((a, np.broadcast_to(eye(n), a.shape)), -1)
+    if a.ndim == 3:
         ab = np.moveaxis(ab, 0, -1).copy()     # the stack axis last
-    full = (np.logical_or.reduce(ab[_strict_lower(n)], axis=0)
-            | ~np.logical_and.reduce(np.isfinite(ab).reshape((-1,) + ab.shape[2:]), axis=0))
-    if not np.count_nonzero(full):
-        errors = _diagonal_errors(ab[:, :n])
-    elif np.count_nonzero(full) == full.size:
+    if np.count_nonzero(ab[_strict_lower(n)]) or not np.isfinite(ab).all():
         errors = _factor_stack(ab, n)
-    else:                               # each matrix of the stack on its own path
-        upper, rows = np.flatnonzero(~full), np.flatnonzero(full)
-        sub = ab[..., rows]
-        errors = {int(rows[i]): e for i, e in _factor_stack(sub, n).items()}
-        ab[..., rows] = sub
-        errors.update((int(upper[i]), e) for i, e in _diagonal_errors(ab[:, :n, upper]).items())
-    _raise(errors, ab.ndim == 3)
+        if errors:
+            raise RowErrors(errors) if ab.ndim == 3 else errors[0]
+    else:
+        _check_diagonal_pivots(ab[:, :n])
     lu, x = ab[:, :n], ab[:, n:].copy()
     for j in range(n - 1, -1, -1):  # backward: U x = y
         x[j] /= lu[j, j]
         if j:
             x[:j] -= lu[:j, j, None] * x[j]
-    if ab.ndim == 3:
-        x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    return x[..., 0] if vector else x
-
-
-def inv(a: np.ndarray) -> np.ndarray:
-    return lu_solve(a, eye(a.shape[-1]))
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)) if ab.ndim == 3 else x
 
 
 def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:

@@ -237,6 +237,13 @@ def test_600_point_sweep_fails_as_its_own_solve():
     assert f"Singular: {single.value}\n" == err and round(lam, 4) == 2.9953
 
 
+def test_points_of_different_c_do_not_stack():
+    points = [validate_params(2, 1.4, 0.8, 1.0, 0.5), validate_params(3, 1.4, 0.8, 1.0, 0.5)]
+    for stack in (solver._stack, solve_rows):
+        with pytest.raises(ValueError, match="^a stack of points must share c$"):
+            stack(points)
+
+
 def test_stacked_lu_reports_each_singular_matrix():
     rng = np.random.default_rng(7)
     n = 5
@@ -248,11 +255,11 @@ def test_stacked_lu_reports_each_singular_matrix():
     stack = np.array([good[0], bad, good[3], zero])
     b = rng.normal(size=(4, n, 2))
     with pytest.raises(RowErrors) as got:
-        numerics.lu_solve(stack, b)
+        numerics.inv(stack)
     assert sorted(got.value.errors) == [1, 3]
     for i in (1, 3):
         with pytest.raises(Singular) as single:
-            numerics.lu_solve(stack[i], b[i])
+            numerics.inv(stack[i])
         assert str(got.value.errors[i]) == str(single.value)
     assert "at column" in str(got.value.errors[1])
     assert str(got.value.errors[3]) == "matrix has a zero row"
@@ -262,11 +269,11 @@ def test_stacked_lu_reports_each_singular_matrix():
     for i in (0, 2):
         packed = numerics.lu_factor(np.concatenate((stack[i], b[i]), axis=-1).tolist())
         same(ab[..., i], packed)
-    # and a stack of the good ones solves to each one's own bits
+    # and a stack of the good ones inverts to each one's own bits
     ok = stack[[0, 2]]
-    x = numerics.lu_solve(ok, b[[0, 2]])
+    x = numerics.inv(ok)
     for j, i in enumerate((0, 2)):
-        same(x[j], numerics.lu_solve(stack[i], b[i]))
+        same(x[j], numerics.inv(stack[i]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
@@ -275,16 +282,14 @@ def test_stacked_lu_matches_single_solves(n):
     kinds = [np.triu(rng.normal(size=(n, n))) + 3 * np.eye(n),
              np.tril(rng.normal(size=(n, n))) + 3 * np.eye(n),
              rng.normal(size=(n, n)) + n * np.eye(n)]
-    for stack in (np.array(kinds), np.array(kinds[:1] * 3)):
-        b = rng.normal(size=(len(stack), n, 3))
-        b[0, 0, 0] = -0.0
-        x = numerics.lu_solve(stack, b)
-        for i in range(len(stack)):
-            same(x[i], numerics.lu_solve(stack[i], b[i]))
-        # a shared matrix broadcasts against a stack of right-hand sides
-        x = numerics.lu_solve(stack[0], b)
-        for i in range(len(stack)):
-            same(x[i], numerics.lu_solve(stack[0], b[i]))
+    # a stack that is not all upper triangular is eliminated whole, an
+    # upper one goes to back substitution: each way, every matrix keeps the
+    # bits of its own inverse, signed zeros included (0 / a negative pivot)
+    for stack in (np.array(kinds), np.array(kinds[:1] * 3), np.array(kinds[1:] * 2)):
+        for sign in (1.0, -1.0):
+            x = numerics.inv(sign * stack)
+            for i in range(len(stack)):
+                same(x[i], numerics.inv(sign * stack[i]))
 
 
 def same_solution(got, want):

@@ -84,6 +84,19 @@ class TestSolve:
         assert "warning: IllConditioned" in err
         assert "IllConditioned" not in out
 
+    def test_csv_verify_lists_warnings(self, capsys):
+        # a warned solve: --verify appends one "# warning," line per warning
+        # of the report, after its residual lines
+        argv = ["--c", "8", "--lambda", "9.219533391614547", "--mu1", "2.732484510277274",
+                "--mu2", "2.2966611484135684", "--k", "23.467079576678415"]
+        code, out, _ = run(capsys, ["solve", *argv, "--grid-points", "3", "--verify"])
+        assert code == 0
+        report = verify_solution(solve(validate_params(8, *map(float, argv[3::2]))), rng=0)
+        assert report.warnings
+        tail = out.splitlines()[-len(report.residuals) - len(report.warnings):]
+        assert tail == ([f"# residual,{name},{cli._fmt(v)}" for name, v in report.residuals.items()]
+                        + [f"# warning,{w}" for w in report.warnings])
+
     def test_csv_reemission_idempotent(self, capsys):
         _, out, _ = run(capsys, GOLDEN + ["--grid-points", "9"])
         lines = out.strip().splitlines()
@@ -233,6 +246,23 @@ class TestValidate:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_equal_rate_input_compares_with_erlang_c(self, capsys):
+        # mu1 == mu2 routes to the Erlang C law: its CDF and mean are the
+        # analytic column
+        code, out, err = run(capsys, [
+            "validate", "--c", "4", "--lambda", "3", "--mu1", "1", "--mu2", "1",
+            "--k", "0.5", "--events", "60000", "--replications", "2", "--seed", "4",
+            "--grid", "0,0.5,1,2"])
+        assert (code, err) == (0, "")
+        ref = erlang_c(inspect_params(4, 3.0, 1.0, 1.0, 0.5))
+        lines = out.splitlines()
+        assert lines[0] == "x,analytic_cdf,sim_cdf,half_width,z"
+        rows = [line.split(",") for line in lines[1:5]]
+        assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0, 2.0]
+        assert [r[1] for r in rows] == [cli._fmt(ref.cdf(x)) for x in (0.0, 0.5, 1.0, 2.0)]
+        assert lines[5].startswith(f"# mean analytic={cli._fmt(ref.mean())} ")
+        assert len(lines) == 6
+
 
 class TestBadInput:
     MODEL = ["--c", "2", "--lambda", "1.4", "--mu1", "0.8", "--mu2", "1", "--k", "0.5"]
@@ -270,7 +300,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("spec", [
         "c=nan:5:3", "c=inf:5:3", "k=inf:1:3", "k=0.5:-inf:3", "lambda=0.5:1:0",
-        "lambda=0.5:1:-2", "c=1.5:2.5:3",
+        "lambda=0.5:1:-2", "c=1.5:2.5:3", "lambda", "lambda=0.5:1",
     ])
     def test_sweep_range_rejected_before_solving(self, capsys, monkeypatch, spec):
         def no_solve(*args):
@@ -289,6 +319,16 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert err == "ValidationError: grid-max must be finite\n"
+
+    @pytest.mark.parametrize("option, message", [
+        (["--grid-points", "1"], "grid needs at least 2 points"),
+        (["--grid-points", "0"], "grid needs at least 2 points"),
+        (["--grid-max", "0"], "grid-max must be > 0"),
+        (["--grid-max", "-2"], "grid-max must be > 0"),
+    ])
+    def test_solve_grid_rejected(self, capsys, option, message):
+        code, out, err = run(capsys, ["solve", *self.MODEL, *option])
+        assert (code, out, err) == (2, "", f"ValidationError: {message}\n")
 
     @pytest.mark.parametrize("command", [
         ["solve", "--mean", "--grid-points", "3"],

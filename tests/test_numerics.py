@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from vqt import numerics
 from vqt.errors import Singular
 from vqt.model import build_matrices, validate_params
-from vqt.numerics import inv, lu_solve
+from vqt.numerics import inv
 from vqt.solver import _moment
 from vqt.spectral import _assemble_u, build_spectral
 
@@ -39,43 +39,37 @@ def eigen_system(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class TestLuSolve:
+    """inv: the LU solve of a against the identity."""
+
     def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(lu_solve(np.eye(2), b), b)
+        assert np.array_equal(inv(np.eye(2)), np.eye(2))
 
     def test_diagonal(self):
-        x = lu_solve(np.diag([2.0, 4.0]), np.array([[1.0], [1.0]]))
-        assert np.allclose(x, [[0.5], [0.25]], rtol=0, atol=0)
+        x = inv(np.diag([2.0, 4.0]))
+        assert np.allclose(x, np.diag([0.5, 0.25]), rtol=0, atol=0)
 
     def test_random_8x8_residual(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(8, 8)) + 8 * np.eye(8)
-        b = rng.normal(size=(8, 3))
-        x = lu_solve(a, b)
-        assert np.abs(a @ x - b).max() <= 1e-10 * np.abs(b).max()
+        x = inv(a)
+        assert np.abs(a @ x - np.eye(8)).max() <= 1e-10
 
     def test_singular_raises(self):
         with pytest.raises(Singular):
-            lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
-
-    def test_vector_rhs_shape(self):
-        a = np.array([[2.0, 1.0], [0.0, 3.0]])
-        x = lu_solve(a, np.array([1.0, 3.0]))
-        assert x.shape == (2,)
-        assert np.allclose(a @ x, [1.0, 3.0])
+            inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, n, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, n)) + n * np.eye(n)
-        b = rng.normal(size=(n, n))
-        assert np.abs(a @ lu_solve(a, b) - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+        assert np.abs(a @ inv(a) - np.eye(n)).max() <= 1e-9
 
 
 def reference_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-oriented LU with scaled partial pivoting, then forward and back
-    substitution, for every input: the path lu_solve takes for full ones."""
+    substitution, for every input: the path inv(a) takes for full ones, with
+    b = I."""
     a = np.array(a, dtype=float)
     n = len(a)
     row_scale = np.abs(a).max(axis=1)
@@ -126,12 +120,9 @@ class TestUpperTriangularShortcut:
     def test_bit_identical_to_pivoted_path(self, n):
         rng = np.random.default_rng(100 + n)
         a = graded_upper(rng, n)
-        for b in (rng.normal(size=n), rng.normal(size=(n, 1)),
-                  rng.normal(size=(n, 3)), np.eye(n)):
-            got = lu_solve(a, b)
-            assert got.shape == b.shape
-            assert np.array_equal(got, reference_lu_solve(a, b))
-        assert np.array_equal(inv(a), reference_lu_solve(a, np.eye(n)))
+        got = inv(a)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, reference_lu_solve(a, np.eye(n)))
 
     @pytest.mark.parametrize("column", [0, 2, 4])
     def test_small_diagonal_pivot_raises_reference_message(self, column):
@@ -139,7 +130,7 @@ class TestUpperTriangularShortcut:
         a[column, column] = 1e-15 * np.abs(a[column]).max()
         a[5, 5] = 0.0                           # a later failing column
         with pytest.raises(Singular) as got:
-            lu_solve(a, np.eye(7))
+            inv(a)
         assert str(got.value) == reference_error(a)
         assert f"at column {min(column, 5)}" in str(got.value)
 
@@ -147,7 +138,7 @@ class TestUpperTriangularShortcut:
         a = graded_upper(np.random.default_rng(1), 5)
         a[2] = 0.0
         with pytest.raises(Singular, match="zero row") as got:
-            lu_solve(a, np.ones(5))
+            inv(a)
         assert str(got.value) == reference_error(a)
 
     def test_only_non_upper_inputs_reach_lu_factor(self, monkeypatch):
@@ -162,13 +153,15 @@ class TestUpperTriangularShortcut:
             with pytest.raises(AssertionError, match="lu_factor called"):
                 inv(other)
 
-    def test_non_finite_right_hand_side_takes_pivoted_path(self):
-        # 0 * inf in the forward pass makes NaN below an infinite entry; the
-        # short-cut must not skip that
+    def test_non_finite_upper_input_takes_pivoted_path(self):
+        # 0 * NaN in the elimination makes NaN below a NaN entry, where back
+        # substitution alone keeps it in its row; the short-cut must not
+        # skip that, though the matrix is upper triangular
         a = graded_upper(np.random.default_rng(4), 4)
-        b = np.array([np.inf, 1.0, 2.0, 3.0])
+        a[0, 3] = np.nan
         with np.errstate(invalid="ignore"):
-            got, ref = lu_solve(a, b), reference_lu_solve(a, b)
+            got, ref = inv(a), reference_lu_solve(a, np.eye(4))
+        assert np.isnan(ref[1:]).any()
         assert np.array_equal(got, ref, equal_nan=True)
 
 
@@ -205,31 +198,31 @@ def graded(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     return a * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
 
 
-def right_hand_sides(rng: np.random.Generator, n: int) -> tuple:
-    return (rng.normal(size=n), rng.normal(size=(n, 1)),
-            rng.normal(size=(n, 3)), np.eye(n))
-
-
 @pytest.fixture(params=["list", "numpy"])
 def executor(request, monkeypatch):
-    """Send every finite system of order <= _LIST_MAX_ORDER to one executor."""
+    """Send every finite matrix of order <= _LIST_MAX_ORDER to one executor."""
     if request.param == "numpy":
         monkeypatch.setattr(numerics, "_LIST_MAX_ORDER", 0)
     return request.param
 
 
-def outcome(solve, a, b):
-    """The bytes and shape of the solution, or the exception's type and text."""
-    try:
-        with np.errstate(all="ignore"):
-            x = solve(a, b)
-    except Singular as exc:
-        return type(exc), str(exc)
-    return x.shape, x.tobytes()
+def outcome(a):
+    """The bytes and shape of inv(a) and of the reference inverse, or the
+    exception's type and text."""
+    got = []
+    for solve in (inv, lambda a: reference_lu_solve(a, np.eye(len(a)))):
+        try:
+            with np.errstate(all="ignore"):
+                x = solve(a)
+        except Singular as exc:
+            got.append((type(exc), str(exc)))
+        else:
+            got.append((x.shape, x.tobytes()))
+    return got
 
 
 class TestExecutors:
-    """Systems of order <= _LIST_MAX_ORDER run on Python floats, larger ones
+    """Matrices of order <= _LIST_MAX_ORDER run on Python floats, larger ones
     on numpy arrays; both must give reference_lu_solve's bits."""
 
     @pytest.mark.parametrize("n", range(1, N0 + 3))
@@ -237,26 +230,32 @@ class TestExecutors:
     def test_bytes_match_reference(self, executor, n, kind):
         rng = np.random.default_rng(1000 * n + len(kind))
         a = graded(rng, n, kind)
-        for b in right_hand_sides(rng, n):
-            got = lu_solve(a, b)
-            assert got.shape == b.shape
-            assert got.tobytes() == reference_lu_solve(a, b).tobytes()
-        assert inv(a).tobytes() == reference_lu_solve(a, np.eye(n)).tobytes()
+        got = inv(a)
+        assert got.shape == (n, n)
+        assert got.tobytes() == reference_lu_solve(a, np.eye(n)).tobytes()
 
     def test_zero_multiplier_updates_keep_signed_zeros(self, executor):
         # row 1 has multiplier 0 at column 0, yet -0.0 - 0 * (-1.0) = +0.0:
-        # skipping zero-multiplier updates would return x[1] = -0.0
-        a = np.array([[4.0, 1.0, 1.0], [0.0, 3.0, 0.0], [1.0, 1.0, 5.0]])
-        b = np.array([-1.0, -0.0, 2.0])
-        got = lu_solve(a, b)
-        assert got[1] == 0.0 and not np.signbit(got[1])
-        assert got.tobytes() == reference_lu_solve(a, b).tobytes()
+        # skipping zero-multiplier updates would leave u_12 = -0.0
+        a = np.array([[4.0, 1.0, -1.0], [0.0, -3.0, -0.0], [1.0, 1.0, 5.0]])
+        ab = np.hstack((a, np.eye(3)))
+        if executor == "list":
+            packed = np.array(numerics.lu_factor(ab.tolist()))
+        else:
+            assert numerics._factor_stack(ab, 3) == {}
+            packed = ab
+        assert packed[1, 2] == 0.0 and not np.signbit(packed[1, 2])
+        assert packed.tobytes() == np.hstack(reference_lu_factor(a, np.eye(3))).tobytes()
+        # the inverse keeps the reference's signed zeros: x_10 = +0.0 / -3
+        got = inv(a)
+        assert got[1, 0] == 0.0 and np.signbit(got[1, 0])
+        assert got.tobytes() == reference_lu_solve(a, np.eye(3)).tobytes()
 
     def test_zero_row_message(self, executor):
         a = graded(np.random.default_rng(11), 6, "full")
         a[3] = 0.0
         with pytest.raises(Singular, match="zero row") as got:
-            lu_solve(a, np.ones(6))
+            inv(a)
         assert str(got.value) == reference_error(a)
 
     @pytest.mark.parametrize("column, swap",
@@ -267,20 +266,21 @@ class TestExecutors:
         if swap:
             a[[0, 1]] = a[[1, 0]]       # column 0 swaps them back first
         with pytest.raises(Singular) as got:
-            lu_solve(a, np.eye(7))
+            inv(a)
         assert str(got.value) == reference_error(a)
         assert f"at column {column}" in str(got.value)
 
-    @pytest.mark.parametrize("where", ["a", "b"])
+    # the non-finite entry sits in a: inv's right-hand side is always I
+    @pytest.mark.parametrize("where", ["a"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["upper", "lower", "full"])
     def test_non_finite_input_matches_reference(self, where, value, kind):
         rng = np.random.default_rng(5)
         for n in (1, 3, N0):
             a = graded(rng, n, kind)
-            b = rng.normal(size=(n, 2))
-            (a if where == "a" else b)[n // 2, 0] = value
-            assert outcome(lu_solve, a, b) == outcome(reference_lu_solve, a, b)
+            a[n // 2, 0] = value
+            got, ref = outcome(a)
+            assert got == ref
 
     @pytest.mark.parametrize("n", [1, 4, N0, N0 + 2])
     @pytest.mark.parametrize("kind", ["lower", "full"])

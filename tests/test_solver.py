@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vqt import numerics
+from vqt import model, numerics, solver
 from vqt.errors import NumericalError, RowErrors, Singular, VqtError
 from vqt.model import build_matrices, per_row, tilde_q, validate_params
-from vqt.numerics import cond_1norm, inv, lu_solve
+from vqt.numerics import cond_1norm, inv
 from vqt.reference import erlang_c_prob
 from vqt.solver import (
     StationarySolution,
@@ -29,6 +29,7 @@ from vqt.solver import (
 from vqt.spectral import build_spectral
 
 from conftest import random_stable_params, solvent_expm as _expm
+from test_numerics import reference_lu_solve
 
 GOLDEN_TOL = 5e-5
 
@@ -50,6 +51,13 @@ class AuxChain:
     h9: np.ndarray; h10: np.ndarray; h11: np.ndarray; h12: np.ndarray
     h13: np.ndarray; h14: np.ndarray; h15: np.ndarray; h16: np.ndarray
     h19: np.ndarray; h20: np.ndarray; dm2: np.ndarray; du_inv: np.ndarray
+
+
+def _reference_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """reference_lu_solve, one matrix of a stack at a time."""
+    if a.ndim == 2:
+        return reference_lu_solve(a, b)
+    return np.array([reference_lu_solve(*ab) for ab in zip(a, b)])
 
 
 def reference_h_chain(
@@ -77,7 +85,7 @@ def reference_h_chain(
     # right-hand sides side by side (back substitution, or the elimination
     # of an upper-triangular du, treats each column on its own)
     rhs = [e_plus - e_minus, u1p @ e_plus - u1m_e_minus, np.broadcast_to(eye, e_plus.shape)]
-    blocks = lu_solve(u1p - u1m, np.concatenate(rhs, -1))
+    blocks = _reference_solve(u1p - u1m, np.concatenate(rhs, -1))
     h1, h5, du_inv = blocks[..., :c], blocks[..., c:2 * c], blocks[..., 2 * c:]
     h2 = m0 @ (eye - e_minus + u1m @ h1)
     h3 = h1 + d1 @ h2
@@ -101,7 +109,7 @@ def reference_h_chain(
     # negative.  Only products of the pair are observable.
     core = h7 - h7 @ h9 - h3 @ h12 + h13
     h15 = -u2m @ inv(core)
-    h16 = (h14 + h4 @ h12 - h8 + h8 @ h9) @ lu_solve(u2m, -h15)
+    h16 = (h14 + h4 @ h12 - h8 + h8 @ h9) @ _reference_solve(u2m, -h15)
 
     h17 = d2 @ m1 - lam * h3 @ (bridge - b2) @ m1
     h18 = lam * bridge @ m1 + lam * h4 @ (bridge - b2) @ m1
@@ -297,7 +305,7 @@ class TestHChain:
 class TestSolve:
     @pytest.mark.parametrize("c, lu_solves, lu_factors", [(3, 6, 3), (8, 11, 3), (16, 19, 0)])
     def test_lu_calls_per_solve(self, monkeypatch, c, lu_solves, lu_factors):
-        # the boundary conditions take one LAPACK solve and no lu_solve,
+        # the boundary conditions take one LAPACK solve and no inv,
         # and psi is built for the c decaying beta roots only
         calls = Counter()
 
@@ -309,10 +317,12 @@ class TestSolve:
                 return f(*args)
             return call
 
-        monkeypatch.setattr(numerics, "lu_solve", counted("lu_solve"))
+        counted_inv = counted("inv")
+        for module in (model, solver):      # where inv is bound and called
+            monkeypatch.setattr(module, "inv", counted_inv)
         monkeypatch.setattr(numerics, "lu_factor", counted("lu_factor"))
         s = solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5))
-        assert (calls["lu_solve"], calls["lu_factor"]) == (lu_solves, lu_factors)
+        assert (calls["inv"], calls["lu_factor"]) == (lu_solves, lu_factors)
         assert s.spectral.psi.shape[-2] == c
 
     def test_worked_example_golden_values(self, two_server_solution):
@@ -832,6 +842,42 @@ class TestVerifyMatchesReference:
         verify_solution(two_server_solution, rng=a)
         reference_verify(two_server_solution, rng=b)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+# the c = 8 growth input: theta_max*k = 194.5, so it carries the growth warning
+GROWTH_INPUT = (8, 9.219533391614547, 2.732484510277274, 2.2966611484135684, 23.467079576678415)
+
+
+class TestSolutionMethods:
+    """The methods of StationarySolution give their module function's bits."""
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x).tobytes()
+
+    @pytest.mark.parametrize("args", [(2, 2.0, 0.75, 1.12, 0.45), GROWTH_INPUT])
+    def test_methods_equal_module_functions(self, args):
+        s = solve(validate_params(*args))
+        k = s.params.k
+        for x in (0.0, 0.3 * k, k, 2.5 * k, np.linspace(0.0, 3.0 * k, 7)):
+            for got, want in zip(s.cdf(x), eval_cdf(s, x), strict=True):
+                assert self._bits(got) == self._bits(want)
+            assert self._bits(s.density(x)) == self._bits(eval_density(s, x))
+        assert self._bits(s.mean()) == self._bits(mean_wait(s))
+        for rng in (0, 7):
+            got, want = s.verify(rng=rng), verify_solution(s, rng=rng)
+            assert got.warnings == want.warnings
+            assert list(got.residuals) == list(want.residuals)
+            assert [self._bits(v) for v in got.residuals.values()] == \
+                   [self._bits(v) for v in want.residuals.values()]
+
+    def test_report_text(self):
+        rep = verify_solution(solve(validate_params(*GROWTH_INPUT)), rng=0)
+        assert rep.warnings
+        lines = str(rep).splitlines()
+        assert lines == ([f"{name:32s} {value:.3e}" for name, value in rep.residuals.items()]
+                         + list(rep.warnings))
+        assert lines[0].startswith("con1_F0 ") and len(lines[0].split()) == 2
 
 
 class TestBalanceResidual:
