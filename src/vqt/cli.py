@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -44,7 +43,7 @@ from .model import inspect_params, validate_params
 from .reference import erlang_c
 from .simulator import SimConfig, simulate_replicated
 
-__all__ = ["main", "run_solve", "run_validate", "run_sweep", "GridSpec"]
+__all__ = ["main", "run_solve", "run_validate", "run_sweep"]
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -122,32 +121,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@dataclass(frozen=True)
-class GridSpec:
+def _grid(x_max: float, points: int, spacing: str, k: float) -> np.ndarray:
     """Evaluation grid on [0, x_max]; the threshold k is injected as an exact
     point only when k <= x_max, so the grid never runs past x_max."""
-
-    x_max: float
-    points: int
-    spacing: str = "linear"
-
-    def build(self, k: float) -> np.ndarray:
-        if self.points < 2:
-            raise ValidationError("grid needs at least 2 points")
-        if not math.isfinite(self.x_max):
-            raise ValidationError("grid-max must be finite")
-        if self.x_max <= 0:
-            raise ValidationError("grid-max must be > 0")
-        if self.spacing == "linear":
-            grid = np.linspace(0.0, self.x_max, self.points)
-        else:
-            grid = np.geomspace(self.x_max * 1e-3, self.x_max, self.points)
-        if k <= self.x_max:
-            grid = np.unique(np.concatenate([grid, [k]]))
-            # drop near-duplicates of the injected threshold point
-            keep = (np.abs(grid - k) > 1e-12 * max(k, 1.0)) | (grid == k)
-            grid = grid[keep]
-        return grid
+    if points < 2:
+        raise ValidationError("grid needs at least 2 points")
+    if not math.isfinite(x_max):
+        raise ValidationError("grid-max must be finite")
+    if x_max <= 0:
+        raise ValidationError("grid-max must be > 0")
+    if spacing == "linear":
+        grid = np.linspace(0.0, x_max, points)
+    else:
+        grid = np.geomspace(x_max * 1e-3, x_max, points)
+    if k <= x_max:
+        grid = np.unique(np.concatenate([grid, [k]]))
+        # drop near-duplicates of the injected threshold point
+        keep = (np.abs(grid - k) > 1e-12 * max(k, 1.0)) | (grid == k)
+        grid = grid[keep]
+    return grid
 
 
 def _solve_or_route(c: int, lam: float, mu1: float, mu2: float,
@@ -223,9 +215,9 @@ def _float_array(a: np.ndarray, depth: int) -> str:
 
 
 def _shown(p):
-    """A probability as printed: roundoff in (-1e-8, 0) as 0, anything
-    lower kept visible; per row of an array."""
-    return np.where((p > -1e-8) & (p < 0.0), 0.0, p)[()]
+    """A probability as printed: roundoff in (-solver.PI_FLOOR, 0) as 0,
+    anything lower kept visible; per row of an array."""
+    return np.where((p > -solver.PI_FLOOR) & (p < 0.0), 0.0, p)[()]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -237,13 +229,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def run_solve(args) -> int:
+    # Parameters, then the grid (its default end is 10 k), before any solve.
+    inspect_params(args.c, args.lam, args.mu1, args.mu2, args.k)
+    grid = _grid(10.0 * args.k if args.grid_max is None else args.grid_max,
+                 args.grid_points, args.spacing, args.k)
     sol, model = _solve_or_route(args.c, args.lam, args.mu1, args.mu2, args.k)
-    spec = GridSpec(
-        x_max=10.0 * args.k if args.grid_max is None else args.grid_max,
-        points=args.grid_points,
-        spacing=args.spacing,
-    )
-    grid = spec.build(args.k)
 
     if model == "erlang_c":
         comps = None

@@ -42,7 +42,9 @@ class NumericalError(VqtError):
 
 
 class Singular(NumericalError):
-    """A pivot fell below the singularity threshold during elimination."""
+    """A pivot fell below the singularity threshold during elimination
+    (``numerics``), or LAPACK found the bordered boundary system exactly
+    singular (``solver._row_solve``)."""
 
 
 class NullSpaceDimension(NumericalError):

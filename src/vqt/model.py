@@ -62,10 +62,6 @@ class QueueParams:
     def scale(self) -> float:
         return np.maximum(np.maximum(self.lam, self.c * self.mu1), self.c * self.mu2)
 
-    def aggregate_rate(self, i: int, j: int) -> float:
-        """Total departure intensity with i class-1 and j class-2 services."""
-        return i * self.mu1 + j * self.mu2
-
 
 def _check_positive(c: int, lam: float, mu1: float, mu2: float, k: float) -> None:
     if int(c) != c or c < 1:
@@ -145,7 +141,6 @@ class ModelMatrices:
 
     c: int
     mu1: float
-    mu2: float
     b1: np.ndarray
     b2: np.ndarray
     delta: tuple[np.ndarray, ...]
@@ -155,7 +150,6 @@ class ModelMatrices:
     d_tilde_2_inv: np.ndarray
     b_hat: tuple[np.ndarray, ...]
     b1_inv: np.ndarray
-    b2_inv: np.ndarray
 
 
 @cache
@@ -186,7 +180,6 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
     return ModelMatrices(
         c=c,
         mu1=params.mu1,
-        mu2=params.mu2,
         b1=b1,
         b2=b2,
         delta=delta,
@@ -196,28 +189,20 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
         d_tilde_2_inv=d_tilde_2_inv,
         b_hat=b_hat,
         b1_inv=b1_inv,
-        b2_inv=b2_inv,
     )
 
 
-def tilde_q(kappa: int, x, m: ModelMatrices) -> np.ndarray:
-    """exp(-D_tilde_kappa * x) for x >= 0: shape (c, c) for a scalar x,
-    (N, c, c) for an (N,) array of points.
+def tilde_q(x, m: ModelMatrices) -> np.ndarray:
+    """exp(-D_tilde_1 * x) for x >= 0, the jump kernel below the threshold:
+    shape (c, c) for a scalar x, (N, c, c) for an (N,) array of points.
 
     Computed exactly through the defining conjugation: since
-    D_tilde_k = mu_k I + B_k^{-1} Delta_{c-1} B_k, the exponential is
-    e^{-mu_k x} B_k^{-1} exp(-Delta_{c-1} x) B_k with a purely diagonal
+    D_tilde_1 = mu1 I + B1^{-1} Delta_{c-1} B1, the exponential is
+    e^{-mu1 x} B1^{-1} exp(-Delta_{c-1} x) B1 with a purely diagonal
     inner exponential.  No eigensolve, so near-equal rates cost nothing.
     """
     x = np.asarray(x, dtype=float)[..., None]
     if not (x >= 0).all():
         raise ValueError("x must be >= 0")
-    if kappa == 1:
-        b, b_inv, mu = m.b1, m.b1_inv, m.mu1
-    elif kappa == 2:
-        b, b_inv, mu = m.b2, m.b2_inv, m.mu2
-    else:
-        raise ValueError("kappa must be 1 or 2")
     core = np.exp(-np.diag(m.delta[m.c - 1]) * x)
-    return np.exp(-mu * x)[..., None] * (b_inv @ (core[..., None] * b))
-
+    return np.exp(-m.mu1 * x)[..., None] * (m.b1_inv @ (core[..., None] * m.b1))

@@ -19,6 +19,7 @@ from the recorded start epochs in numpy after the loop.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import numbers
@@ -314,14 +315,6 @@ def simulate_replicated(params: QueueParams, config: SimConfig) -> SimEstimate:
     """Independent replications with seeds from the splitmix64 stream of the
     base seed; estimates pooled by ``pool_estimates``."""
     seeds = [int(s) for s in splitmix64(config.seed, config.replications)]
-    runs = [
-        simulate(params, SimConfig(
-            num_arrivals=config.num_arrivals,
-            warmup_fraction=config.warmup_fraction,
-            seed=s,
-            grid=config.grid,
-            replications=1,
-        ))
-        for s in seeds
-    ]
+    runs = [simulate(params, dataclasses.replace(config, seed=s, replications=1))
+            for s in seeds]
     return pool_estimates(runs, config.seed)

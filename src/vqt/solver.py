@@ -68,6 +68,11 @@ def particular_matrices(
     return m0, m1, m2
 
 
+# A boundary probability below -PI_FLOOR means the pipeline broke down
+# (NegativeProbability); one in (-PI_FLOOR, 0) is roundoff, which the CLI
+# prints as 0.
+PI_FLOOR = 1e-8
+
 # log of the largest float: past this theta_max*k, e^{theta_max k} overflows
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -232,6 +237,10 @@ class StationarySolution:
     warnings: tuple[str, ...] = ()
 
     def pi(self, i: int, j: int):
+        """pi(i, j), the probability of no wait with i class-1 and j class-2
+        services in progress (a value per row on a stack)."""
+        if not (i >= 0 and j >= 0 and i + j < self.params.c):
+            raise IndexError(f"pi({i}, {j}) needs i, j >= 0 and i + j < c = {self.params.c}")
         level = self.pi_levels[i + j]
         return float(level[i]) if level.ndim == 1 else level[:, i]
 
@@ -366,7 +375,9 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     for level in pi_levels[1:]:     # min's order: a NaN floor stays
         low = np.minimum.reduce(level, axis=-1)
         floor = np.where(low < floor, low, floor)
-    fail(floor < -1e-8, lambda i: NegativeProbability(f"pi entry {floor[i]:.3e} below -1e-8"))
+    fail(floor < -PI_FLOOR, lambda i: NegativeProbability(
+        f"pi entry {floor[i]:.3e} below "
+        + np.format_float_scientific(-PI_FLOOR, exp_digits=1, trim="-")))
 
     x = b_c1 * x
     v = terms(x[..., None, :c], x[..., None, c:])
@@ -606,7 +617,7 @@ def _integro_residual(sol: StationarySolution, xs: np.ndarray, f: np.ndarray,
     m, lam = sol.matrices, sol.params.lam
     pi_top = sol.pi_levels[-1]
     rhs = (lam * f - lam * _lower_convolution(sol, xs) + sol.f_prime_0
-           - lam * pi_top @ m.b1 @ (eye(sol.params.c) - tilde_q(1, xs, m))
+           - lam * pi_top @ m.b1 @ (eye(sol.params.c) - tilde_q(xs, m))
            @ m.d_tilde_1_inv)
     return _max_abs(f_prime - rhs)
 

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import Degenerate, ILL_CONDITIONED, NullSpaceDimension, fail
-from .model import ModelMatrices, QueueParams, per_row
+from .model import EPS_DEG, ModelMatrices, QueueParams, per_row
 from .numerics import cond_1norm, eye, unitri_inv, vec_dot
 
 __all__ = [
@@ -120,7 +120,7 @@ def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple
         + eye(2 * c) * per_row(params.scale, 3)
     low = np.minimum.reduce(gaps, axis=(-2, -1))
     for k, label in enumerate(("theta", "beta")):
-        fail(low[..., k] <= 1e-9 * params.scale, lambda i: Degenerate(
+        fail(low[..., k] <= EPS_DEG * params.scale, lambda i: Degenerate(
             f"{label} eigenvalue collision (gap {low[..., k][i]:.3e})"))
     theta, beta = roots[..., 0, :], roots[..., 1, :]
     return ((theta, _left_null_vectors(theta, params.lam, matrices.d_tilde_1, matrices.b1,
@@ -146,14 +146,14 @@ def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.n
     """Right null vectors of (B1 - D_tilde_1) and (B2 - D_tilde_2).
 
     Both matrices are triangular with exactly one zero diagonal entry under
-    non-degeneracy, tested against 1e-9 scale (relative, as the collision
+    non-degeneracy, tested against EPS_DEG * scale (relative, as the collision
     check) with the caller's scale; the vectors come out by substitution and
     are normalized to unit max-norm.
     """
     c = matrices.c
     y1 = matrices.b1 - matrices.d_tilde_1        # upper, zero at (c-1, c-1)
     y2 = matrices.b2 - matrices.d_tilde_2        # lower, zero at (0, 0)
-    tol = 1e-9 * scale
+    tol = EPS_DEG * scale
     for y, pos in ((y1, c - 1), (y2, 0)):
         diag = np.abs(y.diagonal(axis1=-2, axis2=-1))
         second = np.partition(diag, 1, axis=-1)[..., 1] if c > 1 else np.inf

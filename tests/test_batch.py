@@ -120,6 +120,17 @@ def test_verify_solution_takes_one_point():
     assert verify_solution(solve(points[0]), rng=0).max_residual < 1e-8
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_pi_index_out_of_range_raises(stacked):
+    # pi(i, j) is entry i of level i + j, where a negative i would count from the end
+    points = [validate_params(3, lam, 0.75, 1.12, 0.45) for lam in (0.5, 1.0, 2.0)]
+    sol = solve_rows(points)[0] if stacked else solve(points[-1])
+    for i, j in ((-1, 1), (-1, 2), (1, -1), (0, 3), (2, 1)):
+        with pytest.raises(IndexError, match=rf"^pi\({i}, {j}\) needs i, j >= 0"):
+            sol.pi(i, j)
+    assert np.array_equal(sol.pi(1, 1), sol.pi_levels[2][..., 1])
+
+
 @pytest.mark.parametrize("mu1", [0.3, 0.6, 0.9])
 def test_paper_lambda_sweeps(mu1):
     points = valid((3, lam, mu1, 0.8, 5.0) for lam in np.linspace(0.2, 2.3, 40).tolist())

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import vqt
 from vqt import cli, solver
-from vqt.cli import GridSpec, _json, build_parser, main
+from vqt.cli import _grid, _json, build_parser, main
 from vqt.model import inspect_params, validate_params
 from vqt.reference import erlang_c
 from vqt.solver import eval_cdf, eval_density, solve, verify_solution
@@ -52,7 +52,7 @@ class TestSolve:
         xs = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
         assert xs == [0.0, 0.5, 1.0]
         for spacing in ("linear", "log"):
-            grid = GridSpec(x_max=1.0, points=5, spacing=spacing).build(5.0)
+            grid = _grid(1.0, 5, spacing, 5.0)
             assert len(grid) == 5 and grid.max() == 1.0
 
     def test_erlang_routing_header(self, capsys):
@@ -136,7 +136,7 @@ class TestSolve:
         argv = ["solve", "--c", str(c), "--lambda", str(lam), "--mu1", "0.8",
                 "--mu2", "1", "--k", "0.5", "--mean", "--mixture"]
         sol = solve(validate_params(c, lam, 0.8, 1.0, 0.5))
-        grid = GridSpec(x_max=5.0, points=400).build(0.5)
+        grid = _grid(5.0, 400, "linear", 0.5)
         comps = [eval_cdf(sol, x)[0] for x in grid]
         cdf = [eval_cdf(sol, x)[1] for x in grid]
         pdf = [float(eval_density(sol, x).sum()) for x in grid]
@@ -163,7 +163,7 @@ class TestSolve:
         payload = json.loads(out)
         assert out == json.dumps(payload, indent=1) + "\n"
         sol = erlang_c(inspect_params(2, 1.4, 1.0, 1.0, 0.5))
-        grid = GridSpec(x_max=5.0, points=400).build(0.5)
+        grid = _grid(5.0, 400, "linear", 0.5)
         assert payload["model"] == "erlang_c"
         assert payload["grid"] == grid.tolist()
         assert payload["cdf"] == [sol.cdf(x) for x in grid]
@@ -177,7 +177,7 @@ class TestSolve:
         payload = json.loads(out)
         assert out == json.dumps(payload, indent=1) + "\n"
         sol = solve(validate_params(2, 2.0, 0.75, 1.12, 0.45))
-        grid = GridSpec(x_max=4.5, points=400, spacing="log").build(0.45)
+        grid = _grid(4.5, 400, "log", 0.45)
         comps, cdf = eval_cdf(sol, grid)
         assert payload["grid"] == grid.tolist()
         assert payload["cdf"] == cdf.tolist()
@@ -329,6 +329,20 @@ class TestBadInput:
     def test_solve_grid_rejected(self, capsys, option, message):
         code, out, err = run(capsys, ["solve", *self.MODEL, *option])
         assert (code, out, err) == (2, "", f"ValidationError: {message}\n")
+
+    @pytest.mark.parametrize("option, message", [
+        (["--grid-points", "1"], "grid needs at least 2 points"),
+        (["--grid-max", "nan"], "grid-max must be finite"),
+    ])
+    def test_solve_grid_checked_before_solving(self, capsys, option, message):
+        # at k = 2000 the solve itself fails: theta_max*k passes 709 (exit 3)
+        model = [*self.MODEL[:-1], "2000"]
+        code, out, err = run(capsys, ["solve", *model, *option])
+        assert (code, out, err) == (2, "", f"ValidationError: {message}\n")
+
+    def test_solve_bad_k_named_before_its_default_grid(self, capsys):
+        code, out, err = run(capsys, ["solve", *self.MODEL[:-1], "-1"])
+        assert (code, out, err) == (2, "", "NonPositive: k must be finite and > 0, got -1.0\n")
 
     @pytest.mark.parametrize("command", [
         ["solve", "--mean", "--grid-points", "3"],

@@ -118,45 +118,38 @@ class TestClassSwap:
 class TestTildeQ:
     def test_zero_is_identity(self, two_server_params):
         m = build_matrices(two_server_params)
-        assert np.allclose(tilde_q(1, 0.0, m), np.eye(2), atol=1e-15)
-        assert np.allclose(tilde_q(2, 0.0, m), np.eye(2), atol=1e-15)
+        assert np.allclose(tilde_q(0.0, m), np.eye(2), atol=1e-15)
 
     def test_scalar_case(self):
         p = validate_params(1, 1.0, 2.0, 2.8, 1.0)
         m = build_matrices(p)
-        assert tilde_q(1, 0.7, m)[0, 0] == pytest.approx(np.exp(-2.0 * 0.7))
-        assert tilde_q(2, 0.7, m)[0, 0] == pytest.approx(np.exp(-2.8 * 0.7))
+        assert tilde_q(0.7, m)[0, 0] == pytest.approx(np.exp(-2.0 * 0.7))
 
     def test_diagonal_entries(self, two_server_params):
         m = build_matrices(two_server_params)
         x = 0.9
-        for kappa, d in ((1, m.d_tilde_1), (2, m.d_tilde_2)):
-            got = np.diag(tilde_q(kappa, x, m))
-            assert np.allclose(got, np.exp(-np.diag(d) * x), rtol=1e-13)
+        got = np.diag(tilde_q(x, m))
+        assert np.allclose(got, np.exp(-np.diag(m.d_tilde_1) * x), rtol=1e-13)
 
     def test_derivative_finite_difference(self, two_server_params):
         # (Q(x+h) - Q(x))/h ~ -Q(x) D to 1e-4 relative at h = 1e-6
         m = build_matrices(two_server_params)
         x, h = 0.8, 1e-6
-        for kappa, d in ((1, m.d_tilde_1), (2, m.d_tilde_2)):
-            fd = (tilde_q(kappa, x + h, m) - tilde_q(kappa, x, m)) / h
-            ref = -tilde_q(kappa, x, m) @ d
-            assert np.abs(fd - ref).max() < 1e-4 * np.abs(ref).max()
+        fd = (tilde_q(x + h, m) - tilde_q(x, m)) / h
+        ref = -tilde_q(x, m) @ m.d_tilde_1
+        assert np.abs(fd - ref).max() < 1e-4 * np.abs(ref).max()
 
     def test_triangularity(self, two_server_params):
         m = build_matrices(two_server_params)
-        assert tilde_q(1, 1.3, m)[1, 0] == 0.0
-        assert tilde_q(2, 1.3, m)[0, 1] == 0.0
+        assert tilde_q(1.3, m)[1, 0] == 0.0
 
     @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, float("nan")])])
     def test_nan_raises(self, two_server_params, x):
         m = build_matrices(two_server_params)
-        for kappa in (1, 2):
-            with pytest.raises(ValueError, match="x must be >= 0"):
-                tilde_q(kappa, x, m)
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            tilde_q(x, m)
 
 
 def test_params_properties():
     p = QueueParams(2, 1.0, 2.0, 0.8, 1.0)
     assert p.rho == pytest.approx(1.0 / 1.6)
-    assert p.aggregate_rate(1, 1) == pytest.approx(2.8)

@@ -639,20 +639,20 @@ class TestArrayEvaluators:
         assert np.array_equal(totals, np.array([eval_cdf(s, x)[1] for x in xs]))
         assert np.array_equal(eval_density(s, xs),
                               np.array([eval_density(s, x) for x in xs]))
-        assert np.array_equal(tilde_q(1, xs, s.matrices),
-                              np.array([tilde_q(1, x, s.matrices) for x in xs]))
+        assert np.array_equal(tilde_q(xs, s.matrices),
+                              np.array([tilde_q(x, s.matrices) for x in xs]))
 
     def test_shapes(self, c):
         s = self.solution(c)
         comps, total = eval_cdf(s, 0.3)
         assert comps.shape == (c,) and isinstance(total, float)
         assert eval_density(s, 0.3).shape == (c,)
-        assert tilde_q(2, 0.3, s.matrices).shape == (c, c)
+        assert tilde_q(0.3, s.matrices).shape == (c, c)
         xs = np.linspace(0.0, 2.0, 7)
         comps, totals = eval_cdf(s, xs)
         assert comps.shape == (7, c) and totals.shape == (7,)
         assert eval_density(s, xs).shape == (7, c)
-        assert tilde_q(2, xs, s.matrices).shape == (7, c, c)
+        assert tilde_q(xs, s.matrices).shape == (7, c, c)
 
     def test_negative_entry_raises(self, c):
         s = self.solution(c)
@@ -662,7 +662,7 @@ class TestArrayEvaluators:
         with pytest.raises(ValueError):
             eval_density(s, xs)
         with pytest.raises(ValueError):
-            tilde_q(1, xs, s.matrices)
+            tilde_q(xs, s.matrices)
 
     def test_nan_raises(self, c):
         s = self.solution(c)
@@ -698,7 +698,7 @@ class TestVerifySolution:
         for x in (0.05 * k, 0.3 * k, 0.71 * k, k):
             exact = _lower_convolution(s, x)
             ref = np.array([
-                quad(lambda y: (eval_cdf(s, y)[0] @ m.b1 @ tilde_q(1, x - y, m))[j],
+                quad(lambda y: (eval_cdf(s, y)[0] @ m.b1 @ tilde_q(x - y, m))[j],
                      0.0, x, epsabs=1e-16, epsrel=1e-13)[0]
                 for j in range(s.params.c)
             ])
@@ -735,7 +735,7 @@ def _reference_integro_residual(sol, xs):
     m, lam = sol.matrices, sol.params.lam
     pi_top = sol.pi_levels[-1]
     rhs = (lam * eval_cdf(sol, xs)[0] - lam * _lower_convolution(sol, xs) + sol.f_prime_0
-           - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(1, xs, m))
+           - lam * pi_top @ m.b1 @ (np.eye(sol.params.c) - tilde_q(xs, m))
            @ m.d_tilde_1_inv)
     return float(np.max(np.abs(eval_density(sol, xs) - rhs)))
 
