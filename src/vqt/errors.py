@@ -43,8 +43,9 @@ class NumericalError(VqtError):
 
 class Singular(NumericalError):
     """A pivot fell below the singularity threshold during elimination
-    (``numerics``), or LAPACK found the bordered boundary system exactly
-    singular (``solver._row_solve``)."""
+    (``numerics``) or in the diagonal test on a level matrix of the boundary
+    recursion, or LAPACK found the bordered boundary system or a level
+    matrix exactly singular (``solver._row_solve``)."""
 
 
 class NullSpaceDimension(NumericalError):

@@ -2,19 +2,22 @@
 
 The solution pipeline needs three operations on small dense matrices: the
 inverses of triangular matrices by LU (B1 and B2, the M0/M1/M2 arguments of
-the particular terms, the boundary recursion's level matrices), the inverses
-of the unitriangular eigenvector bases by substitution, and the 1-norm
-condition of a basis.  Matrix functions need no kernel: every matrix
-exponential the pipeline forms is of a solvent V^-1 diag(roots) V whose
-roots and bases are known in closed form (see ``spectral``).  Each operation
-also takes a stack (a leading axis), each matrix getting its own call's bits.
+the particular terms), the inverses of the unitriangular eigenvector bases
+by substitution, and the 1-norm condition of a basis.  Matrix functions
+need no kernel: every matrix exponential the pipeline forms is of a solvent
+V^-1 diag(roots) V whose roots and bases are known in closed form (see
+``spectral``).  Each operation also takes a stack (a leading axis), each
+matrix getting its own call's bits.
 
 inv keeps its scaled pivot test everywhere, because that test is what
 rejects ill-conditioned inputs.  It eliminates the augmented matrix [A | I]
-and back-substitutes.  Upper-triangular inputs (B1, the M0 argument, the
-boundary recursion's level matrices) go to back substitution directly.
-The solver's bordered boundary system is the one solve left to LAPACK: the
-scaled test rejects inputs there that solve clean.
+and back-substitutes.  Upper-triangular inputs (B1, the M0 argument) go to
+back substitution directly.  The solver leaves two solves to LAPACK, both
+through solver._row_solve: the bordered boundary system, where the scaled
+test rejects inputs that solve clean, and the boundary recursion's level
+matrices, strictly row diagonally dominant on every input measured, where
+the diagonal test kept in front of them (_check_diagonal_pivots) does not
+fire.
 
 One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
@@ -225,10 +228,11 @@ def inv(a: np.ndarray) -> np.ndarray:
     substitution after its pivot tests: scaled partial pivoting keeps every
     pivot of such a matrix on the diagonal, so the elimination would only
     subtract exact zero products.  A non-finite entry would turn 0 * inf
-    into NaN there, so such inputs keep the full path.  The lower-triangular
-    inputs (B2, the M1 and M2 arguments) are factored with pivoting: the
-    scaled test can pick another row there (B2 swaps rows at c = 7 with
-    lam = 0.7c, mu1 = 0.8, mu2 = 1).
+    into NaN there, so such inputs keep the full path.  The upper-triangular
+    inputs are B1 and the M0 argument.  The lower-triangular inputs (B2,
+    the M1 and M2 arguments) are factored with pivoting: the scaled test can
+    pick another row there (B2 swaps rows at c = 7 with lam = 0.7c, mu1 =
+    0.8, mu2 = 1).
 
     A stack takes the shortcut only if every matrix in it is finite and
     upper triangular, and is eliminated whole otherwise; the failing

@@ -131,27 +131,27 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
     glue = t["f_prime_at_k"] - (t["f_at_k"] - t["alpha1"] @ m1) @ u2m \
         + t["alpha2"] @ (dm2 @ u2m + d1 @ dm2)
     system = _concat(t["w"] @ (u1p - u1m) - t["f_prime_0"] - t["alpha0_m0"] @ u1m, glue)
-    x = _row_solve(system, _concat(np.zeros(c), u2m[..., 0, :]))
+    rhs = _concat(np.zeros(c), u2m[..., 0, :])
+    x = _row_solve(system, rhs[..., None, :], "boundary system")[..., 0, :]
     return x, vec_mat(vec_mat(x, t["alpha1"]), m1) - sp.psi_c, terms, dm2
 
 
-def _row_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with x a = b for a row b, by LAPACK: (..., n, n) and (..., n), each
-    matrix of a stack on its own; an exactly singular one raises Singular
-    (RowErrors on a stack)."""
-    a = np.swapaxes(a, -1, -2)
-    b = np.broadcast_to(b, a.shape[:-1])[..., None]     # (..., n, 1): stacked columns
+def _row_solve(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """x with x a = b for the rows b, by LAPACK: a (..., n, n) and b (..., r,
+    n), each matrix of a stack on its own.  An exactly singular a raises
+    Singular naming the system, or RowErrors on a stack."""
+    a, b = a.swapaxes(-1, -2), b.swapaxes(-1, -2)   # a^T x^T = b^T
     try:
-        return np.linalg.solve(a, b)[..., 0]
+        return np.linalg.solve(a, b).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         if a.ndim == 2:
-            raise Singular("the boundary system is singular") from None
+            raise Singular(f"the {name} is singular") from None
     errors = {}
     for i in range(len(a)):
         try:
-            np.linalg.solve(a[i], b[i])
+            np.linalg.solve(a[i], b[i] if b.ndim == 3 else b)
         except np.linalg.LinAlgError:
-            errors[i] = Singular("the boundary system is singular")
+            errors[i] = Singular(f"the {name} is singular")
     raise RowErrors(errors)
 
 
@@ -316,12 +316,18 @@ def _c_hat_levels(params: QueueParams, matrices: ModelMatrices,
                   table: list[np.ndarray]) -> list[np.ndarray]:
     """The boundary recursion's C_hat_0 .. C_hat_{c-2}, table's first.
 
-    Level n is B_hat_n (lambda (I - [0 | C_hat_{n-1}]) + Delta_n)^{-1}
-    (B_hat_0 / lambda at n = 0): it depends on lambda, mu1, mu2 and n alone,
-    not on c or k.  So points that share those rates share one table, which
-    this extends to the levels params needs.  A level joins the table only
-    once computed: one that raises leaves the table as it was, and every
-    later point that needs it computes it again and raises the same error.
+    Level n solves C_hat_n T_n = B_hat_n, T_n = lambda (I - [0 | C_hat_{n-1}])
+    + Delta_n, by LAPACK (_row_solve), a stack in one call (C_hat_0 =
+    B_hat_0 / lambda).  It depends on lambda, mu1, mu2 and n alone, not on c
+    or k.  So points that share those rates share one table, which this
+    extends to the levels params needs.  A level joins the table only once
+    computed: one that raises leaves the table as it was, and every later
+    point that needs it computes it again and raises the same error.
+
+    Each T_n first passes the scaled diagonal pivot test (Singular, RowErrors
+    on a stack).  T_n is strictly row diagonally dominant on every input
+    measured, and then its diagonal is its row's largest entry, so one pass
+    over |T_n| stands in for the test, which runs only where that fails.
     """
     lam, m = per_row(params.lam, 2), matrices
     for n in range(len(table), params.c - 1):
@@ -330,7 +336,14 @@ def _c_hat_levels(params: QueueParams, matrices: ModelMatrices,
             continue
         shifted = np.zeros(table[-1].shape[:-1] + (n + 1,))
         shifted[..., 1:] = table[-1]
-        table.append(m.b_hat[n] @ inv(lam * (eye(n + 1) - shifted) + m.delta[n]))
+        t = lam * (eye(n + 1) - shifted) + m.delta[n]
+        magnitude = np.abs(t)
+        # a row that is not strictly dominant (a NaN row, which the test
+        # passes, counts as dominant)
+        if np.count_nonzero(np.add.reduce(magnitude, axis=-1)
+                            >= 2.0 * magnitude.diagonal(axis1=-2, axis2=-1)):
+            _check_diagonal_pivots(t if t.ndim == 2 else t.transpose(1, 2, 0))
+        table.append(_row_solve(t, m.b_hat[n], f"level {n} matrix"))
     return table[:params.c - 1]
 
 

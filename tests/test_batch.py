@@ -314,18 +314,18 @@ def same_solution(got, want):
         same(getattr(got.expansion, name), getattr(want.expansion, name))
 
 
-def level_inversions(monkeypatch, fail_order=None):
-    """Wrap solver.inv to list the order of each boundary-level inversion;
+def level_solves(monkeypatch, fail_order=None):
+    """Wrap solver._row_solve to list the order of each boundary-level solve;
     the one of order fail_order raises a Singular that names its input."""
-    orders, real = [], solver.inv
+    orders, real = [], solver._row_solve
 
-    def inv(a):
+    def row_solve(a, b, name):
         if sys._getframe(1).f_code.co_name == "_c_hat_levels":
             orders.append(a.shape[-1])
             if a.shape[-1] == fail_order:
                 raise Singular(f"level matrix of order {fail_order}, corner {a[0, 0]!r}")
-        return real(a)
-    monkeypatch.setattr(solver, "inv", inv)
+        return real(a, b, name)
+    monkeypatch.setattr(solver, "_row_solve", row_solve)
     return orders
 
 
@@ -335,9 +335,9 @@ BASE = ["--c", "2", "--lambda", "0.7", "--mu1", "0.8", "--mu2", "1", "--k", "0.5
 @pytest.mark.parametrize("spec, top", [("c=1:16:16", 16), ("c=16:1:16", 16),
                                        ("c=2:20:10", 20), ("c=3:3:1", 3)])
 def test_c_sweep_inverts_each_level_once(monkeypatch, spec, top):
-    orders = level_inversions(monkeypatch)
+    orders = level_solves(monkeypatch)
     code, _, _ = sweep(BASE + ["--sweep", spec])
-    # level n inverts a matrix of order n + 1, for n = 1 .. c - 2
+    # level n solves with a matrix of order n + 1, for n = 1 .. c - 2
     assert code == 0 and sorted(orders) == list(range(2, top))
     orders.clear()
     for c in range(1, 17):                     # each point on its own: sum of (c - 2)
@@ -359,7 +359,7 @@ def test_consecutive_c_sweeps_share_nothing():
 
 
 def test_failing_level_fails_every_point_that_needs_it(monkeypatch):
-    level_inversions(monkeypatch, fail_order=5)    # level 4, which c >= 6 needs
+    level_solves(monkeypatch, fail_order=5)    # level 4, which c >= 6 needs
     levels, top = {}, 0
     for c in list(range(1, 13)) + [7, 3]:
         p = validate_params(c, 0.7, 0.8, 1.0, 0.5)
@@ -378,6 +378,35 @@ def test_failing_level_fails_every_point_that_needs_it(monkeypatch):
         solve(validate_params(6, 0.7, 0.8, 1.0, 0.5))
     for spec in ("c=1:12:12", "c=12:1:12"):
         assert sweep(BASE + ["--sweep", spec]) == (3, "", f"Singular: {own.value}\n")
+
+
+def test_singular_level_fails_only_its_row(monkeypatch):
+    points = [validate_params(8, lam, 0.8, 1.0, 0.5) for lam in (0.7, 1.4, 2.8, 4.2)]
+    real, calls = solver._row_solve, []
+
+    def row_solve(a, b, name):
+        # the first stacked pass: row 2's level 3 matrix made exactly singular
+        if sys._getframe(1).f_code.co_name == "_c_hat_levels" and a.shape[-1] == 4:
+            calls.append(a.shape)
+            if len(calls) == 1:
+                a = a.copy()
+                a[2] = 0.0
+        return real(a, b, name)
+    monkeypatch.setattr(solver, "_row_solve", row_solve)
+    sol, live, errors = solve_rows(points)
+    monkeypatch.undo()
+    assert calls == [(4, 4, 4), (3, 4, 4)]          # the pass, then its rerun without row 2
+    assert live == [0, 1, 3] and list(errors) == [2]
+    assert type(errors[2]) is Singular and str(errors[2]) == "the level 3 matrix is singular"
+    for j, i in enumerate(live):
+        single = solve(points[i])
+        for level, want in zip(sol.pi_levels, single.pi_levels, strict=True):
+            same(level[j], want)
+        same(sol.b_c[j], single.b_c)
+        same(sol.f_infinity[j], single.f_infinity)
+        for name, ndim in (("lower_rates", 1), ("lower_weights", 2), ("lower_constant", 1),
+                           ("upper_rates", 1), ("upper_weights", 2), ("upper_constant", 1)):
+            same(row(getattr(sol.expansion, name), j, ndim), getattr(single.expansion, name))
 
 
 def mean_wait_by_moments(sol):

@@ -440,17 +440,19 @@ class TestBadInput:
 class TestSweep:
     def test_roundoff_below_zero_p_wait_prints_0(self, capsys):
         # 1 - P(W = 0) falls below one ulp of 1 near c = 16: it rounds to 0.0
-        # at c = 18 and 20 here, and to -2.2e-16 at c = 18 and 20 with
+        # at c = 20 and 22 here, and to -2.2e-16 at c = 18 and 20 with
         # lambda = 0.3; both print as 0, as pi entries do in solve
         code, out, _ = run(capsys, [
-            "sweep", "--c", "2", "--lambda", "0.9", "--mu1", "1.3", "--mu2", "0.7",
-            "--k", "0.8", "--sweep", "c=2:20:10", "--metrics", "mean,p_wait,cdf@3",
+            "sweep", "--c", "4", "--lambda", "0.9", "--mu1", "1.3", "--mu2", "0.7",
+            "--k", "0.8", "--sweep", "c=4:22:10", "--metrics", "mean,p_wait,cdf@3",
         ])
         assert code == 0
+        for c in (20, 22):
+            assert 1.0 - solve(validate_params(c, 0.9, 1.3, 0.7, 0.8)).p_wait_zero == 0.0
         rows = {r[0]: r for r in (l.split(",") for l in out.strip().splitlines()[1:])}
-        assert rows["20"][3] == "0" and rows["18"][3] == "0"
-        assert all(float(r[3]) > 0 for c, r in rows.items() if int(c) <= 16)
-        assert float(rows["20"][2]) > 0
+        assert rows["22"][3] == "0" and rows["20"][3] == "0"
+        assert all(float(r[3]) > 0 for c, r in rows.items() if int(c) <= 18)
+        assert float(rows["22"][2]) > 0
         code, out, _ = run(capsys, [
             "sweep", "--c", "18", "--lambda", "0.3", "--mu1", "1.3", "--mu2", "0.7",
             "--k", "0.8", "--sweep", "c=18:20:2", "--metrics", "p_wait"])
