@@ -132,6 +132,8 @@ def _grid(x_max: float, points: int, spacing: str, k: float) -> np.ndarray:
         raise ValidationError("grid-max must be > 0")
     if spacing == "linear":
         grid = np.linspace(0.0, x_max, points)
+    elif x_max * 1e-3 == 0.0:
+        raise ValidationError("log spacing starts at grid-max * 1e-3, which underflows to 0")
     else:
         grid = np.geomspace(x_max * 1e-3, x_max, points)
     if k <= x_max:

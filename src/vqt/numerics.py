@@ -184,8 +184,9 @@ def _diagonal_errors(a: np.ndarray, row_scale=None) -> dict[int, Singular]:
 
 
 def _check_diagonal_pivots(a: np.ndarray) -> None:
-    """Raise _diagonal_errors' Singular, or RowErrors for a stack (n, n, N)."""
-    errors = _diagonal_errors(a)
+    """Raise _diagonal_errors' Singular for a (n, n), or RowErrors for a
+    stack (N, n, n)."""
+    errors = _diagonal_errors(a if a.ndim == 2 else np.moveaxis(a, 0, -1))
     if errors:
         raise RowErrors(errors) if a.ndim == 3 else errors[0]
 
@@ -258,7 +259,7 @@ def inv(a: np.ndarray) -> np.ndarray:
         if errors:
             raise RowErrors(errors) if ab.ndim == 3 else errors[0]
     else:
-        _check_diagonal_pivots(ab[:, :n])
+        _check_diagonal_pivots(a)
     lu, x = ab[:, :n], ab[:, n:].copy()
     for j in range(n - 1, -1, -1):  # backward: U x = y
         x[j] /= lu[j, j]

@@ -123,7 +123,7 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
     # U1+ - U1-.  Where those fail the scaled pivot test, the eigenbases behind
     # U1+ and U1- have no digits left, and the system would return an answer
     # that breaks its own invariants (test_lower_weight_pivots_tested_by_column).
-    _check_diagonal_pivots((u1p - u1m).T)      # .T of a stack puts its axis last
+    _check_diagonal_pivots((u1p - u1m).swapaxes(-1, -2))
     t = terms(eye(2 * c)[:, :c], eye(2 * c)[:, c:])
     dm2 = (d1 - d2) @ m2
     # F'(k+) = (F(k) - F(inf)) U2- - alpha2 (dm2 U2- + D_tilde_1 dm2), where
@@ -342,7 +342,7 @@ def _c_hat_levels(params: QueueParams, matrices: ModelMatrices,
         # passes, counts as dominant)
         if np.count_nonzero(np.add.reduce(magnitude, axis=-1)
                             >= 2.0 * magnitude.diagonal(axis1=-2, axis2=-1)):
-            _check_diagonal_pivots(t if t.ndim == 2 else t.transpose(1, 2, 0))
+            _check_diagonal_pivots(t)
         table.append(_row_solve(t, m.b_hat[n], f"level {n} matrix"))
     return table[:params.c - 1]
 
@@ -361,7 +361,10 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     spectral = build_spectral(params, matrices)
     m0, m1, m2 = particular_matrices(params, matrices, spectral)
     # Past theta_max*k = log(float max) the mixture's growing terms overflow at k.
-    fail(spectral.theta.max(axis=-1) * params.k > _LOG_MAX, _overflow_error(params, spectral))
+    growth = spectral.theta.max(axis=-1) * params.k
+    fail(growth > _LOG_MAX, lambda i: NumericalError(
+        f"non-finite solution: growth exponent theta_max*k = {growth[i]:.1f} "
+        "(exp overflows past about 709)"))
 
     c, lam = params.c, per_row(params.lam, 2)
     psi_c = spectral.psi_c
@@ -398,7 +401,7 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * psi_c
     expansion = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
                         f_infinity, v["alpha2"], dm2)
-    _check_finite(params, spectral, b_c, pi_levels, f_infinity, expansion)
+    _check_finite(b_c, pi_levels, f_infinity, expansion)
     return StationarySolution(
         params=params,
         matrices=matrices,
@@ -450,17 +453,10 @@ def solve_rows(points: list[QueueParams], levels: dict | None = None
     return None, live, errors
 
 
-def _overflow_error(params: QueueParams, spectral: SpectralData):
-    """The NumericalError of row i (() on one point) that names its growth exponent."""
-    growth = spectral.theta.max(axis=-1) * params.k
-    return lambda i: NumericalError(
-        f"non-finite solution: growth exponent theta_max*k = {growth[i]:.1f} "
-        "(exp overflows past about 709)")
-
-
-def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
+def _check_finite(b_c, pi_levels, f_infinity, mix) -> None:
     """Raise ``NumericalError`` (per row) unless pi, b_c, F(inf) and every
-    mixture array are finite."""
+    mixture array are finite.  Every row past the growth exponent's overflow
+    has left ``solve`` before, so the error names no exponent."""
     batch = np.shape(b_c)
     arrays = [(a, 1) for a in (*pi_levels, f_infinity, mix.lower_rates, mix.lower_constant,
                                 mix.upper_rates, mix.upper_constant)]
@@ -470,7 +466,7 @@ def _check_finite(params, spectral, b_c, pi_levels, f_infinity, mix) -> None:
         (a if a.ndim == core + len(batch) else np.broadcast_to(a, batch + a.shape[-core:]))
         .reshape(batch + (-1,)) for a, core in arrays], axis=-1)
     fail(~(np.isfinite(b_c) & np.logical_and.reduce(np.isfinite(values), axis=-1)),
-         _overflow_error(params, spectral))
+         lambda i: NumericalError("non-finite solution"))
 
 
 def _nonnegative(x):

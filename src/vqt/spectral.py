@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _COND_WARN = 1e10
-GROWTH_WARN = 25.0    # theta_max*k past which threshold matching erodes
 
 
 @dataclass(frozen=True)
@@ -175,28 +174,22 @@ def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.n
     return phi_star_right, psi_c_right
 
 
-def _warnings(conds: list, growth) -> tuple:
-    """The warnings of one point, or a tuple of them per row of a stack (whose
-    growth is always per row)."""
-    # the increasing modes grow by exp(theta_max * k) across the threshold
-    # interval; past e^25 that cancellation visibly erodes the matching of
-    # the two branches at the threshold
-    flags = [(c, _COND_WARN, f"{label} eigenbasis condition {{:.3e}}") for label, c in conds]
-    flags.append((growth, GROWTH_WARN,
-                  "growth exponent theta_max*k = {:.1f} erodes threshold matching"))
-    stack = isinstance(growth, np.ndarray)
-    if stack:
-        flags = [(np.broadcast_to(v, growth.shape), limit, text) for v, limit, text in flags]
-    rows = [tuple(f"{ILL_CONDITIONED}: " + text.format(v[i]) for v, limit, text in flags
-                  if v[i] > limit) for i in (range(len(growth)) if stack else [()])]
-    return tuple(rows) if stack else rows[0]
+def _warnings(conds: list, rows: tuple) -> tuple:
+    """The warnings of one point (rows ()), or a tuple of them for each row
+    of a stack (rows (R,)): one per basis whose condition passes 1e10."""
+    if rows:
+        conds = [(label, np.broadcast_to(cond, rows)) for label, cond in conds]
+    out = tuple(tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond[i]:.3e}"
+                      for label, cond in conds if cond[i] > _COND_WARN)
+                for i in np.ndindex(rows))
+    return out if rows else out[0]
 
 
 def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData:
     """Roots and bases of both pencils, the sign-split solvents (U1-, U1+,
     U2-) with their basis inverses, and the null vectors.  For a stack, every
     array that depends on a per-row parameter has a leading row axis, and
-    warnings holds one tuple per row."""
+    warnings holds one tuple per row.  Of k it reads the shape alone."""
     (theta, phi), (beta, psi) = _spectra(params, matrices)
     c = params.c
     conds: list = []
@@ -206,7 +199,8 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
     (u1_minus, u1_plus), (phi_minus_inv, phi_plus_inv) = (np.moveaxis(u1, -3, 0),
                                                           np.moveaxis(phi_inv, -3, 0))
     u2_minus, psi_minus_inv = _assemble_u(beta[..., :c], psi, "lower", conds, "u2_minus")
-    warnings = _warnings(conds, theta.max(axis=-1) * params.k)
+    rows = max(map(np.shape, (params.lam, params.mu1, params.mu2, params.k)))  # () or (R,)
+    warnings = _warnings(conds, rows)
     phi_star, psi_c = eye(c)[[c - 1, 0]]
     phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)
     return SpectralData(

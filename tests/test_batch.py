@@ -154,13 +154,13 @@ def test_seeded_sweeps(c, name):
 
 
 def test_k_sweep_rows_get_their_own_growth_warnings_and_errors():
-    # past theta_max*k = 25 a row is flagged; past about 709 (k > 386 here)
-    # the growing terms of its mixture overflow at k
+    # past theta_max*k of about 709 (k > 386 here) the growing terms of its
+    # mixture overflow at k; check_rows compares each row's warnings with
+    # its own solve's
     points = valid((3, 2.0, 0.3, 0.8, k) for k in np.linspace(0.5, 480.0, 12).tolist())
     solved, failed = check_rows(points)
     assert solved and failed
     sol, live, errors = solve_rows(points)
-    assert len(set(sol.warnings)) > 1
     assert sorted(errors) == [9, 10, 11]
     assert all("exp overflows past about 709" in str(e) for e in errors.values())
 

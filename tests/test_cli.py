@@ -85,13 +85,12 @@ class TestSolve:
         assert "IllConditioned" not in out
 
     def test_csv_verify_lists_warnings(self, capsys):
-        # a warned solve: --verify appends one "# warning," line per warning
-        # of the report, after its residual lines
-        argv = ["--c", "8", "--lambda", "9.219533391614547", "--mu1", "2.732484510277274",
-                "--mu2", "2.2966611484135684", "--k", "23.467079576678415"]
+        # a warned solve (the U2- basis condition is 7.9e10): --verify appends
+        # one "# warning," line per warning of the report, after its residual lines
+        argv = ["--c", "16", "--lambda", "11.2", "--mu1", "0.8", "--mu2", "1", "--k", "0.5"]
         code, out, _ = run(capsys, ["solve", *argv, "--grid-points", "3", "--verify"])
         assert code == 0
-        report = verify_solution(solve(validate_params(8, *map(float, argv[3::2]))), rng=0)
+        report = verify_solution(solve(validate_params(16, *map(float, argv[3::2]))), rng=0)
         assert report.warnings
         tail = out.splitlines()[-len(report.residuals) - len(report.warnings):]
         assert tail == ([f"# residual,{name},{cli._fmt(v)}" for name, v in report.residuals.items()]
@@ -340,6 +339,17 @@ class TestBadInput:
         code, out, err = run(capsys, ["solve", *model, *option])
         assert (code, out, err) == (2, "", f"ValidationError: {message}\n")
 
+    @pytest.mark.parametrize("model, option", [
+        (["--k", "1e-322"], []),
+        (["--k", "0.5"], ["--grid-max", "1e-322"]),
+    ])
+    def test_log_grid_whose_first_point_underflows(self, capsys, model, option):
+        # the log grid starts at grid-max * 1e-3 (default grid-max 10 k)
+        code, out, err = run(capsys, ["solve", *self.MODEL[:-2], *model, "--spacing", "log",
+                                      "--grid-points", "3", *option])
+        assert (code, out, err) == (2, "", "ValidationError: log spacing starts at "
+                                           "grid-max * 1e-3, which underflows to 0\n")
+
     def test_solve_bad_k_named_before_its_default_grid(self, capsys):
         code, out, err = run(capsys, ["solve", *self.MODEL[:-1], "-1"])
         assert (code, out, err) == (2, "", "NonPositive: k must be finite and > 0, got -1.0\n")
@@ -360,7 +370,8 @@ class TestBadInput:
     def test_top_level_singular_names_growth(self, capsys):
         # theta_max*k = 194.5: the twenty-matrix route's top-level matrix
         # failed its pivot test here (exit 3); the bordered system solves it
-        # to the multiprecision value of P(W <= 0.1)
+        # to the multiprecision value of P(W <= 0.1), so growth alone earns
+        # no warning
         code, out, err = run(capsys, ["solve", *self.GROWTH, "--grid-max", "0.2",
                                       "--grid-points", "3", "--format", "json", "--verify"])
         assert code == 0
@@ -368,8 +379,13 @@ class TestBadInput:
         payload = json.loads(out)
         assert payload["cdf"][1] == pytest.approx(0.993046485855, abs=1e-11)
         assert max(payload["residuals"].values()) <= 1e-12
-        assert payload["warnings"] == [
-            "IllConditioned: growth exponent theta_max*k = 194.5 erodes threshold matching"]
+        assert payload["warnings"] == []
+
+    def test_growth_input_carries_no_warning(self, capsys):
+        assert solve(validate_params(8, *map(float, self.GROWTH[3::2]))).warnings == ()
+        code, out, err = run(capsys, ["solve", *self.GROWTH, "--grid-points", "3"])
+        assert (code, err) == (0, "")
+        assert out.startswith("x,F_0,")
 
     def test_growth_input_validates(self, capsys):
         # the same input against the simulator, on points below the CDF's

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from vqt import numerics
-from vqt.errors import Singular
+from vqt.errors import RowErrors, Singular
 from vqt.model import build_matrices, validate_params
 from vqt.numerics import inv
 from vqt.solver import _moment
@@ -140,6 +140,25 @@ class TestUpperTriangularShortcut:
         with pytest.raises(Singular, match="zero row") as got:
             inv(a)
         assert str(got.value) == reference_error(a)
+
+    def test_diagonal_pivots_of_a_stack_fail_per_matrix(self):
+        # a stack (N, n, n) raises, for each failing matrix, the Singular of
+        # its own check; a stack of upper matrices through inv does the same
+        rng = np.random.default_rng(6)
+        stack = np.array([graded_upper(rng, 5) for _ in range(4)])
+        stack[1, 3, 3] = 1e-15 * np.abs(stack[1, 3]).max()
+        stack[3, 2] = 0.0
+        want = {}
+        for i, a in enumerate(stack):
+            try:
+                numerics._check_diagonal_pivots(a)
+            except Singular as exc:
+                want[i] = str(exc)
+        assert sorted(want) == [1, 3]
+        for check in (numerics._check_diagonal_pivots, inv):
+            with pytest.raises(RowErrors) as got:
+                check(stack)
+            assert {i: str(e) for i, e in got.value.errors.items()} == want
 
     def test_only_non_upper_inputs_reach_lu_factor(self, monkeypatch):
         def unreachable(a):

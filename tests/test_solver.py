@@ -379,6 +379,15 @@ class TestSolve:
                 pytest.raises(NumericalError, match=r"theta_max\*k = 734\.1"):
             solve(p)
 
+    def test_overflowed_rates_name_no_growth_exponent(self):
+        # the products of rates near 1e160 overflow, and theta_max*k is NaN:
+        # the error says only that the solution is not finite
+        p = validate_params(3, 2e160, 1.5e160, 1e160, 1e-160)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as exc:
+            solve(p)
+        assert type(exc.value) is NumericalError
+        assert str(exc.value) == "non-finite solution"
+
     @pytest.mark.parametrize("factor", [1e-6, 1e-9, 1e-12])
     def test_tiny_rates_solve_as_unit_time(self, factor):
         # rates times s and k over s give W over s: the null-space test is
@@ -896,7 +905,7 @@ class TestVerifyMatchesReference:
         assert a.bit_generator.state == b.bit_generator.state
 
 
-# the c = 8 growth input: theta_max*k = 194.5, so it carries the growth warning
+# the c = 8 growth input: theta_max*k = 194.5
 GROWTH_INPUT = (8, 9.219533391614547, 2.732484510277274, 2.2966611484135684, 23.467079576678415)
 
 
@@ -924,7 +933,8 @@ class TestSolutionMethods:
                    [self._bits(v) for v in want.residuals.values()]
 
     def test_report_text(self):
-        rep = verify_solution(solve(validate_params(*GROWTH_INPUT)), rng=0)
+        # the scan point c = 16 carries a warning: its U2- basis condition is 7.9e10
+        rep = verify_solution(solve(validate_params(16, 11.2, 0.8, 1.0, 0.5)), rng=0)
         assert rep.warnings
         lines = str(rep).splitlines()
         assert lines == ([f"{name:32s} {value:.3e}" for name, value in rep.residuals.items()]
