@@ -222,6 +222,12 @@ def _shown(p):
     return np.where((p > -solver.PI_FLOOR) & (p < 0.0), 0.0, p)[()]
 
 
+def _warn(warnings, prefix: str = "") -> None:
+    """One ``warning: <prefix><text>`` line on stderr per warning."""
+    for w in warnings:
+        print(f"warning: {prefix}{w}", file=sys.stderr)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -257,8 +263,7 @@ def run_solve(args) -> int:
 
     if args.format == "csv":
         # JSON carries the warnings in its payload; CSV has no field for them.
-        for w in sol.warnings if model == "threshold" else ():
-            print(f"warning: {w}", file=sys.stderr)
+        _warn(sol.warnings if model == "threshold" else ())
         if comps is None:
             lines = ["# model=erlang_c", "x,cdf,pdf"]
             table = np.column_stack([grid, cdf, pdf])
@@ -362,6 +367,7 @@ def run_validate(args) -> int:
     for w in est.warnings:
         lines.append(f"# warning,{w}")
     _emit("\n".join(lines) + "\n", args.out)
+    _warn(sol.warnings if model == "threshold" else ())
     return 0 if worst <= 4.0 else _EXIT_STATISTICAL
 
 
@@ -415,11 +421,12 @@ def _sweep_rows(base: dict, name: str, values: list[float],
                 metrics: dict[str, float | None]) -> list[dict]:
     """The sweep's rows: equal rates go to Erlang-C, the other valid points
     to solver.solve_rows in chunks (for c one point at a time, with one
-    table of boundary levels for the whole sweep)."""
+    table of boundary levels for the whole sweep).  Each row keeps its own
+    solve's warnings."""
     rows, pending = [], []
     for value in values:
         point = {**base, name: int(value) if name == "c" else value}
-        row = {"value": value, "status": "ok", **dict.fromkeys(metrics)}
+        row = {"value": value, "status": "ok", "warnings": (), **dict.fromkeys(metrics)}
         rows.append(row)
         c, lam, mu1, mu2, k = (point[key] for key in ("c", "lambda", "mu1", "mu2", "k"))
         try:
@@ -449,8 +456,10 @@ def _sweep_rows(base: dict, name: str, values: list[float],
             if isinstance(errors[i], NumericalError):
                 raise errors[i]
             chunk[i]["status"] = type(errors[i]).__name__.lower()
+        stacked = bool(live) and np.ndim(sol.b_c) > 0      # else one point for all rows
         for j, i in enumerate(live):      # one value for all when the rows are one point
             chunk[i].update((m, v[j] if np.ndim(v) else v) for m, v in got.items())
+            chunk[i]["warnings"] = sol.warnings[j] if stacked else sol.warnings
     return rows
 
 
@@ -471,25 +480,31 @@ def run_sweep(args) -> int:
         cells += ["" if row[m] is None else _fmt(row[m]) for m in metrics]
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
+    for row in rows:
+        if row["warnings"]:
+            _warn(row["warnings"], f"{name}={_fmt(row['value'])}: ")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"solve": run_solve, "validate": run_validate, "sweep": run_sweep}
-    try:
-        if args.out is not None:        # an unwritable --out fails before the work
-            new = not os.path.lexists(args.out)
-            open(args.out, "a").close()         # creates a missing file, truncates none
-            if new:
-                os.remove(args.out)
-        return handler[args.command](args)
-    except (ValidationError, OSError) as exc:      # OSError: --out not writable
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+    # Overflow and invalid values surface as the solver's own errors (a
+    # non-finite solution is a NumericalError), not as numpy RuntimeWarnings.
+    with np.errstate(all="ignore"):
+        try:
+            if args.out is not None:        # an unwritable --out fails before the work
+                new = not os.path.lexists(args.out)
+                open(args.out, "a").close()         # creates a missing file, truncates none
+                if new:
+                    os.remove(args.out)
+            return handler[args.command](args)
+        except (ValidationError, OSError) as exc:      # OSError: --out not writable
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return _EXIT_VALIDATION
+        except NumericalError as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return _EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

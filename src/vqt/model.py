@@ -202,7 +202,7 @@ def tilde_q(x, m: ModelMatrices) -> np.ndarray:
     inner exponential.  No eigensolve, so near-equal rates cost nothing.
     """
     x = np.asarray(x, dtype=float)[..., None]
-    if not (x >= 0).all():
+    if not np.minimum.reduce(x, axis=None, initial=0.0) >= 0:     # NaN fails too
         raise ValueError("x must be >= 0")
-    core = np.exp(-np.diag(m.delta[m.c - 1]) * x)
+    core = np.exp(-m.delta[m.c - 1].diagonal() * x)
     return np.exp(-m.mu1 * x)[..., None] * (m.b1_inv @ (core[..., None] * m.b1))

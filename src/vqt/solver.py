@@ -557,31 +557,37 @@ class ResidualReport:
 
 @cache
 def _balance_index(c: int) -> tuple[np.ndarray, ...]:
-    """The interior states (i, j), i + j < c - 1, level by level, as
-    (i, j, i + 1, j + 1) in floats and the positions in the concatenated pi
-    levels of pi(i, j), pi(i + 1, j), pi(i, j + 1), and of pi(i - 1, j) with
-    the states that have it (i > 0).  Made once per order and read-only."""
+    """The interior states (i, j), i + j < c - 1, level by level, as rows
+    (i, i + 1) and (j, j + 1) in floats, and four rows of positions in the
+    concatenated pi levels with a zero appended: those of pi(i, j),
+    pi(i + 1, j), pi(i, j + 1) and pi(i - 1, j), the appended zero where
+    i = 0.  Made once per order and read-only."""
     n = np.repeat(np.arange(c - 1), np.arange(1, c))
     own = np.arange(n.size)                 # level n starts at n (n + 1) / 2
     i = own - n * (n + 1) // 2
-    inner = np.flatnonzero(i > 0)
-    out = (i.astype(float), (n - i).astype(float), i + 1.0, (n - i) + 1.0,
-           own, own + n + 2, own + n + 1, inner, own[inner] - n[inner] - 1)
+    left = np.where(i > 0, own - n - 1, c * (c + 1) // 2)
+    out = (np.array([i, i + 1.0]), np.array([n - i, (n - i) + 1.0]),
+           np.array([own, own + n + 2, own + n + 1, left]))
     for a in out:
         a.flags.writeable = False
     return out
 
 
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
+
+
 def _balance_residual(sol: StationarySolution) -> float:
     """max |lhs - rhs| of the balance equation of every interior state, each
     entry summed in the order (lam + i mu1 + j mu2) pi(i, j) against
-    (i + 1) mu1 pi(i + 1, j) + (j + 1) mu2 pi(i, j + 1) [+ lam pi(i - 1, j)]."""
+    (i + 1) mu1 pi(i + 1, j) + (j + 1) mu2 pi(i, j + 1) + lam pi(i - 1, j).
+    Where i = 0 the last term is lam * 0.0, which moves no |lhs - rhs|."""
     p = sol.params
-    i, j, i1, j1, own, right, up, inner, left = _balance_index(p.c)
-    pi = np.concatenate(sol.pi_levels)
-    lhs = (p.lam + i * p.mu1 + j * p.mu2) * pi[own]
-    rhs = i1 * p.mu1 * pi[right] + j1 * p.mu2 * pi[up]
-    rhs[inner] += p.lam * pi[left]
+    ii, jj, at = _balance_index(p.c)
+    pi = np.concatenate((*sol.pi_levels, _ZERO))
+    (i_mu1, i1_mu1), (j_mu2, j1_mu2), (own, right, up, left) = ii * p.mu1, jj * p.mu2, pi[at]
+    lhs = (p.lam + i_mu1 + j_mu2) * own
+    rhs = i1_mu1 * right + j1_mu2 * up + p.lam * left
     # fmax from 0.0 skips a NaN as Python's max(worst, ...) does
     return float(np.fmax.reduce(np.abs(lhs - rhs), initial=0.0))
 
@@ -591,9 +597,14 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
-    """expm1(z)/z for z <= 0, continued by 1 at z = 0."""
-    safe = np.where(z < 0.0, z, -1.0)
-    return np.where(z < 0.0, np.expm1(safe) / safe, 1.0)
+    """expm1(z)/z for z <= 0, continued by 1 at z = 0 (and on NaN).
+
+    One unmasked division: fmin leaves every z < 0 as it is and sends 0, -0
+    and NaN to the smallest negative double s, where expm1(s) = s and the
+    quotient is exactly 1.
+    """
+    s = np.fmin(z, -5e-324)
+    return np.expm1(s) / s
 
 
 def _lower_convolution(sol: StationarySolution, x) -> np.ndarray:
@@ -608,11 +619,18 @@ def _lower_convolution(sol: StationarySolution, x) -> np.ndarray:
     arguments and the exponential grows no faster than F's own terms.
     """
     m, mix = sol.matrices, sol.expansion
-    a = sol.params.mu1 + np.diag(m.delta[sol.params.c - 1])
-    r = mix.lower_rates[:, None]
+    # -a: the rates of the threshold-memory modes, the last c upper rates;
+    # r - (-a) is r + a to the bit
+    r, minus_a = mix.lower_rates[:, None], mix.upper_rates[sol.params.c:]
     x = np.asarray(x, dtype=float)[..., None, None]
-    g = x * (np.exp(np.maximum(r, -a) * x) * _phi(-np.abs(r + a) * x) - _phi(-a * x))
-    return (mix.lower_weights * g).sum(axis=-2) @ m.b1
+    # phi at -|r_i + a_j| x in rows :-1 and at -a_j x in the last row, one pass
+    phi = _phi(np.concatenate((-np.abs(r - minus_a), minus_a[None])) * x)
+    g = np.exp(np.maximum(r, minus_a) * x)
+    g *= phi[..., :-1, :]
+    g -= phi[..., -1:, :]
+    g *= x
+    g *= mix.lower_weights
+    return np.add.reduce(g, axis=-2) @ m.b1
 
 
 def _integro_residual(sol: StationarySolution, xs: np.ndarray, f: np.ndarray,
@@ -643,7 +661,7 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     with the values of a one-point ``eval_cdf``/``eval_density`` call.  It
     takes one point, not a stack.
     """
-    if np.ndim(sol.b_c):
+    if getattr(sol.b_c, "ndim", 0):
         raise ValueError("verify_solution takes one point: verify solve(points[i]) for row i")
     xs = np.random.default_rng(rng).uniform(0.0, sol.params.k, size=10)
     p, m, sp = sol.params, sol.matrices, sol.spectral
@@ -652,27 +670,28 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     ry = rates * np.concatenate(([0.0, p.k], xs))[:, None]
     f = vec_mat(np.expm1(ry), weights)                  # rows: F(0), F(k), F(xs)
     f_prime = vec_mat(rates * np.exp(ry), weights)
-    res: dict[str, float] = {}
 
-    res["con1_F0"] = _max_abs(mix.lower_constant + np.add.reduce(weights, axis=0))
-    res["con2_value_at_k"] = _max_abs(
-        f[1] - (mix.upper_constant + np.add.reduce(mix.upper_weights, axis=0)))
-    res["con3_slope_at_k"] = _max_abs(f_prime[1] - mix.upper_rates @ mix.upper_weights)
-
-    pi_top = sol.pi_levels[-1]
-    slope0 = pi_top @ (p.lam * eye(p.c) + m.delta[p.c - 1])
+    slope0 = sol.pi_levels[-1] @ (p.lam * eye(p.c) + m.delta[p.c - 1])
     if p.c > 1:
         slope0[1:] -= p.lam * sol.pi_levels[-2]
-    res["con4_slope_at_0"] = _max_abs(f_prime[0] - slope0)
-
+    # The four boundary gaps, then alpha0 and alpha1 (for the null-mode
+    # scale), are (c,) rows of one array: one abs, one max per row.
+    row_max = np.maximum.reduce(np.abs(np.array((
+        mix.lower_constant + np.add.reduce(weights, axis=0),
+        f[1] - (mix.upper_constant + np.add.reduce(mix.upper_weights, axis=0)),
+        f_prime[1] - mix.upper_rates @ mix.upper_weights,
+        f_prime[0] - slope0,
+        sol.alpha0, sol.alpha1))), axis=1)
+    res: dict[str, float] = dict(zip(
+        ("con1_F0", "con2_value_at_k", "con3_slope_at_k", "con4_slope_at_0"),
+        row_max[:4].tolist()))
     res["con5_balance"] = _balance_residual(sol)
-    # b_c enters with a flipped sign under the stored convention.
+    # b_c enters with a flipped sign under the stored convention, times the
+    # sum of psi_c = e_0, which is 1.
     res["con6_normalization"] = abs(
-        -sol.b_c * float(sp.psi_c.sum()) + float((sol.alpha1 @ sol.m1).sum())
-        + sol.p_wait_zero - 1.0
-    )
+        -sol.b_c + float(np.add.reduce(sol.alpha1 @ sol.m1)) + sol.p_wait_zero - 1.0)
 
-    scale = max(np.abs(sol.alpha0).max(), np.abs(sol.alpha1).max(), 1.0)
+    scale = max(row_max[4], row_max[5], 1.0)
     res["null_mode_alpha0"] = abs(float(sol.alpha0 @ sp.phi_star_right)) / scale
     res["null_mode_alpha1"] = abs(float(sol.alpha1 @ sp.psi_c_right)) / scale
 

@@ -183,8 +183,9 @@ def sweep(argv):
 
 
 def per_point_sweep(c, lam, mu1, mu2, k, name, values, metrics):
-    """The sweep's rows, each point solved on its own."""
-    lines = []
+    """The sweep's rows and its stderr (each row's warnings, named by its
+    value), each point solved on its own."""
+    lines, err = [], ""
     for v in values:
         p = {"c": c, "lambda": lam, "mu1": mu1, "mu2": mu2, "k": k, name: v}
         try:
@@ -198,9 +199,10 @@ def per_point_sweep(c, lam, mu1, mu2, k, name, values, metrics):
             p_wait = 1.0 - sol.p_wait_zero      # roundoff in (-1e-8, 0) prints as 0
             got = {"mean": mean_wait(sol), "p_wait": 0.0 if -1e-8 < p_wait < 0 else p_wait,
                    "cdf@3": eval_cdf(sol, 3.0)[1]}
+            err += "".join(f"warning: {name}={cli._fmt(v)}: {w}\n" for w in sol.warnings)
         status = "erlang_c" if model == "erlang_c" else "ok"
         lines.append(",".join([cli._fmt(v), status] + [cli._fmt(got[m]) for m in metrics]))
-    return lines
+    return lines, err
 
 
 @pytest.mark.parametrize("argv, name, values", [
@@ -229,11 +231,12 @@ def per_point_sweep(c, lam, mu1, mu2, k, name, values, metrics):
 def test_cli_sweep_rows_match_per_point(argv, name, values):
     metrics = ["mean", "p_wait", "cdf@3"]
     code, out, err = sweep(argv + ["--metrics", ",".join(metrics)])
-    assert code == 0 and err == ""
+    assert code == 0
     base = dict(zip(argv[0:10:2], argv[1:10:2]))
     c, lam, mu1, mu2, k = (float(base[f"--{f}"]) for f in ("c", "lambda", "mu1", "mu2", "k"))
-    expect = per_point_sweep(int(c), lam, mu1, mu2, k, name, values.tolist(), metrics)
+    expect, warned = per_point_sweep(int(c), lam, mu1, mu2, k, name, values.tolist(), metrics)
     assert out.splitlines()[1:] == expect
+    assert err == warned
 
 
 def test_600_point_sweep_fails_as_its_own_solve():
@@ -242,6 +245,8 @@ def test_600_point_sweep_fails_as_its_own_solve():
                             "--metrics", "mean,p_wait,cdf@5"])
     assert (code, out) == (3, "")
     assert err == "Singular: pivot -1.663e-15 below 1e-14 of its row scale at column 5\n"
+    # rows before the abort carry warnings, and an aborted sweep prints none
+    assert solve(validate_params(6, np.linspace(0.2, 3.0, 600)[597], 0.3, 0.8, 5.0)).warnings
     lam = np.linspace(0.2, 3.0, 600)[598]
     with pytest.raises(Singular) as single:
         solve(validate_params(6, lam, 0.3, 0.8, 5.0))
@@ -350,11 +355,12 @@ def test_consecutive_c_sweeps_share_nothing():
     p = validate_params(8, 0.7, 0.8, 1.0, 0.5)
     before = solve(p)
     for lam, mu1 in ((0.7, 0.8), (1.6, 0.8), (1.6, 0.5)):
-        code, out, _ = sweep(["--c", "2", "--lambda", str(lam), "--mu1", str(mu1), "--mu2", "1",
-                              "--k", "0.5", "--sweep", "c=1:12:12", "--metrics", ",".join(metrics)])
+        code, out, err = sweep(["--c", "2", "--lambda", str(lam), "--mu1", str(mu1), "--mu2", "1",
+                                "--k", "0.5", "--sweep", "c=1:12:12", "--metrics", ",".join(metrics)])
         assert code == 0
         values = np.linspace(1, 12, 12).tolist()
-        assert out.splitlines()[1:] == per_point_sweep(2, lam, mu1, 1.0, 0.5, "c", values, metrics)
+        assert (out.splitlines()[1:], err) == per_point_sweep(2, lam, mu1, 1.0, 0.5, "c", values,
+                                                              metrics)
     same_solution(solve(p), before)
 
 

@@ -27,6 +27,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(argv):
+    """``vqt <argv>`` in a fresh interpreter: in-process, pytest collects
+    numpy's RuntimeWarnings before they could reach stderr."""
+    src = str(Path(vqt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "vqt.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestSolve:
     def test_golden_row_at_threshold(self, capsys):
         code, out, _ = run(capsys, GOLDEN + ["--grid-points", "5", "--mean"])
@@ -245,6 +255,18 @@ class TestValidate:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_warned_solve_prints_its_warnings(self, capsys):
+        # the U2- basis condition is 2.0e12 at c = 16, lambda = 8: one
+        # "warning: <text>" line on stderr after the table, as solve's CSV
+        code, out, err = run(capsys, ["validate", "--c", "16", "--lambda", "8", "--mu1", "0.8",
+                                      "--mu2", "1", "--k", "0.5", "--events", "1000",
+                                      "--replications", "1"])
+        assert code == 0
+        warnings = solve(validate_params(16, 8.0, 0.8, 1.0, 0.5)).warnings
+        assert warnings == ("IllConditioned: u2_minus eigenbasis condition 2.033e+12",)
+        assert err == f"warning: {warnings[0]}\n"
+        assert "IllConditioned" not in out
+
     def test_equal_rate_input_compares_with_erlang_c(self, capsys):
         # mu1 == mu2 routes to the Erlang C law: its CDF and mean are the
         # analytic column
@@ -402,18 +424,25 @@ class TestBadInput:
         ["validate", "--events", "1000", "--replications", "1"],
     ])
     def test_growth_overflow_stderr_is_one_line(self, command):
-        # A fresh interpreter: in-process, pytest collects numpy's
-        # RuntimeWarnings before they could reach stderr.
-        src = str(Path(vqt.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "vqt.cli", command[0], *self.OVERFLOW, *command[1:]],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_fresh([command[0], *self.OVERFLOW, *command[1:]])
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == ("NumericalError: non-finite solution: growth exponent "
                                "theta_max*k = 734.1 (exp overflows past about 709)\n")
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--grid-points", "3"],
+        ["sweep", "--sweep", "k=1e-160:1e-160:1"],
+        ["validate", "--events", "1000", "--replications", "1"],
+    ])
+    def test_overflowed_rates_stderr_is_one_line(self, command):
+        # rates near 1e160 overflow in the spectral layer; numpy's
+        # RuntimeWarnings stay off stderr and the solver's own
+        # error is the one line
+        proc = run_fresh([command[0], "--c", "3", "--lambda", "2e160", "--mu1", "1.5e160",
+                          "--mu2", "1e160", "--k", "1e-160", *command[1:]])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "NumericalError: non-finite solution\n"
 
     @pytest.mark.parametrize("command", [
         ["solve", "--grid-points", "3"],
@@ -539,6 +568,27 @@ class TestSweep:
             if cells[1] == "ok":
                 sol = solve(validate_params(3, float(cells[0]), 0.3, 0.8, 5.0))
                 assert float(cells[4]) == pytest.approx(sol.p_wait_zero, abs=1e-14)
+
+    WARNED = ["--c", "16", "--lambda", "11.2", "--mu1", "0.8", "--mu2", "1", "--k", "0.5"]
+
+    def test_warned_row_named_on_stderr(self, capsys):
+        # c = 16 carries the U2- condition warning (7.9e10), c = 15 none
+        code, out, err = run(capsys, ["sweep", *self.WARNED, "--sweep", "c=15:16:2",
+                                      "--metrics", "mean"])
+        assert code == 0 and "IllConditioned" not in out
+        assert solve(validate_params(15, 11.2, 0.8, 1.0, 0.5)).warnings == ()
+        assert err == "warning: c=16: IllConditioned: u2_minus eigenbasis condition 7.895e+10\n"
+
+    def test_stacked_rows_print_their_own_warnings(self, capsys):
+        code, out, err = run(capsys, ["sweep", *self.WARNED, "--sweep", "lambda=8:11.2:2",
+                                      "--metrics", "mean"])
+        assert code == 0 and "IllConditioned" not in out
+        assert err.splitlines() == [
+            "warning: lambda=8: IllConditioned: u2_minus eigenbasis condition 2.033e+12",
+            "warning: lambda=11.2: IllConditioned: u2_minus eigenbasis condition 7.895e+10"]
+        for lam, line in zip((8.0, 11.2), err.splitlines()):
+            assert solve(validate_params(16, lam, 0.8, 1.0, 0.5)).warnings == (
+                line.split(": ", 2)[2],)
 
     def test_bad_sweep_spec(self, capsys):
         code, _, err = run(capsys, [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from vqt.solver import (
     _c_hat_levels,
     _expand,
     _lower_convolution,
+    _phi,
     _row_solve,
     eval_cdf,
     eval_density,
@@ -850,6 +852,9 @@ NAMED_INPUTS = [
     (2, 2e6, 750000.0, 1.12e6, 4.5e-7),
     (2, 2.0, 0.75, 1.12, 0.45),             # the README's examples
     (3, 2.0, 0.3, 0.8, 5.0),
+    (3, 2.0, 0.6, 0.8, 5.0),                # perfbench figures' other verify inputs
+    (3, 2.0, 0.67, 0.8, 5.0),
+    (3, 2.0, 0.74, 0.8, 5.0),
 ]
 
 
@@ -954,6 +959,18 @@ class TestBalanceResidual:
                 wrong = dataclasses.replace(s, pi_levels=tuple(levels))
                 bad = verify_solution(wrong, rng=0).residuals["con5_balance"]
                 assert bad > 1e-6, (i, n - i)
+
+
+class TestPhi:
+    def test_edge_values(self):
+        # expm1(z)/z on z <= 0 with 1 at both zeros and on NaN; pinned to the
+        # bit, where the interior points of verify_solution rarely go
+        z = np.array([0.0, -0.0, -5e-324, -1e-300, -1.0, -np.inf, np.nan])
+        want = np.array([1.0, 1.0, 1.0, 1.0, 0.6321205588285577, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _phi(z)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTailRate:
