@@ -1,6 +1,13 @@
 """Exact stationary analysis of M/M/c queues whose service rate depends on
 whether the customer's queueing delay at arrival exceeds a threshold, plus
-closed-form reference models and a discrete-event simulation oracle."""
+closed-form reference models and a discrete-event simulation oracle.
+
+``import vqt`` loads the analytic pipeline only.  The simulation oracle
+(``vqt.simulator``) and the closed-form references (``vqt.reference``) load
+on first use of a name they export, or of the module itself (PEP 562).
+"""
+
+import importlib
 
 from .errors import (
     Degenerate,
@@ -16,8 +23,6 @@ from .errors import (
     VqtError,
 )
 from .model import ModelMatrices, QueueParams, build_matrices, inspect_params, validate_params
-from .reference import ErlangCSolution, SingleServerSolution, erlang_c, single_server
-from .simulator import Estimate, SimConfig, SimEstimate, simulate, simulate_replicated
 from .solver import (
     ResidualReport,
     ScalarMixture,
@@ -44,3 +49,24 @@ __all__ = [
     "NumericalError", "Singular", "NullSpaceDimension",
     "NegativeProbability", "DivergentIntegral", "PoleParameter",
 ]
+
+# A solve or sweep never calls these, and importing them costs about a fifth
+# of vqt's own import time: name -> the submodule that defines it.
+_LAZY = {
+    **dict.fromkeys(("simulate", "simulate_replicated", "SimConfig", "SimEstimate",
+                     "Estimate"), "simulator"),
+    **dict.fromkeys(("erlang_c", "single_server", "ErlangCSolution",
+                     "SingleServerSolution"), "reference"),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -40,8 +40,6 @@ import numpy as np
 from . import solver
 from .errors import NumericalError, RowErrors, Unstable, ValidationError
 from .model import inspect_params, validate_params
-from .reference import erlang_c
-from .simulator import SimConfig, simulate_replicated
 
 __all__ = ["main", "run_solve", "run_validate", "run_sweep"]
 
@@ -151,6 +149,7 @@ def _solve_or_route(c: int, lam: float, mu1: float, mu2: float,
         params = inspect_params(c, lam, mu1, mu2, k)
         if not params.stable:
             raise Unstable(f"lambda/(c*mu2) = {params.rho:.6g} >= 1")
+        from .reference import erlang_c  # loaded on first use
         return erlang_c(params), "erlang_c"
     return solver.solve(validate_params(c, lam, mu1, mu2, k)), "threshold"
 
@@ -341,6 +340,7 @@ def run_validate(args) -> int:
     grid = _parse_validate_grid(args.grid) if args.grid else _default_validate_grid(args.k)
     sol, model = _solve_or_route(args.c, args.lam, args.mu1, args.mu2, args.k)
     params = inspect_params(args.c, args.lam, args.mu1, args.mu2, args.k)
+    from .simulator import SimConfig, simulate_replicated  # loaded on first use
     est = simulate_replicated(params, SimConfig(
         num_arrivals=args.events, seed=args.seed,
         grid=grid, replications=args.replications,

@@ -457,7 +457,7 @@ def _check_finite(b_c, pi_levels, f_infinity, mix) -> None:
     """Raise ``NumericalError`` (per row) unless pi, b_c, F(inf) and every
     mixture array are finite.  Every row past the growth exponent's overflow
     has left ``solve`` before, so the error names no exponent."""
-    batch = np.shape(b_c)
+    batch = b_c.shape
     arrays = [(a, 1) for a in (*pi_levels, f_infinity, mix.lower_rates, mix.lower_constant,
                                 mix.upper_rates, mix.upper_constant)]
     arrays += [(mix.lower_weights, 2), (mix.upper_weights, 2)]

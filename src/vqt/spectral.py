@@ -155,8 +155,8 @@ def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.n
     tol = EPS_DEG * scale
     for y, pos in ((y1, c - 1), (y2, 0)):
         diag = np.abs(y.diagonal(axis1=-2, axis2=-1))
-        second = np.partition(diag, 1, axis=-1)[..., 1] if c > 1 else np.inf
-        fail((diag[..., pos] > tol) | (second <= tol), lambda i: NullSpaceDimension(
+        small = np.add.reduce(diag <= per_row(tol, 1), axis=-1)    # entries at or below tol
+        fail((diag[..., pos] > tol) | (small > 1), lambda i: NullSpaceDimension(
             "null space of B - D_tilde is not 1-dimensional"))
 
     phi_star_right = np.zeros(y1.shape[:-1])
@@ -177,12 +177,13 @@ def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.n
 def _warnings(conds: list, rows: tuple) -> tuple:
     """The warnings of one point (rows ()), or a tuple of them for each row
     of a stack (rows (R,)): one per basis whose condition passes 1e10."""
-    if rows:
-        conds = [(label, np.broadcast_to(cond, rows)) for label, cond in conds]
-    out = tuple(tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond[i]:.3e}"
-                      for label, cond in conds if cond[i] > _COND_WARN)
-                for i in np.ndindex(rows))
-    return out if rows else out[0]
+    if not rows:
+        return tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond:.3e}"
+                     for label, cond in conds if cond > _COND_WARN)
+    conds = [(label, np.broadcast_to(cond, rows)) for label, cond in conds]
+    return tuple(tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond[i]:.3e}"
+                       for label, cond in conds if cond[i] > _COND_WARN)
+                 for i in range(rows[0]))
 
 
 def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData:
@@ -196,10 +197,11 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
     halves = theta.shape[:-1] + (2, c)      # U1- and U1+ as a stack of two
     u1, phi_inv = _assemble_u(theta.reshape(halves), phi.reshape(halves + (c,)), "upper",
                               conds, ("u1_minus", "u1_plus"))
-    (u1_minus, u1_plus), (phi_minus_inv, phi_plus_inv) = (np.moveaxis(u1, -3, 0),
-                                                          np.moveaxis(phi_inv, -3, 0))
+    u1_minus, u1_plus = u1[..., 0, :, :], u1[..., 1, :, :]
+    phi_minus_inv, phi_plus_inv = phi_inv[..., 0, :, :], phi_inv[..., 1, :, :]
     u2_minus, psi_minus_inv = _assemble_u(beta[..., :c], psi, "lower", conds, "u2_minus")
-    rows = max(map(np.shape, (params.lam, params.mu1, params.mu2, params.k)))  # () or (R,)
+    rows = max(getattr(x, "shape", ()) for x in (params.lam, params.mu1, params.mu2,
+                                                 params.k))  # () or (R,)
     warnings = _warnings(conds, rows)
     phi_star, psi_c = eye(c)[[c - 1, 0]]
     phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,16 @@ from vqt.solver import solve
 
 # Worked two-server case used throughout: k=0.45, lambda=2, mu1=0.75, mu2=1.12.
 TWO_SERVER = dict(c=2, lam=2.0, mu1=0.75, mu2=1.12, k=0.45)
+
+
+def run_python(*args, path=()):
+    """``python <args>`` in a fresh interpreter that imports this checkout's
+    vqt, with the directories ``path`` on its import path too."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), *map(str, path), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 @pytest.fixture(scope="session")

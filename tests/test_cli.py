@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,8 @@ from vqt.model import inspect_params, validate_params
 from vqt.reference import erlang_c
 from vqt.solver import eval_cdf, eval_density, solve, verify_solution
 
+from conftest import run_python
+
 GOLDEN = ["solve", "--c", "2", "--lambda", "2", "--mu1", "0.75", "--mu2", "1.12",
           "--k", "0.45"]
 
@@ -30,11 +28,7 @@ def run(capsys, argv):
 def run_fresh(argv):
     """``vqt <argv>`` in a fresh interpreter: in-process, pytest collects
     numpy's RuntimeWarnings before they could reach stderr."""
-    src = str(Path(vqt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "vqt.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return run_python("-m", "vqt.cli", *argv)
 
 
 class TestSolve:
@@ -452,7 +446,7 @@ class TestBadInput:
     def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, command):
         def work(*args, **kwargs):
             raise AssertionError("solve or simulation ran before the --out check")
-        monkeypatch.setattr(cli, "simulate_replicated", work)
+        monkeypatch.setattr("vqt.simulator.simulate_replicated", work)
         monkeypatch.setattr(solver, "solve", work)
         path = tmp_path / "missing" / "out.csv"
         code, out, err = run(capsys, [command[0], *self.MODEL, *command[1:],
@@ -628,6 +622,18 @@ def test_calls_in_a_row_match_first_calls(capsys):
     assert [code for code, _, _ in in_a_row] == [0, 0, 2, 0]
     assert "invalid float value: 'two'" in in_a_row[2][2]
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", *TestBadInput.MODEL, "--events", "1000", "--replications", "1"],
+    ["solve", "--c", "2", "--lambda", "1.4", "--mu1", "1", "--mu2", "1", "--k", "0.5",
+     "--grid-points", "5", "--mean"],
+])
+def test_fresh_process_prints_what_in_process_prints(capsys, argv):
+    # a fresh process loads the simulator and the reference models on first
+    # use; this one has them loaded already
+    proc = run_fresh(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
 
 
 # float64 values, with NaN, +-inf, -0.0 and subnormals drawn often
