@@ -11,8 +11,8 @@ Three subcommands:
   leaves the others going; a NumericalError aborts the sweep, the first in
   row order.  A lambda, mu1, mu2 or k sweep is solved in stacked passes of
   _SWEEP_CHUNK rows, each bit-identical to its own solve; a c sweep point by
-  point, its points sharing one table of boundary levels, so each level is
-  computed once.
+  point.  Points that share lambda, mu1 and mu2 share one table of boundary
+  levels, so each level is computed once.
 
 Probabilities print as the solver gives them, except that a value in
 (-1e-8, 0), roundoff below zero, prints as 0: each pi entry of ``solve``
@@ -38,8 +38,8 @@ from functools import cache
 import numpy as np
 
 from . import solver
-from .errors import NumericalError, RowErrors, Unstable, ValidationError
-from .model import inspect_params, validate_params
+from .errors import NumericalError, RowErrors, ValidationError
+from .model import check_stable, inspect_params, validate_params
 
 __all__ = ["main", "run_solve", "run_validate", "run_sweep"]
 
@@ -146,9 +146,7 @@ def _solve_or_route(c: int, lam: float, mu1: float, mu2: float,
                     k: float) -> tuple[object, str]:
     """Return (solution, model_tag); equal rates go to the Erlang reduction."""
     if mu1 == mu2:
-        params = inspect_params(c, lam, mu1, mu2, k)
-        if not params.stable:
-            raise Unstable(f"lambda/(c*mu2) = {params.rho:.6g} >= 1")
+        params = check_stable(inspect_params(c, lam, mu1, mu2, k))
         from .reference import erlang_c  # loaded on first use
         return erlang_c(params), "erlang_c"
     return solver.solve(validate_params(c, lam, mu1, mu2, k)), "threshold"
@@ -420,9 +418,9 @@ def _sweep_metrics(text: str) -> dict[str, float | None]:
 def _sweep_rows(base: dict, name: str, values: list[float],
                 metrics: dict[str, float | None]) -> list[dict]:
     """The sweep's rows: equal rates go to Erlang-C, the other valid points
-    to solver.solve_rows in chunks (for c one point at a time, with one
-    table of boundary levels for the whole sweep).  Each row keeps its own
-    solve's warnings."""
+    to solver.solve_rows in chunks (for c one point at a time), all with one
+    table of boundary levels, which solve reads where the rates are shared
+    floats.  Each row keeps its own solve's warnings."""
     rows, pending = [], []
     for value in values:
         point = {**base, name: int(value) if name == "c" else value}
@@ -438,7 +436,7 @@ def _sweep_rows(base: dict, name: str, values: list[float],
             row.update((m, evals[m]() if x is None else sol.cdf(x)) for m, x in metrics.items())
         except ValidationError as exc:
             row["status"] = type(exc).__name__.lower()
-    size, levels = (1, {}) if name == "c" else (_SWEEP_CHUNK, None)
+    size, levels = (1 if name == "c" else _SWEEP_CHUNK), {}
     for start in range(0, len(pending), size):
         chunk = [row for row, _ in pending[start:start + size]]
         sol, live, errors = solver.solve_rows([p for _, p in pending[start:start + size]],

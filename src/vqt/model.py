@@ -35,10 +35,7 @@ EPS_DEG = 1e-9
 
 @dataclass(frozen=True)
 class QueueParams:
-    """Validated queue parameters with stability/degeneracy status.
-
-    ``degeneracy`` is None for inputs that passed the strict guards and a
-    condition label otherwise (permissive construction only).
+    """The queue's five inputs; stability and the rate scale derive from them.
 
     A stack of points that share c (see ``solver.solve_rows``) is one
     QueueParams whose lam, mu1, mu2 or k is a float array over the rows; a
@@ -51,12 +48,14 @@ class QueueParams:
     mu1: float
     mu2: float
     k: float
-    stable: bool = True
-    degeneracy: str | None = None
 
     @property
     def rho(self) -> float:
         return self.lam / (self.c * self.mu2)
+
+    @property
+    def stable(self) -> bool:
+        return self.rho < 1.0
 
     @cached_property
     def scale(self) -> float:
@@ -71,19 +70,11 @@ def _check_positive(c: int, lam: float, mu1: float, mu2: float, k: float) -> Non
             raise NonPositive(f"{name} must be finite and > 0, got {value}")
 
 
-def _degeneracy(c: int, lam: float, mu1: float, mu2: float) -> str | None:
-    scale = max(lam, c * mu1, c * mu2)
-    tol = EPS_DEG * scale
-    checks = (
-        ("lambda = c*mu1", abs(lam - c * mu1)),
-        ("lambda = c*(mu1 - mu2)", abs(lam - c * (mu1 - mu2))),
-        ("lambda = c*(mu2 - mu1)", abs(lam - c * (mu2 - mu1))),
-        ("mu1 = mu2", abs(mu1 - mu2)),
-    )
-    for label, gap in checks:
-        if gap <= tol:
-            return label
-    return None
+def check_stable(params: QueueParams) -> QueueParams:
+    """params, or Unstable where lambda/(c*mu2) >= 1."""
+    if not params.stable:
+        raise Unstable(f"lambda/(c*mu2) = {params.rho:.6g} >= 1")
+    return params
 
 
 def validate_params(c: int, lam: float, mu1: float, mu2: float, k: float) -> QueueParams:
@@ -93,30 +84,29 @@ def validate_params(c: int, lam: float, mu1: float, mu2: float, k: float) -> Que
     a suggested perturbation (mu1 scaled by 1 + 1e-7) that clears the guard
     within plotting accuracy.
     """
-    _check_positive(c, lam, mu1, mu2, k)
-    if lam / (c * mu2) >= 1.0:
-        raise Unstable(f"lambda/(c*mu2) = {lam / (c * mu2):.6g} >= 1")
-    condition = _degeneracy(c, lam, mu1, mu2)
-    if condition is not None:
-        raise Degenerate(
-            condition,
-            suggestion={"c": c, "lambda": lam, "mu1": mu1 * (1 + 1e-7), "mu2": mu2, "k": k},
-        )
-    return QueueParams(int(c), float(lam), float(mu1), float(mu2), float(k))
+    params = check_stable(inspect_params(c, lam, mu1, mu2, k))
+    tol = EPS_DEG * max(lam, c * mu1, c * mu2)
+    checks = (
+        ("lambda = c*mu1", abs(lam - c * mu1)),
+        ("lambda = c*(mu1 - mu2)", abs(lam - c * (mu1 - mu2))),
+        ("lambda = c*(mu2 - mu1)", abs(lam - c * (mu2 - mu1))),
+        ("mu1 = mu2", abs(mu1 - mu2)),
+    )
+    for condition, gap in checks:
+        if gap <= tol:
+            raise Degenerate(condition, suggestion={
+                "c": c, "lambda": lam, "mu1": mu1 * (1 + 1e-7), "mu2": mu2, "k": k})
+    return params
 
 
 def inspect_params(c: int, lam: float, mu1: float, mu2: float, k: float) -> QueueParams:
-    """Permissive construction: positivity only, status recorded.
+    """Permissive construction: positivity only.
 
     Used by the simulator (which is the arbiter for analytically excluded
     cases) and by the Erlang reduction for mu1 = mu2.
     """
     _check_positive(c, lam, mu1, mu2, k)
-    return QueueParams(
-        int(c), float(lam), float(mu1), float(mu2), float(k),
-        stable=lam / (c * mu2) < 1.0,
-        degeneracy=_degeneracy(c, lam, mu1, mu2),
-    )
+    return QueueParams(int(c), float(lam), float(mu1), float(mu2), float(k))
 
 
 def per_row(x, ndim: int):

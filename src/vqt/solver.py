@@ -232,9 +232,15 @@ class StationarySolution:
     alpha0: np.ndarray
     alpha1: np.ndarray
     m1: np.ndarray
-    f_infinity: np.ndarray
     expansion: ScalarMixture            # F as explicit exponential terms
-    warnings: tuple[str, ...] = ()
+
+    @property
+    def f_infinity(self) -> np.ndarray:     # F(inf), the mixture's upper constant
+        return self.expansion.upper_constant
+
+    @property
+    def warnings(self) -> tuple:            # the spectral layer's
+        return self.spectral.warnings
 
     def pi(self, i: int, j: int):
         """pi(i, j), the probability of no wait with i class-1 and j class-2
@@ -303,7 +309,7 @@ def _expand(
         lower_constant=alpha0_m0,
         upper_rates=upper_rates,
         upper_weights=_concat(b_minus[..., None] * sp.psi, memory, axis=-2),
-        upper_constant=f_infinity.copy(),
+        upper_constant=f_infinity,
     )
 
 
@@ -319,10 +325,11 @@ def _c_hat_levels(params: QueueParams, matrices: ModelMatrices,
     Level n solves C_hat_n T_n = B_hat_n, T_n = lambda (I - [0 | C_hat_{n-1}])
     + Delta_n, by LAPACK (_row_solve), a stack in one call (C_hat_0 =
     B_hat_0 / lambda).  It depends on lambda, mu1, mu2 and n alone, not on c
-    or k.  So points that share those rates share one table, which this
-    extends to the levels params needs.  A level joins the table only once
-    computed: one that raises leaves the table as it was, and every later
-    point that needs it computes it again and raises the same error.
+    or k, so points that share those rates as floats share a table (see
+    ``solve``), which this extends to the levels params needs.  A level joins
+    the table only once computed: one that raises leaves the table as it was,
+    and every later point that needs it computes it again and raises the same
+    error.
 
     Each T_n first passes the scaled diagonal pivot test (Singular, RowErrors
     on a stack).  T_n is strictly row diagonally dominant on every input
@@ -352,10 +359,10 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     point, or a stack of points that share c (see ``solve_rows``), whose
     failing rows raise RowErrors.
 
-    ``levels`` maps (lambda, mu1, mu2) to a table of ``_c_hat_levels``,
-    which solve reads and extends: points whose rates are shared floats, as
-    in a c sweep, compute each level once.  Without it, no table outlives
-    the call.
+    ``levels`` maps (lambda, mu1, mu2) to a table of ``_c_hat_levels``, which
+    solve reads and extends where all three rates are shared floats: points
+    that share them (a c sweep, a k sweep's chunks) compute each level once.
+    Per-row rates, or no ``levels``, get a table that no other call sees.
     """
     matrices = build_matrices(params)
     spectral = build_spectral(params, matrices)
@@ -367,10 +374,10 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         "(exp overflows past about 709)"))
 
     c, lam = params.c, per_row(params.lam, 2)
-    psi_c = spectral.psi_c
     # pi_n = pi_{n+1} C_hat_n below the top level, and F'(0) = pi_{c-1} slope_0
-    table = [] if levels is None else levels.setdefault((params.lam, params.mu1, params.mu2), [])
-    c_hat = _c_hat_levels(params, matrices, table)
+    rates = (params.lam, params.mu1, params.mu2)
+    shared = levels is not None and not any(isinstance(r, np.ndarray) for r in rates)
+    c_hat = _c_hat_levels(params, matrices, levels.setdefault(rates, []) if shared else [])
     slope_0 = lam * eye(c) + matrices.delta[c - 1]
     if c > 1:
         slope_0[..., 1:] -= lam * c_hat[c - 2]
@@ -398,10 +405,10 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     x = b_c1 * x
     v = terms(x[..., None, :c], x[..., None, c:])
     v = {name: value[..., 0, :] for name, value in v.items()}
-    f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * psi_c
+    f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * spectral.psi_c
     expansion = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
                         f_infinity, v["alpha2"], dm2)
-    _check_finite(b_c, pi_levels, f_infinity, expansion)
+    _check_finite(b_c, pi_levels, expansion)
     return StationarySolution(
         params=params,
         matrices=matrices,
@@ -414,9 +421,7 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         alpha0=v["alpha0"],
         alpha1=v["alpha1"],
         m1=m1,
-        f_infinity=f_infinity,
         expansion=expansion,
-        warnings=spectral.warnings,
     )
 
 
@@ -453,12 +458,12 @@ def solve_rows(points: list[QueueParams], levels: dict | None = None
     return None, live, errors
 
 
-def _check_finite(b_c, pi_levels, f_infinity, mix) -> None:
-    """Raise ``NumericalError`` (per row) unless pi, b_c, F(inf) and every
-    mixture array are finite.  Every row past the growth exponent's overflow
-    has left ``solve`` before, so the error names no exponent."""
+def _check_finite(b_c, pi_levels, mix) -> None:
+    """Raise ``NumericalError`` (per row) unless pi, b_c and every mixture
+    array (F(inf) is the upper constant) are finite.  Rows past the growth
+    exponent's overflow left ``solve`` before, so the error names no exponent."""
     batch = b_c.shape
-    arrays = [(a, 1) for a in (*pi_levels, f_infinity, mix.lower_rates, mix.lower_constant,
+    arrays = [(a, 1) for a in (*pi_levels, mix.lower_rates, mix.lower_constant,
                                 mix.upper_rates, mix.upper_constant)]
     arrays += [(mix.lower_weights, 2), (mix.upper_weights, 2)]
     # one isfinite over the concatenation costs a third of one per array

@@ -76,16 +76,15 @@ def _left_null_vectors(roots: np.ndarray, lam, d_tilde: np.ndarray,
     Stacked roots (B, n) give stacked rows (B, n, c).
     """
     c = b.shape[-1]
-    eye = np.eye(c)
     t = roots[..., None, None]
     lam = per_row(lam, 3)
-    p = t * t * eye - t * (lam * eye - d_tilde[..., None, :, :]) \
+    p = t * t * eye(c) - t * (lam * eye(c) - d_tilde[..., None, :, :]) \
         + lam * (b - d_tilde)[..., None, :, :]
     batch, halves = roots.shape[:-1], roots.shape[-1] // c
     p = p.reshape(batch + (halves, c, c, c))
     # [..., half, pivot, entry]; root idx = half*c + pivot
     v = np.empty(batch + (halves, c, c))
-    v[...] = eye
+    v[...] = eye(c)
     if orientation == "upper":
         steps = [(j, slice(0, j)) for j in range(1, c)]
     else:
@@ -115,9 +114,11 @@ def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple
     plus = 0.5 * (s + np.sqrt(s * s + 4.0 * p))
     zero = p == 0.0                           # 1 + plus there: no 0 / 0
     roots = np.concatenate((np.where(zero, s - plus, -p / (plus + zero)), plus), axis=-1)
-    gaps = np.abs(roots[..., :, None] - roots[..., None, :]) \
-        + eye(2 * c) * per_row(params.scale, 3)
-    low = np.minimum.reduce(gaps, axis=(-2, -1))
+    # the smallest gap is between neighbours in order; a non-finite root makes
+    # it NaN (0 * inf) and passes, leaving the point to the finiteness checks
+    ordered = np.sort(roots, axis=-1)
+    low = np.minimum.reduce(ordered[..., 1:] - ordered[..., :-1], axis=-1) \
+        + 0.0 * np.maximum.reduce(np.abs(roots), axis=-1)
     for k, label in enumerate(("theta", "beta")):
         fail(low[..., k] <= EPS_DEG * params.scale, lambda i: Degenerate(
             f"{label} eigenvalue collision (gap {low[..., k][i]:.3e})"))
@@ -128,17 +129,14 @@ def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple
                                       matrices.b2, "lower")))
 
 
-def _assemble_u(values: np.ndarray, vectors: np.ndarray, orientation: str,
-                conds: list, label) -> tuple[np.ndarray, np.ndarray]:
-    """The solvent V^-1 diag(values) V and the basis inverse V^-1; appends
-    (label, condition of V) to conds, for each label of a stack of bases."""
+def _assemble_u(values: np.ndarray, vectors: np.ndarray,
+                orientation: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solvent V^-1 diag(values) V, the basis inverse V^-1 and the
+    condition of V, each for every basis of a stack."""
     # the pivot-normalized eigenvector bases are unitriangular, so their
     # inverses come from exact substitution rather than pivoted elimination
     v_inv = unitri_inv(vectors, orientation)
-    cond = cond_1norm(vectors, v_inv)
-    conds += [(label, cond)] if isinstance(label, str) else [
-        (name, cond[..., i]) for i, name in enumerate(label)]
-    return v_inv @ (values[..., None] * vectors), v_inv
+    return v_inv @ (values[..., None] * vectors), v_inv, cond_1norm(vectors, v_inv)
 
 
 def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -193,16 +191,16 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
     warnings holds one tuple per row.  Of k it reads the shape alone."""
     (theta, phi), (beta, psi) = _spectra(params, matrices)
     c = params.c
-    conds: list = []
     halves = theta.shape[:-1] + (2, c)      # U1- and U1+ as a stack of two
-    u1, phi_inv = _assemble_u(theta.reshape(halves), phi.reshape(halves + (c,)), "upper",
-                              conds, ("u1_minus", "u1_plus"))
+    u1, phi_inv, cond_1 = _assemble_u(theta.reshape(halves), phi.reshape(halves + (c,)),
+                                      "upper")
     u1_minus, u1_plus = u1[..., 0, :, :], u1[..., 1, :, :]
     phi_minus_inv, phi_plus_inv = phi_inv[..., 0, :, :], phi_inv[..., 1, :, :]
-    u2_minus, psi_minus_inv = _assemble_u(beta[..., :c], psi, "lower", conds, "u2_minus")
+    u2_minus, psi_minus_inv, cond_2 = _assemble_u(beta[..., :c], psi, "lower")
     rows = max(getattr(x, "shape", ()) for x in (params.lam, params.mu1, params.mu2,
                                                  params.k))  # () or (R,)
-    warnings = _warnings(conds, rows)
+    warnings = _warnings([("u1_minus", cond_1[..., 0]), ("u1_plus", cond_1[..., 1]),
+                          ("u2_minus", cond_2)], rows)
     phi_star, psi_c = eye(c)[[c - 1, 0]]
     phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)
     return SpectralData(

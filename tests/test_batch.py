@@ -48,9 +48,9 @@ def straddling_grid(k):
     return np.unique(np.concatenate([np.linspace(0.0, 3.0, 7), k, 0.5 * k, 1.5 * k]))
 
 
-def check_rows(points):
+def check_rows(points, levels=None):
     """solve_rows against solve, row by row; returns (rows solved, rows failed)."""
-    sol, live, errors = solve_rows(points)
+    sol, live, errors = solve_rows(points, levels)
     assert sorted(live + list(errors)) == list(range(len(points)))
     if sol is not None and np.ndim(sol.b_c):
         xs = straddling_grid(sol.expansion.k)
@@ -109,6 +109,17 @@ def test_k_stack_grid_point_below_some_thresholds_and_above_others():
     same(f2, f.reshape(2, 2, 4, 3))
     same(total2, total.reshape(2, 2, 4))
     same(eval_density(sol, xs.reshape(2, 2)), eval_density(sol, xs).reshape(2, 2, 4, 3))
+
+
+@pytest.mark.parametrize("name, values", [("lam", (1.0, 1.5, 2.0)), ("mu1", (0.3, 0.5, 1.4)),
+                                          ("k", (0.1, 0.5, 2.0))])
+def test_level_table_serves_stacks_whose_rates_are_shared(name, values):
+    point = {"c": 4, "lam": 2.5, "mu1": 0.8, "mu2": 1.0, "k": 0.5}
+    levels = {}
+    assert check_rows([validate_params(**{**point, name: v}) for v in values], levels) == (3, 0)
+    # per-row rates get a table of their own; shared ones extend theirs to c - 1 levels
+    assert ({key: len(table) for key, table in levels.items()}
+            == ({(2.5, 0.8, 1.0): 3} if name == "k" else {}))
 
 
 def test_verify_solution_takes_one_point():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from vqt.model import (
     tilde_q,
     validate_params,
 )
+from vqt.simulator import SimConfig, simulate
 
 from conftest import TWO_SERVER, class_swap_matrix, random_stable_params
 
@@ -18,7 +20,7 @@ from conftest import TWO_SERVER, class_swap_matrix, random_stable_params
 class TestValidateParams:
     def test_worked_example_is_valid(self):
         p = validate_params(**TWO_SERVER)
-        assert p.stable and p.degeneracy is None
+        assert p.stable
 
     def test_unstable(self):
         with pytest.raises(Unstable):
@@ -46,10 +48,17 @@ class TestValidateParams:
             validate_params(bad["c"], bad["lam"], bad["mu1"], bad["mu2"], bad["k"])
 
     def test_inspect_accepts_degenerate(self):
-        p = inspect_params(2, 1.0, 1.0, 1.0, 1.0)
-        assert p.degeneracy == "mu1 = mu2"
+        inspect_params(2, 1.0, 1.0, 1.0, 1.0)
         q = inspect_params(1, 2.0, 1.0, 1.5, 1.0)
         assert not q.stable
+
+    def test_stability_derives_from_the_five_inputs(self):
+        q = QueueParams(1, 2.0, 1.0, 1.0, 1.0)
+        assert q.stable is False and q.rho == 2.0
+        est = simulate(q, SimConfig(1000))
+        assert any("unstable" in w for w in est.warnings)
+        assert [f.name for f in dataclasses.fields(QueueParams)] == ["c", "lam", "mu1", "mu2", "k"]
+        assert q == inspect_params(1, 2, 1, 1, 1)
 
 
 class TestBuildMatrices:

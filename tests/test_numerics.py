@@ -331,7 +331,7 @@ class TestMatFunc:
         # the unitriangular basis that _assemble_u takes
         order = np.argsort(values)
         v = np.triu(left[order] / left[order].diagonal()[:, None])
-        u, _ = _assemble_u(values[order], v, "upper", [], "t")
+        u, _, _ = _assemble_u(values[order], v, "upper")
         assert np.abs(u - t).max() < 1e-10 * np.abs(t).max()
 
     def test_exp_diagonal(self):

@@ -171,7 +171,7 @@ def reference_chain_solve(p):
     sol = StationarySolution(
         params=p, matrices=m, spectral=sp, pi_levels=pi_levels, b_c=b_c,
         f_prime_0=f_prime_0, f_at_k=f_at_k, f_prime_at_k=f_prime_at_k, alpha0=alpha0,
-        alpha1=alpha1, m1=m1, f_infinity=f_infinity, expansion=mix, warnings=sp.warnings)
+        alpha1=alpha1, m1=m1, expansion=mix)
     return sol, h
 
 
