@@ -337,9 +337,8 @@ def run_validate(args) -> int:
         raise ValidationError("--replications must be >= 1")
     grid = _parse_validate_grid(args.grid) if args.grid else _default_validate_grid(args.k)
     sol, model = _solve_or_route(args.c, args.lam, args.mu1, args.mu2, args.k)
-    params = inspect_params(args.c, args.lam, args.mu1, args.mu2, args.k)
     from .simulator import SimConfig, simulate_replicated  # loaded on first use
-    est = simulate_replicated(params, SimConfig(
+    est = simulate_replicated(sol.params, SimConfig(
         num_arrivals=args.events, seed=args.seed,
         grid=grid, replications=args.replications,
     ))
@@ -497,12 +496,9 @@ def main(argv: list[str] | None = None) -> int:
                 if new:
                     os.remove(args.out)
             return handler[args.command](args)
-        except (ValidationError, OSError) as exc:      # OSError: --out not writable
+        except (ValidationError, OSError, NumericalError) as exc:   # OSError: --out not writable
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return _EXIT_VALIDATION
-        except NumericalError as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return _EXIT_NUMERICAL
+            return _EXIT_NUMERICAL if isinstance(exc, NumericalError) else _EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import RowErrors, Singular
+from .errors import Singular, fail
 
 __all__ = [
     "lu_factor",
@@ -90,7 +90,7 @@ def _pivot_error(pivot: float, column: int) -> Singular:
     )
 
 
-def _factor_stack(a: np.ndarray, n: int) -> dict[int, Singular]:
+def _factor_stack(a: np.ndarray, n: int) -> None:
     """LU with scaled partial pivoting of [A | B], the numpy executor.
 
     a is n x (n + m), or a stack of them with the stack axis last.  Pivots
@@ -99,8 +99,9 @@ def _factor_stack(a: np.ndarray, n: int) -> dict[int, Singular]:
     holding the LU factors of P A followed by L^-1 P B.  Pivots are selected
     and the singularity test applied relative to each candidate row's own
     max-norm, so strongly row-graded but regular matrices (eigenvector bases
-    of well-separated spectra) factor cleanly.  Returns {matrix: Singular}
-    for each matrix whose best pivot falls below 1e-14 of its row scale.
+    of well-separated spectra) factor cleanly.  Raises Singular, or RowErrors
+    on a stack, where a matrix's best pivot falls below 1e-14 of its row
+    scale.
 
     The tests come after the loop: a pivot stays on the diagonal of U and
     its row scale moves with it, so the first |u_jj| below 1e-14 of its row
@@ -122,22 +123,29 @@ def _factor_stack(a: np.ndarray, n: int) -> dict[int, Singular]:
                     x[j, ..., swap], x[q, ..., swap] = x[q, ..., swap], x[j, ..., swap]
             a[j + 1:, j] /= a[j, j]
             a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
-    return _diagonal_errors(a[:, :n], row_scale)
+    _check_diagonal(a[:, :n], row_scale)
+
+
+def _row_scales(rows: list[list[float]]) -> list[float]:
+    """Each row's max-norm over A in the rows of [A | B]; Singular on a zero row."""
+    n = len(rows)
+    row_scale = [max(map(abs, r[:n])) for r in rows]
+    if 0.0 in row_scale:
+        raise Singular("matrix has a zero row")
+    return row_scale
 
 
 def lu_factor(rows: list[list[float]]) -> list[list[float]]:
     """_factor_stack's elimination of one finite [A | B] given as row lists,
     in place on Python floats; returns the rows.  Raises the Singular that
-    _factor_stack reports.
+    _factor_stack raises.
 
     The pivot is the first row of largest |a_ij| / row scale, the row that
     numpy's argmax picks; the multipliers and updates are u - l * v row by
     row, the same operations as the array slices, with no fused multiply-add.
     """
     n = len(rows)
-    row_scale = [max(map(abs, r[:n])) for r in rows]
-    if 0.0 in row_scale:
-        raise Singular("matrix has a zero row")
+    row_scale = _row_scales(rows)
     for j in range(n):
         p, best = j, abs(rows[j][j]) / row_scale[j]
         for i in range(j + 1, n):
@@ -163,32 +171,28 @@ def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, -1)
 
 
-def _diagonal_errors(a: np.ndarray, row_scale=None) -> dict[int, Singular]:
+def _check_diagonal(a: np.ndarray, row_scale=None) -> None:
     """lu_factor's tests with every pivot on the diagonal, for a (n, n) or a
-    stack (n, n, N): the zero-row check, then the first |a_jj| below 1e-14
-    of its row scale (given, or its row's max-norm)."""
+    stack (n, n, N): Singular, or RowErrors on a stack (errors.fail), at a
+    zero row, else at the first |a_jj| below 1e-14 of its row scale (given,
+    or its row's max-norm)."""
     n = len(a)
     row_scale = np.maximum.reduce(np.abs(a), axis=1) if row_scale is None else row_scale
     zero = row_scale == 0.0
     diag = a.diagonal(axis1=0, axis2=1).T
     low = np.abs(diag) / np.where(zero, 1.0, row_scale) < _PIVOT_TOL
-    if not (np.count_nonzero(low) or np.count_nonzero(zero)):
-        return {}
-    zero, low, diag = (x.reshape(n, -1) for x in (zero, low, diag))
-    errors = {}
-    for i in np.flatnonzero(np.logical_or.reduce(zero | low, axis=0)).tolist():
-        j = int(low[:, i].argmax())
-        errors[i] = (Singular("matrix has a zero row") if zero[:, i].any()
-                     else _pivot_error(diag[j, i], j))
-    return errors
+
+    def error(i) -> Singular:           # one matrix: i = (), its tests as column 0
+        z, l, d = (x.reshape(n, -1)[:, i or 0] for x in (zero, low, diag))
+        j = int(l.argmax())
+        return Singular("matrix has a zero row") if z.any() else _pivot_error(d[j], j)
+
+    fail(np.logical_or.reduce(zero | low, axis=0), error)
 
 
 def _check_diagonal_pivots(a: np.ndarray) -> None:
-    """Raise _diagonal_errors' Singular for a (n, n), or RowErrors for a
-    stack (N, n, n)."""
-    errors = _diagonal_errors(a if a.ndim == 2 else np.moveaxis(a, 0, -1))
-    if errors:
-        raise RowErrors(errors) if a.ndim == 3 else errors[0]
+    """_check_diagonal for a (n, n) or a stack (N, n, n)."""
+    _check_diagonal(a if a.ndim == 2 else np.moveaxis(a, 0, -1))
 
 
 def _is_upper_rows(rows: list[list[float]]) -> bool:
@@ -197,13 +201,9 @@ def _is_upper_rows(rows: list[list[float]]) -> bool:
 
 
 def _check_diagonal_rows(rows: list[list[float]]) -> None:
-    """_check_diagonal_pivots on the rows of a finite [U | B]."""
-    n = len(rows)
-    row_scale = [max(map(abs, r[:n])) for r in rows]
-    if 0.0 in row_scale:
-        raise Singular("matrix has a zero row")
-    for j, r in enumerate(rows):
-        if abs(r[j]) / row_scale[j] < _PIVOT_TOL:
+    """_check_diagonal on the rows of a finite [U | B]."""
+    for j, (r, scale) in enumerate(zip(rows, _row_scales(rows))):
+        if abs(r[j]) / scale < _PIVOT_TOL:
             raise _pivot_error(r[j], j)
 
 
@@ -255,11 +255,9 @@ def inv(a: np.ndarray) -> np.ndarray:
     if a.ndim == 3:
         ab = np.moveaxis(ab, 0, -1).copy()     # the stack axis last
     if np.count_nonzero(ab[_strict_lower(n)]) or not np.isfinite(ab).all():
-        errors = _factor_stack(ab, n)
-        if errors:
-            raise RowErrors(errors) if ab.ndim == 3 else errors[0]
+        _factor_stack(ab, n)
     else:
-        _check_diagonal_pivots(a)
+        _check_diagonal(ab[:, :n])
     lu, x = ab[:, :n], ab[:, n:].copy()
     for j in range(n - 1, -1, -1):  # backward: U x = y
         x[j] /= lu[j, j]

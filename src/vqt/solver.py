@@ -139,20 +139,18 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
 def _row_solve(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     """x with x a = b for the rows b, by LAPACK: a (..., n, n) and b (..., r,
     n), each matrix of a stack on its own.  An exactly singular a raises
-    Singular naming the system, or RowErrors on a stack."""
+    Singular naming the system, or RowErrors on a stack (errors.fail)."""
     a, b = a.swapaxes(-1, -2), b.swapaxes(-1, -2)   # a^T x^T = b^T
     try:
         return np.linalg.solve(a, b).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            raise Singular(f"the {name} is singular") from None
-    errors = {}
-    for i in range(len(a)):
+        singular = np.zeros(len(a), dtype=bool) if a.ndim == 3 else True
+    for i in range(len(a)) if a.ndim == 3 else ():      # a stack: which matrices
         try:
             np.linalg.solve(a[i], b[i] if b.ndim == 3 else b)
         except np.linalg.LinAlgError:
-            errors[i] = Singular(f"the {name} is singular")
-    raise RowErrors(errors)
+            singular[i] = True
+    fail(singular, lambda i: Singular(f"the {name} is singular"))
 
 
 @dataclass(frozen=True)
@@ -535,7 +533,9 @@ def mean_wait(sol: StationarySolution) -> float:
     for term in terms.T:
         below = below + term            # the order of a sum over the terms
     above = vec_dot(1.0 / mix.upper_rates - k, np.add.reduce(mix.upper_weights, axis=-1))
-    return below + above
+    mean = below + above    # k e^{theta k} can overflow before its weight scales it
+    fail(~np.isfinite(mean), lambda i: NumericalError("non-finite mean"))
+    return mean
 
 
 def scalar_mixture(sol: StationarySolution) -> ScalarMixture:

@@ -100,11 +100,13 @@ def _spectra(params: QueueParams, matrices: ModelMatrices) -> tuple[tuple, tuple
     collisions (theta first), and the left eigenvectors of all 2c theta
     roots and of the c decaying beta roots.
 
-    Quadratic i's roots t^2 - s t - p = 0 (p >= 0) come cancellation-safe:
-    the larger from the discriminant, the smaller from the product of roots.
-    p = 0 at one index of each pencil only (theta's c-1, beta's 0), where
-    the roots are min(0, s) = s - plus and max(0, s) = plus exactly, as
-    sqrt(s * s) is |s|.
+    Quadratic i's roots t^2 - s t - p = 0 (p >= 0): the larger, plus =
+    0.5 * (s + sqrt(s^2 + 4p)), and the smaller from their product, -p / plus.
+    plus cancels where s < 0 and 4p << s^2, and -p / plus inherits its
+    error; ROADMAP item 18's second step is to mend it, taking the root of
+    larger magnitude with the sign of s.  p = 0 at one index of each pencil
+    only (theta's c-1, beta's 0), where the roots are min(0, s) = s - plus
+    and max(0, s) = plus exactly, as sqrt(s * s) is |s|.
     """
     c = params.c
     lam, mu1, mu2 = per_row(params.lam, 2), per_row(params.mu1, 2), per_row(params.mu2, 2)

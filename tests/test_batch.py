@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from vqt import cli, numerics, solver
-from vqt.errors import Degenerate, RowErrors, Singular, ValidationError, VqtError
+from vqt.errors import (Degenerate, NullSpaceDimension, NumericalError, RowErrors, Singular,
+                        ValidationError, VqtError)
 from vqt.model import per_row, validate_params
 from vqt.solver import eval_cdf, eval_density, mean_wait, solve, solve_rows, verify_solution
 
@@ -186,6 +187,37 @@ def test_degenerate_row_from_the_distinctness_check():
     assert (solved, failed) == (3, 1)
 
 
+def test_null_space_row_fails_alone():
+    # mu1 <= 1e-9 * scale passes the root-collision test, and B2 - D_tilde_2
+    # then has two diagonal entries at or below the null-space tolerance
+    points = [validate_params(2, 3.7245930716628366, mu1, 3.0637119266621804, 0.934044314559858)
+              for mu1 in (0.5, 6.0776831686377554e-09, 1.0)]
+    with pytest.raises(RowErrors) as got:
+        solve(solver._stack(points))
+    assert list(got.value.errors) == [1]
+    assert type(got.value.errors[1]) is NullSpaceDimension
+    assert str(got.value.errors[1]) == "null space of B - D_tilde is not 1-dimensional"
+    assert check_rows(points) == (2, 1)
+    for i in (0, 2):
+        assert verify_solution(solve(points[i]), rng=0).max_residual <= 3e-15
+
+
+def test_non_finite_mean_fails_only_its_row():
+    # k e^{theta k} overflows at the middle row's k (ROADMAP item 1's input)
+    points = [validate_params(8, 0.11411819831714975, 0.01696416629872374,
+                              0.01658295957743674, k) for k in (100.0, 6638.120385302224, 1000.0)]
+    sol, live, errors = solve_rows(points)
+    assert (live, errors) == ([0, 1, 2], {})
+    with np.errstate(all="ignore"), pytest.raises(RowErrors) as got:
+        mean_wait(sol)
+    assert list(got.value.errors) == [1]
+    assert type(got.value.errors[1]) is NumericalError
+    assert str(got.value.errors[1]) == "non-finite mean"
+    rest = mean_wait(solve_rows([points[0], points[2]])[0])
+    for j, i in enumerate((0, 2)):
+        same(rest[j], mean_wait(solve(points[i])))
+
+
 def sweep(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -292,7 +324,9 @@ def test_stacked_lu_reports_each_singular_matrix():
     assert str(got.value.errors[3]) == "matrix has a zero row"
     # the elimination leaves the other matrices as their own factorization
     ab = np.moveaxis(np.concatenate((stack, b), axis=-1), 0, -1).copy()
-    assert sorted(numerics._factor_stack(ab, n)) == [1, 3]
+    with pytest.raises(RowErrors) as factored:
+        numerics._factor_stack(ab, n)
+    assert sorted(factored.value.errors) == [1, 3]
     for i in (0, 2):
         packed = numerics.lu_factor(np.concatenate((stack[i], b[i]), axis=-1).tolist())
         same(ab[..., i], packed)

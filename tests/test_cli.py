@@ -214,15 +214,18 @@ class TestValidate:
 
     def test_mismatched_model_exits_4(self, capsys, monkeypatch):
         # simulate a slowdown system but compare against the analytic CDF of
-        # a faster one: the gap dwarfs Monte Carlo noise
+        # a faster one: the gap dwarfs Monte Carlo noise.  The solution keeps
+        # the slow system's params, which the simulator runs.
+        import dataclasses
         import vqt.cli as cli_mod
         from vqt.model import validate_params
         from vqt import solver
         real_solve = solver.solve
 
         def solve_wrong(params):
-            return real_solve(validate_params(params.c, params.lam, params.mu1,
-                                              0.9, params.k))
+            faster = real_solve(validate_params(params.c, params.lam, params.mu1,
+                                                0.9, params.k))
+            return dataclasses.replace(faster, params=params)
         monkeypatch.setattr(cli_mod.solver, "solve", solve_wrong)
         code, out, _ = run(capsys, [
             "validate", "--c", "3", "--lambda", "2", "--mu1", "0.8",
@@ -437,6 +440,41 @@ class TestBadInput:
                           "--mu2", "1e160", "--k", "1e-160", *command[1:]])
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == "NumericalError: non-finite solution\n"
+
+    NONFINITE_MEAN = ["--c", "8", "--lambda", "0.11411819831714975",
+                      "--mu1", "0.01696416629872374", "--mu2", "0.01658295957743674",
+                      "--k", "6638.120385302224"]
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--mean", "--format", "json"],
+        ["solve", "--mean", "--format", "csv"],
+        ["sweep", "--sweep", "k=100:6638.120385302224:2", "--metrics", "p_wait,mean"],
+        ["validate", "--events", "1000", "--replications", "1"],
+    ], ids=["solve-json", "solve-csv", "sweep", "validate"])
+    def test_non_finite_mean_exits_3(self, capsys, tmp_path, command):
+        # k e^{theta k} overflows before its weight scales it (ROADMAP item
+        # 1): JSON printed "mean": NaN, CSV # mean=nan, the sweep nan and
+        # validate analytic=nan, each at exit 0
+        for out in (None, tmp_path / "new.out"):
+            extra = [] if out is None else ["--out", str(out)]
+            code, stdout, err = run(capsys, [*command[:1], *self.NONFINITE_MEAN,
+                                             *command[1:], *extra])
+            assert (code, stdout, err) == (3, "", "NumericalError: non-finite mean\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_mean_stderr_is_one_line(self):
+        proc = run_fresh(["solve", *self.NONFINITE_MEAN, "--mean", "--format", "json"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "NumericalError: non-finite mean\n"
+
+    def test_null_space_dimension_exits_3(self, capsys):
+        # mu1 <= 1e-9 * scale at c = 2 passes the root-collision test but
+        # not the null-space test
+        code, out, err = run(capsys, ["solve", "--c", "2", "--lambda", "3.7245930716628366",
+                                      "--mu1", "6.0776831686377554e-09",
+                                      "--mu2", "3.0637119266621804", "--k", "0.934044314559858"])
+        assert (code, out) == (3, "")
+        assert err == "NullSpaceDimension: null space of B - D_tilde is not 1-dimensional\n"
 
     @pytest.mark.parametrize("command", [
         ["solve", "--grid-points", "3"],

@@ -261,7 +261,7 @@ class TestExecutors:
         if executor == "list":
             packed = np.array(numerics.lu_factor(ab.tolist()))
         else:
-            assert numerics._factor_stack(ab, 3) == {}
+            numerics._factor_stack(ab, 3)         # raises nothing
             packed = ab
         assert packed[1, 2] == 0.0 and not np.signbit(packed[1, 2])
         assert packed.tobytes() == np.hstack(reference_lu_factor(a, np.eye(3))).tobytes()
@@ -309,7 +309,7 @@ class TestExecutors:
         b = rng.normal(size=(n, 3))
         lu, y = reference_lu_factor(a, b)
         ab = np.hstack((a, b))          # both executors, each in place
-        assert numerics._factor_stack(ab, n) == {}
+        numerics._factor_stack(ab, n)               # raises nothing
         for packed in (ab, np.array(numerics.lu_factor(np.hstack((a, b)).tolist()))):
             assert packed.shape == (n, n + 3)
             assert packed[:, :n].tobytes() == lu.tobytes()

@@ -655,6 +655,15 @@ class TestMeanWait:
         c_prob = erlang_c_prob(2, 1.0 / 0.9)
         assert mean_wait(s) == pytest.approx(c_prob / (2 * 0.9 - 1.0), abs=1e-6)
 
+    def test_non_finite_mean_raises(self):
+        # k e^{theta k} overflows before its weight, about e^{-theta k},
+        # scales it: the mean was NaN (ROADMAP item 1's input)
+        s = solve(validate_params(8, 0.11411819831714975, 0.01696416629872374,
+                                  0.01658295957743674, 6638.120385302224))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as got:
+            mean_wait(s)
+        assert type(got.value) is NumericalError and str(got.value) == "non-finite mean"
+
 
 class TestScalarMixture:
     def test_reproduces_cdf(self, two_server_solution):
