@@ -30,7 +30,6 @@ from .solver import (
     eval_cdf,
     eval_density,
     mean_wait,
-    scalar_mixture,
     solve,
     verify_solution,
 )
@@ -41,7 +40,7 @@ __all__ = [
     "QueueParams", "validate_params", "inspect_params",
     "ModelMatrices", "build_matrices",
     "solve", "StationarySolution", "eval_cdf", "eval_density",
-    "mean_wait", "scalar_mixture", "verify_solution",
+    "mean_wait", "verify_solution",
     "ScalarMixture", "ResidualReport",
     "single_server", "erlang_c", "SingleServerSolution", "ErlangCSolution",
     "simulate", "simulate_replicated", "SimConfig", "SimEstimate", "Estimate",

@@ -252,7 +252,7 @@ def run_solve(args) -> int:
         pdf = solver.eval_density(sol, grid).sum(axis=1)
         mean = solver.mean_wait(sol) if args.mean else None
         payload_extra = {"model": "threshold"}
-        mixture = _mixture_payload(sol.mixture()) if args.mixture else None
+        mixture = _mixture_payload(sol.mixture) if args.mixture else None
     # The residual report draws its interior points from a fixed seed, so
     # the same command prints the same residuals.
     report = (solver.verify_solution(sol, rng=0)

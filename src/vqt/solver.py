@@ -41,7 +41,6 @@ __all__ = [
     "eval_cdf",
     "eval_density",
     "mean_wait",
-    "scalar_mixture",
     "verify_solution",
 ]
 
@@ -60,9 +59,10 @@ def particular_matrices(
     orthogonality is not amplified by scale^2 at large rates.
     """
     c, lam, mu1 = params.c, per_row(params.lam, 2), per_row(params.mu1, 2)
+    # the null modes' left vectors are e_{c-1} (B1 - D_tilde_1) and e_0 (B2 - D_tilde_2)
     null = per_row(params.scale, 2) ** 2
-    m0 = inv(lam * (matrices.b1 - matrices.d_tilde_1) + null * np.diag(spectral.phi_star))
-    m1 = inv(lam * (matrices.b2 - matrices.d_tilde_2) + null * np.diag(spectral.psi_c))
+    m0 = inv(lam * (matrices.b1 - matrices.d_tilde_1) + null * np.diag(eye(c)[c - 1]))
+    m1 = inv(lam * (matrices.b2 - matrices.d_tilde_2) + null * np.diag(eye(c)[0]))
     m2 = inv((c * mu1 + lam) * (c * mu1 * eye(c) - matrices.d_tilde_2)
              + lam * matrices.b2)
     return m0, m1, m2
@@ -133,7 +133,7 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
     system = _concat(t["w"] @ (u1p - u1m) - t["f_prime_0"] - t["alpha0_m0"] @ u1m, glue)
     rhs = _concat(np.zeros(c), u2m[..., 0, :])
     x = _row_solve(system, rhs[..., None, :], "boundary system")[..., 0, :]
-    return x, vec_mat(vec_mat(x, t["alpha1"]), m1) - sp.psi_c, terms, dm2
+    return x, vec_mat(vec_mat(x, t["alpha1"]), m1) - eye(c)[0], terms, dm2
 
 
 def _row_solve(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
@@ -189,7 +189,9 @@ class ScalarMixture:
     def _terms(self, x, lower, upper, constant):
         """sum_i weights[i] f(rates[i], y) on each (point, row) pair's branch:
         f = lower at y = x <= k, f = upper at y = x - k plus constant (if any)
-        above it.  Shaped as ``components``."""
+        above it.  Shaped as ``components``; ValueError if any x is negative
+        or NaN."""
+        x = _nonnegative(x)
         if isinstance(x, float) and not isinstance(self.k, np.ndarray):   # one branch for all rows
             if x <= self.k:
                 return vec_mat(lower(self.lower_rates, x), self.lower_weights)
@@ -225,16 +227,14 @@ class StationarySolution:
     pi_levels: tuple[np.ndarray, ...]   # level n holds [pi(j, n-j) for j <= n]
     b_c: float
     f_prime_0: np.ndarray
-    f_at_k: np.ndarray
-    f_prime_at_k: np.ndarray
     alpha0: np.ndarray
     alpha1: np.ndarray
     m1: np.ndarray
-    expansion: ScalarMixture            # F as explicit exponential terms
+    mixture: ScalarMixture              # F as explicit exponential terms
 
     @property
     def f_infinity(self) -> np.ndarray:     # F(inf), the mixture's upper constant
-        return self.expansion.upper_constant
+        return self.mixture.upper_constant
 
     @property
     def warnings(self) -> tuple:            # the spectral layer's
@@ -252,19 +252,7 @@ class StationarySolution:
     def p_wait_zero(self) -> float:
         return sum(level.sum(axis=-1) for level in self.pi_levels)
 
-    def cdf(self, x: float) -> tuple[np.ndarray, float]:
-        return eval_cdf(self, x)
-
-    def density(self, x: float) -> np.ndarray:
-        return eval_density(self, x)
-
-    def mean(self) -> float:
-        return mean_wait(self)
-
-    def mixture(self) -> ScalarMixture:
-        return scalar_mixture(self)
-
-    def verify(self, rng=None) -> "ResidualReport":
+    def verify(self, rng=None) -> "ResidualReport":     # perfbench/selftest.py calls it
         return verify_solution(self, rng=rng)
 
 
@@ -403,10 +391,10 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     x = b_c1 * x
     v = terms(x[..., None, :c], x[..., None, c:])
     v = {name: value[..., 0, :] for name, value in v.items()}
-    f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * spectral.psi_c
-    expansion = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
-                        f_infinity, v["alpha2"], dm2)
-    _check_finite(b_c, pi_levels, expansion)
+    f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * eye(c)[0]
+    mixture = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
+                      f_infinity, v["alpha2"], dm2)
+    _check_finite(b_c, pi_levels, mixture)
     return StationarySolution(
         params=params,
         matrices=matrices,
@@ -414,12 +402,10 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         pi_levels=pi_levels,
         b_c=b_c,
         f_prime_0=v["f_prime_0"],
-        f_at_k=v["f_at_k"],
-        f_prime_at_k=v["f_prime_at_k"],
         alpha0=v["alpha0"],
         alpha1=v["alpha1"],
         m1=m1,
-        expansion=expansion,
+        mixture=mixture,
     )
 
 
@@ -490,7 +476,7 @@ def eval_cdf(sol: StationarySolution, x):
     rows + (c,) and x.shape + rows, rows = () on one solution and (R,) on a
     stack of R.  Each entry equals the one-point call on its own row's solve.
     """
-    comps = sol.expansion.components(_nonnegative(x))
+    comps = sol.mixture.components(x)
     # np.add.reduce is comps.sum() without its Python-level wrapper
     return comps, sol.p_wait_zero + np.add.reduce(comps, axis=-1)
 
@@ -498,7 +484,7 @@ def eval_cdf(sol: StationarySolution, x):
 def eval_density(sol: StationarySolution, x) -> np.ndarray:
     """Component vector F'(x), shaped as ``eval_cdf``'s F; at x = k both
     one-sided limits agree."""
-    return sol.expansion.density(_nonnegative(x))
+    return sol.mixture.density(x)
 
 
 def _moment(th: float, k: float) -> float:
@@ -517,7 +503,7 @@ def mean_wait(sol: StationarySolution) -> float:
     """E[W] = int x dF, term by term: the moment kernel on [0, k], and
     int_k^inf x r e^{r(x-k)} dx = 1/r - k for each decaying tail term.  One
     value per row of a stacked solution."""
-    mix = sol.expansion
+    mix = sol.mixture
     fail(np.maximum.reduce(mix.upper_rates, axis=-1) >= 0.0,
          lambda i: DivergentIntegral("tail matrix has a nonnegative eigenvalue"))
     k = per_row(mix.k, 1)
@@ -536,11 +522,6 @@ def mean_wait(sol: StationarySolution) -> float:
     mean = below + above    # k e^{theta k} can overflow before its weight scales it
     fail(~np.isfinite(mean), lambda i: NumericalError("non-finite mean"))
     return mean
-
-
-def scalar_mixture(sol: StationarySolution) -> ScalarMixture:
-    """The explicit exponential terms of F that ``solve`` expanded."""
-    return sol.expansion
 
 
 @dataclass(frozen=True)
@@ -623,7 +604,7 @@ def _lower_convolution(sol: StationarySolution, x) -> np.ndarray:
     phi(z) = expm1(z)/z (1 at z = 0).  phi only ever sees nonpositive
     arguments and the exponential grows no faster than F's own terms.
     """
-    m, mix = sol.matrices, sol.expansion
+    m, mix = sol.matrices, sol.mixture
     # -a: the rates of the threshold-memory modes, the last c upper rates;
     # r - (-a) is r + a to the bit
     r, minus_a = mix.lower_rates[:, None], mix.upper_rates[sol.params.c:]
@@ -670,7 +651,7 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
         raise ValueError("verify_solution takes one point: verify solve(points[i]) for row i")
     xs = np.random.default_rng(rng).uniform(0.0, sol.params.k, size=10)
     p, m, sp = sol.params, sol.matrices, sol.spectral
-    mix = sol.expansion
+    mix = sol.mixture
     rates, weights = mix.lower_rates, mix.lower_weights
     ry = rates * np.concatenate(([0.0, p.k], xs))[:, None]
     f = vec_mat(np.expm1(ry), weights)                  # rows: F(0), F(k), F(xs)

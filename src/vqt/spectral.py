@@ -43,8 +43,6 @@ class SpectralData:
     beta: np.ndarray             # 2c roots, index i and i+c from quadratic i
     psi: np.ndarray              # rows: left eigenvectors of beta[:c], the basis of U2-
     psi_minus_inv: np.ndarray    # inverse of psi
-    phi_star: np.ndarray         # left null-mode vector [0, ..., 0, 1]
-    psi_c: np.ndarray            # left null-mode vector [1, 0, ..., 0]
     phi_star_right: np.ndarray   # right null vector of B1 - D_tilde_1
     psi_c_right: np.ndarray      # right null vector of B2 - D_tilde_2
     u1_minus: np.ndarray         # phi_minus_inv @ diag(theta[:c]) @ phi[:c]
@@ -203,7 +201,6 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
                                                  params.k))  # () or (R,)
     warnings = _warnings([("u1_minus", cond_1[..., 0]), ("u1_plus", cond_1[..., 1]),
                           ("u2_minus", cond_2)], rows)
-    phi_star, psi_c = eye(c)[[c - 1, 0]]
     phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)
     return SpectralData(
         theta=theta,
@@ -213,8 +210,6 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
         beta=beta,
         psi=psi,
         psi_minus_inv=psi_minus_inv,
-        phi_star=phi_star,
-        psi_c=psi_c,
         phi_star_right=phi_star_right,
         psi_c_right=psi_c_right,
         u1_minus=u1_minus,

@@ -21,7 +21,7 @@ import pytest
 from vqt.model import build_matrices, inspect_params, validate_params
 from vqt.reference import erlang_c, single_server
 from vqt.simulator import SimConfig, simulate
-from vqt.solver import eval_cdf, eval_density, mean_wait, scalar_mixture, solve, verify_solution
+from vqt.solver import eval_cdf, eval_density, mean_wait, solve, verify_solution
 from vqt.spectral import _spectra
 
 from conftest import TWO_SERVER, class_swap_matrix, random_stable_params
@@ -40,6 +40,8 @@ def golden():
 
 def test_criterion_1_golden_two_server(golden):
     s = golden
+    # F(k) and F'(k-), the lower branch at the threshold
+    f_k, f_prime_k = eval_cdf(s, s.params.k)[0], eval_density(s, s.params.k)
     checks = {
         "pi(0,0)": (s.pi(0, 0), 0.0224116),
         "pi(0,1)": (s.pi(0, 1), 0.0108889),
@@ -47,10 +49,10 @@ def test_criterion_1_golden_two_server(golden):
         "b_c": (s.b_c, -0.827051),
         "F'(0)[0]": (s.f_prime_0[0], 0.03397),
         "F'(0)[1]": (s.f_prime_0[1], 0.07481),
-        "F(k)[0]": (s.f_at_k[0], 0.02202),
-        "F(k)[1]": (s.f_at_k[1], 0.03179),
-        "F'(k)[0]": (s.f_prime_at_k[0], 0.0679),
-        "F'(k)[1]": (s.f_prime_at_k[1], 0.0628),
+        "F(k)[0]": (f_k[0], 0.02202),
+        "F(k)[1]": (f_k[1], 0.03179),
+        "F'(k)[0]": (f_prime_k[0], 0.0679),
+        "F'(k)[1]": (f_prime_k[1], 0.0628),
         "F(inf)[0]": (s.f_infinity[0], 0.82705),
         "F(inf)[1]": (s.f_infinity[1], 0.09615),
     }
@@ -144,7 +146,7 @@ def _mixture_value(mix, kind, rate, comp):
 
 
 def test_criterion_3_consistent_printed_coefficients(golden):
-    mix = scalar_mixture(golden)
+    mix = golden.mixture
     errs = {
         (kind, rate, comp): abs(_mixture_value(mix, kind, rate, comp) - want)
         for kind, rate, comp, want in _PRINTED_CONSISTENT
@@ -166,7 +168,7 @@ def test_criterion_3_consistent_printed_coefficients(golden):
                           "printed boundary values; no solution of the model "
                           "equations can reproduce them")
 def test_criterion_3_full_printed_set(golden):
-    mix = scalar_mixture(golden)
+    mix = golden.mixture
     for kind, rate, comp, want in _PRINTED_CONSISTENT + _PRINTED_INCONSISTENT:
         assert abs(_mixture_value(mix, kind, rate, comp) - want) < TOL, (kind, rate, comp)
 

@@ -54,7 +54,7 @@ def check_rows(points, levels=None):
     sol, live, errors = solve_rows(points, levels)
     assert sorted(live + list(errors)) == list(range(len(points)))
     if sol is not None and np.ndim(sol.b_c):
-        xs = straddling_grid(sol.expansion.k)
+        xs = straddling_grid(sol.mixture.k)
         grid_f, grid_total = eval_cdf(sol, xs)
         grid_density = eval_density(sol, xs)
         c, rows = sol.params.c, len(live)
@@ -76,7 +76,7 @@ def check_rows(points, levels=None):
         same(sol.b_c[j], single.b_c)
         same(sol.f_infinity[j], single.f_infinity)
         assert sol.warnings[j] == single.warnings
-        mix, ref = sol.expansion, single.expansion
+        mix, ref = sol.mixture, single.mixture
         assert row(mix.k, j, 0) == ref.k
         for name, ndim in (("lower_rates", 1), ("lower_weights", 2), ("lower_constant", 1),
                            ("upper_rates", 1), ("upper_weights", 2), ("upper_constant", 1)):
@@ -100,7 +100,7 @@ def check_rows(points, levels=None):
 def test_k_stack_grid_point_below_some_thresholds_and_above_others():
     points = valid((3, 1.5, 0.8, 1.0, k) for k in (0.3, 0.6, 0.9, 1.2))
     sol, _, _ = solve_rows(points)
-    below = straddling_grid(sol.expansion.k)[:, None] <= sol.expansion.k
+    below = straddling_grid(sol.mixture.k)[:, None] <= sol.mixture.k
     assert (below.any(axis=1) & ~below.all(axis=1)).any()
     assert check_rows(points) == (4, 0)
     # points of any shape lead: a (2, 2) grid gives (2, 2) + rows
@@ -110,6 +110,16 @@ def test_k_stack_grid_point_below_some_thresholds_and_above_others():
     same(f2, f.reshape(2, 2, 4, 3))
     same(total2, total.reshape(2, 2, 4))
     same(eval_density(sol, xs.reshape(2, 2)), eval_density(sol, xs).reshape(2, 2, 4, 3))
+
+
+def test_stack_evaluators_check_their_input():
+    sol, _, _ = solve_rows(valid((3, 1.5, 0.8, 1.0, k) for k in (0.3, 0.6)))
+    evaluators = (sol.mixture.components, sol.mixture.density,
+                  lambda x: eval_cdf(sol, x), lambda x: eval_density(sol, x))
+    for x in (-1.0, float("nan"), np.array([0.2, -1e-300]), np.array([np.nan, 0.2])):
+        for evaluate in evaluators:
+            with pytest.raises(ValueError, match=r"^x must be >= 0$"):
+                evaluate(x)
 
 
 @pytest.mark.parametrize("name, values", [("lam", (1.0, 1.5, 2.0)), ("mu1", (0.3, 0.5, 1.4)),
@@ -361,7 +371,7 @@ def same_solution(got, want):
     assert got.warnings == want.warnings
     for name in ("lower_rates", "lower_weights", "lower_constant",
                  "upper_rates", "upper_weights", "upper_constant"):
-        same(getattr(got.expansion, name), getattr(want.expansion, name))
+        same(getattr(got.mixture, name), getattr(want.mixture, name))
 
 
 def level_solves(monkeypatch, fail_order=None):
@@ -457,13 +467,13 @@ def test_singular_level_fails_only_its_row(monkeypatch):
         same(sol.f_infinity[j], single.f_infinity)
         for name, ndim in (("lower_rates", 1), ("lower_weights", 2), ("lower_constant", 1),
                            ("upper_rates", 1), ("upper_weights", 2), ("upper_constant", 1)):
-            same(row(getattr(sol.expansion, name), j, ndim), getattr(single.expansion, name))
+            same(row(getattr(sol.mixture, name), j, ndim), getattr(single.mixture, name))
 
 
 def mean_wait_by_moments(sol):
     """mean_wait with every small root's moment, the zero rate's included,
     from solver._moment."""
-    mix = sol.expansion
+    mix = sol.mixture
     k = per_row(mix.k, 1)
     th, th_k = mix.lower_rates, k
     if isinstance(k, np.ndarray):
@@ -483,7 +493,7 @@ def mean_wait_by_moments(sol):
 def test_mean_wait_matches_the_moment_of_every_root():
     sols = [solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5)) for c in (1, 2, 3, 8, 16)]
     tiny = solve(validate_params(3, 2.0, 0.6, 0.8, 1e-7))
-    assert (np.abs(tiny.expansion.lower_rates) * 1e-7 < 1e-6).all()   # every root on the series
+    assert (np.abs(tiny.mixture.lower_rates) * 1e-7 < 1e-6).all()   # every root on the series
     sols.append(tiny)
     for name, values in (("lam", np.linspace(0.6, 2.4, 9)), ("mu1", np.linspace(0.5, 1.4, 9)),
                          ("k", np.geomspace(1e-7, 3.0, 9))):
