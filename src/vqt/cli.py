@@ -137,7 +137,7 @@ def _grid(x_max: float, points: int, spacing: str, k: float) -> np.ndarray:
     if k <= x_max:
         grid = np.unique(np.concatenate([grid, [k]]))
         # drop near-duplicates of the injected threshold point
-        keep = (np.abs(grid - k) > 1e-12 * max(k, 1.0)) | (grid == k)
+        keep = (np.abs(grid - k) > 1e-12 * k) | (grid == k)
         grid = grid[keep]
     return grid
 

@@ -124,7 +124,7 @@ class ModelMatrices:
     the aggregate rates on boundary level i, d_tilde_k are the triangular
     conjugations mu_k I + B_k^{-1} Delta_{c-1} B_k and d_tilde_k_inv their
     inverses B_k^{-1} diag(1 / (mu_k + delta)) B_k by the same conjugation,
-    b_hat[n] are the rectangular downward-coupling matrices of the boundary
+    b_hat[n] (n < c - 1) are the downward-coupling matrices of the boundary
     recursion.  For per-row mu1 or mu2 every matrix has a leading row axis;
     a stack that shares them (a lambda or k sweep) shares one ModelMatrices.
     """
@@ -144,13 +144,13 @@ class ModelMatrices:
 
 @cache
 def _coefficients(c: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(k1, k2) with B1, B2, Delta_0..c-1 and B_hat_0..c-1 each k1 mu1 + k2 mu2,
+    """(k1, k2) with B1, B2, Delta_0..c-1 and B_hat_0..c-2 each k1 mu1 + k2 mu2,
     entry by entry the model's own sums (a lone term plus 0.0 is itself)."""
     d, r = np.diag, np.arange(c + 1.0)[:, None]
     return ((d(r[1:, 0]), d(r[c - 1:0:-1, 0], 1)), (d(r[1:c, 0], -1), d(r[c:0:-1, 0])),
             *((d(r[:n + 1, 0]), d(n - r[:n + 1, 0])) for n in range(c)),
             *((np.eye(n + 2, n + 1, -1) * r[:n + 2], np.eye(n + 2, n + 1) * (n + 1 - r[:n + 2]))
-              for n in range(c)))
+              for n in range(c - 1)))
 
 
 def build_matrices(params: QueueParams) -> ModelMatrices:

@@ -16,8 +16,7 @@ back substitution directly.  The solver leaves two solves to LAPACK, both
 through solver._row_solve: the bordered boundary system, where the scaled
 test rejects inputs that solve clean, and the boundary recursion's level
 matrices, strictly row diagonally dominant on every input measured, where
-the diagonal test kept in front of them (_check_diagonal_pivots) does not
-fire.
+the diagonal test kept in front of them (_check_diagonal) does not fire.
 
 One algorithm, two executors.  Every step (row scales, pivot search,
 multipliers, the u - l * v updates, back substitution) is an elementwise
@@ -28,7 +27,10 @@ a few list comprehensions instead of dozens of numpy calls on tiny arrays;
 larger matrices, every input holding a NaN or an infinity, and stacks run on
 numpy arrays (_factor_stack), a stack with its axis moved last: every step
 then reads as for one matrix, while each matrix takes its own pivots, swaps
-and tests.  Non-finite
+and tests.  That layout stays inside the executor (every other stack, and
+_check_diagonal's, has its axis first) because it measured faster: with the
+same bits, a stack-first executor ran inv 30-40 % slower on stacks of 64
+matrices at c = 3 and 6 (a probe on a shared 2-vCPU machine).  Non-finite
 inputs stay on numpy because Python's max and comparisons order NaN
 differently from np.max and argmax, which would change the pivot or the
 error raised.  _LIST_MAX_ORDER = 8 is the measured crossover (BENCH_9.json):
@@ -123,7 +125,8 @@ def _factor_stack(a: np.ndarray, n: int) -> None:
                     x[j, ..., swap], x[q, ..., swap] = x[q, ..., swap], x[j, ..., swap]
             a[j + 1:, j] /= a[j, j]
             a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
-    _check_diagonal(a[:, :n], row_scale)
+    u, s = (np.moveaxis(a[:, :n], -1, 0), row_scale.T) if a.ndim == 3 else (a[:, :n], row_scale)
+    _check_diagonal(u, s)               # the stack axis first again
 
 
 def _row_scales(rows: list[list[float]]) -> list[float]:
@@ -173,26 +176,20 @@ def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_diagonal(a: np.ndarray, row_scale=None) -> None:
     """lu_factor's tests with every pivot on the diagonal, for a (n, n) or a
-    stack (n, n, N): Singular, or RowErrors on a stack (errors.fail), at a
+    stack (N, n, n): Singular, or RowErrors on a stack (errors.fail), at a
     zero row, else at the first |a_jj| below 1e-14 of its row scale (given,
     or its row's max-norm)."""
-    n = len(a)
-    row_scale = np.maximum.reduce(np.abs(a), axis=1) if row_scale is None else row_scale
+    row_scale = np.maximum.reduce(np.abs(a), axis=-1) if row_scale is None else row_scale
     zero = row_scale == 0.0
-    diag = a.diagonal(axis1=0, axis2=1).T
+    diag = a.diagonal(axis1=-2, axis2=-1)
     low = np.abs(diag) / np.where(zero, 1.0, row_scale) < _PIVOT_TOL
 
-    def error(i) -> Singular:           # one matrix: i = (), its tests as column 0
-        z, l, d = (x.reshape(n, -1)[:, i or 0] for x in (zero, low, diag))
+    def error(i) -> Singular:           # i = () for one matrix
+        z, l, d = (x[i] for x in (zero, low, diag))
         j = int(l.argmax())
         return Singular("matrix has a zero row") if z.any() else _pivot_error(d[j], j)
 
-    fail(np.logical_or.reduce(zero | low, axis=0), error)
-
-
-def _check_diagonal_pivots(a: np.ndarray) -> None:
-    """_check_diagonal for a (n, n) or a stack (N, n, n)."""
-    _check_diagonal(a if a.ndim == 2 else np.moveaxis(a, 0, -1))
+    fail(np.logical_or.reduce(zero | low, axis=-1), error)
 
 
 def _is_upper_rows(rows: list[list[float]]) -> bool:
@@ -257,7 +254,7 @@ def inv(a: np.ndarray) -> np.ndarray:
     if np.count_nonzero(ab[_strict_lower(n)]) or not np.isfinite(ab).all():
         _factor_stack(ab, n)
     else:
-        _check_diagonal(ab[:, :n])
+        _check_diagonal(a)
     lu, x = ab[:, :n], ab[:, n:].copy()
     for j in range(n - 1, -1, -1):  # backward: U x = y
         x[j] /= lu[j, j]

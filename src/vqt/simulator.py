@@ -147,7 +147,8 @@ def _batch_estimate(batch_sums: np.ndarray, batch_counts: np.ndarray) -> Estimat
     if len(means) < 2:
         return Estimate(value, max(abs(value), 1.0))
     se = float(means.std(ddof=1) / math.sqrt(len(means)))
-    return Estimate(value, max(_Z95 * se, 1e-15))
+    # 1e-15 |value| scales with the time unit; a 0 keeps 1e-15, so no z divides by 0
+    return Estimate(value, max(_Z95 * se, 1e-15 * abs(value)) or 1e-15)
 
 
 def _indicator_estimate(batch_sums: np.ndarray, batch_counts: np.ndarray) -> Estimate:
@@ -290,7 +291,7 @@ def _pool(values: list[Estimate]) -> Estimate:
     r = len(values)
     value = sum(e.value for e in values) / r
     hw = math.sqrt(sum(e.half_width ** 2 for e in values)) / r
-    return Estimate(value, max(hw, 1e-15))
+    return Estimate(value, max(hw, 1e-15 * abs(value)) or 1e-15)  # as _batch_estimate
 
 
 def pool_estimates(runs: list[SimEstimate], base_seed: int) -> SimEstimate:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (DivergentIntegral, NegativeProbability, NumericalError, RowErrors,
                      Singular, VqtError, fail)
 from .model import ModelMatrices, QueueParams, build_matrices, per_row, tilde_q
-from .numerics import _check_diagonal_pivots, eye, inv, vec_dot, vec_mat
+from .numerics import _check_diagonal, eye, inv, vec_dot, vec_mat
 from .spectral import SpectralData, build_spectral
 
 __all__ = [
@@ -123,7 +123,7 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
     # U1+ - U1-.  Where those fail the scaled pivot test, the eigenbases behind
     # U1+ and U1- have no digits left, and the system would return an answer
     # that breaks its own invariants (test_lower_weight_pivots_tested_by_column).
-    _check_diagonal_pivots((u1p - u1m).swapaxes(-1, -2))
+    _check_diagonal((u1p - u1m).swapaxes(-1, -2))
     t = terms(eye(2 * c)[:, :c], eye(2 * c)[:, c:])
     dm2 = (d1 - d2) @ m2
     # F'(k+) = (F(k) - F(inf)) U2- - alpha2 (dm2 U2- + D_tilde_1 dm2), where
@@ -335,7 +335,7 @@ def _c_hat_levels(params: QueueParams, matrices: ModelMatrices,
         # passes, counts as dominant)
         if np.count_nonzero(np.add.reduce(magnitude, axis=-1)
                             >= 2.0 * magnitude.diagonal(axis1=-2, axis2=-1)):
-            _check_diagonal_pivots(t)
+            _check_diagonal(t)
         table.append(_row_solve(t, m.b_hat[n], f"level {n} matrix"))
     return table[:params.c - 1]
 
@@ -380,10 +380,9 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     b_c1 = per_row(b_c, 1)
 
     pi_levels = tuple(b_c1 * row for row in rows)
-    floor = np.minimum.reduce(pi_levels[0], axis=-1)
-    for level in pi_levels[1:]:     # min's order: a NaN floor stays
-        low = np.minimum.reduce(level, axis=-1)
-        floor = np.where(low < floor, low, floor)
+    # pi_{n-1} = pi_n C_hat_{n-1} carries a NaN on any level down to level 0
+    pi = np.concatenate(pi_levels, axis=-1)
+    floor = np.minimum.reduce(pi, axis=-1)
     fail(floor < -PI_FLOOR, lambda i: NegativeProbability(
         f"pi entry {floor[i]:.3e} below "
         + np.format_float_scientific(-PI_FLOOR, exp_digits=1, trim="-")))
@@ -394,7 +393,7 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * eye(c)[0]
     mixture = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
                       f_infinity, v["alpha2"], dm2)
-    _check_finite(b_c, pi_levels, mixture)
+    _check_finite(b_c, pi, mixture)
     return StationarySolution(
         params=params,
         matrices=matrices,
@@ -442,12 +441,12 @@ def solve_rows(points: list[QueueParams], levels: dict | None = None
     return None, live, errors
 
 
-def _check_finite(b_c, pi_levels, mix) -> None:
-    """Raise ``NumericalError`` (per row) unless pi, b_c and every mixture
-    array (F(inf) is the upper constant) are finite.  Rows past the growth
-    exponent's overflow left ``solve`` before, so the error names no exponent."""
+def _check_finite(b_c, pi, mix) -> None:
+    """Raise ``NumericalError`` (per row) unless pi (all levels), b_c and every
+    mixture array (F(inf) is the upper constant) are finite.  Rows past the
+    growth exponent's overflow left ``solve`` before, so the error names none."""
     batch = b_c.shape
-    arrays = [(a, 1) for a in (*pi_levels, mix.lower_rates, mix.lower_constant,
+    arrays = [(a, 1) for a in (pi, mix.lower_rates, mix.lower_constant,
                                 mix.upper_rates, mix.upper_constant)]
     arrays += [(mix.lower_weights, 2), (mix.upper_weights, 2)]
     # one isfinite over the concatenation costs a third of one per array

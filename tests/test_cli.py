@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,15 @@ from conftest import run_python
 
 GOLDEN = ["solve", "--c", "2", "--lambda", "2", "--mu1", "0.75", "--mu2", "1.12",
           "--k", "0.45"]
+
+
+def time_unit(c, lam, mu1, mu2, k, m):
+    """The queue's flags with rates x 2^m and k x 2^-m: the same law in a
+    time unit 2^-m times as long, every flag value exact."""
+    lam, mu1, mu2, k = (math.ldexp(lam, m), math.ldexp(mu1, m), math.ldexp(mu2, m),
+                        math.ldexp(k, -m))
+    return ["--c", str(c), "--lambda", repr(lam), "--mu1", repr(mu1), "--mu2", repr(mu2),
+            "--k", repr(k)]
 
 
 def run(capsys, argv):
@@ -187,6 +197,24 @@ class TestSolve:
         assert payload["components"] == comps.tolist()
         assert payload["residuals"] == verify_solution(sol, rng=0).residuals
 
+    @pytest.mark.parametrize("m", [-40, 40])
+    def test_output_scales_with_the_time_unit(self, capsys, m):
+        # the README's worked example: the grid keeps all its points at every
+        # time unit, probabilities keep their bits, and x, F' and E[W] carry
+        # the unit exactly
+        def payload(m):
+            code, out, _ = run(capsys, ["solve", *time_unit(2, 2.0, 0.75, 1.12, 0.45, m),
+                                        "--format", "json", "--mean"])
+            assert code == 0
+            return json.loads(out)
+
+        unit, scaled = payload(0), payload(m)
+        for key in ("cdf", "components", "pi", "b_c"):
+            assert scaled[key] == unit[key], key
+        assert scaled["grid"] == np.ldexp(unit["grid"], -m).tolist()
+        assert scaled["pdf"] == np.ldexp(unit["pdf"], m).tolist()
+        assert scaled["mean"] == math.ldexp(unit["mean"], -m)
+
     def test_log_spacing(self, capsys):
         _, out, _ = run(capsys, GOLDEN + ["--spacing", "log", "--grid-points", "5"])
         xs = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
@@ -263,6 +291,22 @@ class TestValidate:
         assert warnings == ("IllConditioned: u2_minus eigenbasis condition 2.033e+12",)
         assert err == f"warning: {warnings[0]}\n"
         assert "IllConditioned" not in out
+
+    def test_z_scores_do_not_depend_on_the_time_unit(self, capsys):
+        # the README's validate input with rates x 2^50 and k x 2^-50, where
+        # E[W] is 1.2e-15: the simulation scales bit for bit, and so does
+        # every half-width floor, so each printed z, the mean's too, is the
+        # unit-time run's
+        def z_scores(m):
+            code, out, _ = run(capsys, ["validate", *time_unit(2, 1.4, 0.8, 1.0, 0.5, m),
+                                        "--events", "20000", "--replications", "2",
+                                        "--seed", "5"])
+            lines = out.splitlines()
+            assert lines[-1].startswith("# mean analytic=")
+            return code, [line.split(",")[-1] for line in lines[1:-1]], \
+                lines[-1].rsplit(" z=", 1)[1]
+
+        assert z_scores(50) == z_scores(0)
 
     def test_equal_rate_input_compares_with_erlang_c(self, capsys):
         # mu1 == mu2 routes to the Erlang C law: its CDF and mean are the

@@ -105,10 +105,15 @@ class TestBuildMatrices:
         assert np.allclose(sorted(np.diag(m.d_tilde_2)), expect2, rtol=1e-12)
 
     def test_b_hat_shapes_and_entries(self, two_server_params):
+        # one B_hat_n per level the recursion solves, n = 0 .. c - 2
         m = build_matrices(two_server_params)
+        assert len(m.b_hat) == 1
         assert m.b_hat[0].shape == (2, 1)
         assert np.allclose(m.b_hat[0], [[1.12], [0.75]])
+        m = build_matrices(validate_params(3, 2.0, 0.8, 0.7, 5.0))
+        assert len(m.b_hat) == 2
         assert m.b_hat[1].shape == (3, 2)
+        assert np.allclose(m.b_hat[1], [[1.4, 0.0], [0.8, 0.7], [0.0, 1.6]])
 
 
 class TestClassSwap:

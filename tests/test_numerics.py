@@ -151,11 +151,11 @@ class TestUpperTriangularShortcut:
         want = {}
         for i, a in enumerate(stack):
             try:
-                numerics._check_diagonal_pivots(a)
+                numerics._check_diagonal(a)
             except Singular as exc:
                 want[i] = str(exc)
         assert sorted(want) == [1, 3]
-        for check in (numerics._check_diagonal_pivots, inv):
+        for check in (numerics._check_diagonal, inv):
             with pytest.raises(RowErrors) as got:
                 check(stack)
             assert {i: str(e) for i, e in got.value.errors.items()} == want

@@ -24,10 +24,16 @@ inputs are
   400/800/400 valid draws);
 * the scan lambda = 0.7c, mu1 = 0.8, mu2 = 1, k = 0.5 for c = 1..32;
 * the named inputs of ROADMAP item 1 and the README's examples, where the
-  mixture's own evaluators and ``eval_cdf`` are also asked at x = -1 and NaN;
+  mixture's own evaluators and ``eval_cdf`` are also asked at x = -1 and NaN,
+  and the two light-load inputs whose mean and components are roundoff
+  below 0 (c = 8, lambda = 0.000896 and c = 12, lambda = 0.01344, with
+  mu1 = 0.75, mu2 = 1.12, k = 0.45);
 * lambda, mu1 and k stacks through ``solve_rows``, with rows that fail;
 * a fixed list of ``vqt solve``/``sweep``/``validate`` calls, run in process:
-  exit code, stdout and stderr.
+  exit code, stdout and stderr.  Two of them change the time unit: the
+  README's worked example as ``solve --format json --mean`` with rates x 2^40
+  and k x 2^-40, and the README's validate input with rates x 2^50 and
+  k x 2^-50.
 
 Numpy and Python-float arithmetic do not give the same bits here, so moving
 a computation between them is a number change, not a refactor: on an
@@ -66,6 +72,8 @@ NAMED = [
     (2, 2e6, 750000.0, 1.12e6, 4.5e-7),
     (2, 3.7245930716628366, 6.0776831686377554e-09, 3.0637119266621804, 0.934044314559858),
     (16, 11.2, 0.8, 1.0, 0.5),
+    (8, 0.000896, 0.75, 1.12, 0.45),
+    (12, 0.01344, 0.75, 1.12, 0.45),
 ]
 
 # (label, c, {parameter: values}, the other parameters)
@@ -101,6 +109,8 @@ CLI_CALLS = [
      "--mean", "--format", "json"],
     ["solve", "--c", "2", "--lambda", "3", "--mu1", "1", "--mu2", "1.2", "--k", "0.5"],
     ["solve", *GOLDEN, "--grid-points", "0"],
+    ["solve", "--c", "2", "--lambda", "2199023255552.0", "--mu1", "824633720832.0",
+     "--mu2", "1231453023109.12", "--k", "4.092726157978177e-13", "--format", "json", "--mean"],
     ["sweep", *GOLDEN, "--sweep", "lambda=0.2:2.2:21", "--metrics", "mean,p_wait,cdf@1"],
     ["sweep", "--c", "3", "--lambda", "2", "--mu1", "0.8", "--mu2", "1", "--k", "0.5",
      "--sweep", "c=3:16:14", "--metrics", "mean,p_wait"],
@@ -117,6 +127,9 @@ CLI_CALLS = [
      "--events", "20000", "--replications", "2", "--seed", "3"],
     ["validate", "--c", "2", "--lambda", "1.4", "--mu1", "1", "--mu2", "1", "--k", "0.5",
      "--events", "20000", "--replications", "2", "--seed", "5"],
+    ["validate", "--c", "2", "--lambda", "1576259869579673.5", "--mu1", "900719925474099.2",
+     "--mu2", "1125899906842624.0", "--k", "4.440892098500626e-16", "--events", "20000",
+     "--replications", "2", "--seed", "5"],
 ]
 
 
