@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PoleParameter, Unstable
+from .errors import NumericalError, PoleParameter, Unstable
 from .model import EPS_DEG, QueueParams
 
 __all__ = [
@@ -70,14 +70,6 @@ class SingleServerSolution:
                 + self.coef_slow / self.rate_slow * (1.0 - math.exp(-self.rate_slow * y))
                 + self.coef_fast / self.rate_fast * (1.0 - math.exp(-self.rate_fast * y)))
 
-    def total_mass(self) -> float:
-        """pi00 plus the full analytic integral of the density (should be 1)."""
-        k = self.params.k
-        return (self.pi00
-                + self.coef_below / self.rate_below * (1.0 - math.exp(-self.rate_below * k))
-                + self.coef_slow / self.rate_slow
-                + self.coef_fast / self.rate_fast)
-
 
 def single_server(params: QueueParams) -> SingleServerSolution:
     """Exact closed form for c = 1.
@@ -98,9 +90,13 @@ def single_server(params: QueueParams) -> SingleServerSolution:
 
     r1 = mu1 / lam
     r2 = mu2 / lam
-    pi00 = ((r1 - 1.0) * (r2 - 1.0)
-            / (r1 * (r2 - 1.0) - (mu2 / mu1 - 1.0) * math.exp((lam - mu1) * k)))
-    level = lam * pi00 * math.exp(-(mu1 - lam) * k)   # density just below k
+    try:
+        growth = math.exp((lam - mu1) * k)
+    except OverflowError:
+        raise NumericalError(f"non-finite solution: growth exponent (lambda - mu1)*k = "
+                             f"{(lam - mu1) * k:.1f} (exp overflows past about 709)") from None
+    pi00 = (r1 - 1.0) * (r2 - 1.0) / (r1 * (r2 - 1.0) - (mu2 / mu1 - 1.0) * growth)
+    level = lam * pi00 * growth   # density just below k
     return SingleServerSolution(
         params=params,
         pi00=pi00,
@@ -114,18 +110,21 @@ def single_server(params: QueueParams) -> SingleServerSolution:
 
 
 def erlang_c_prob(c: int, offered: float) -> float:
-    """Textbook Erlang-C probability of waiting, C(c, a) with a = lambda/mu."""
+    """Textbook Erlang-C probability of waiting, C(c, a) with a = lambda/mu.
+
+    C = 1 / (1 + (1 - rho) s), where s = sum_{n<c} (a^n/n!) / (a^c/c!) is
+    summed from n = c - 1 down: each term is a ratio of partial terms, so
+    none overflows where C is representable, and an s that does overflow
+    gives C = 0, its limit.  The result is finite at any c.
+    """
     rho = offered / c
     if rho >= 1.0:
         raise Unstable(f"utilization {rho:.6g} >= 1")
-    # a^c/c! relative to the partial sum, computed iteratively for stability
-    term = 1.0
-    acc = 1.0
-    for n in range(1, c):
-        term *= offered / n
+    term = acc = c / offered
+    for n in range(c - 1, 0, -1):
+        term *= n / offered
         acc += term
-    top = term * offered / c / (1.0 - rho)
-    return top / (acc + top)
+    return 1.0 / (1.0 + (1.0 - rho) * acc)
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ class ErlangCSolution:
     """Plain M/M/c waiting-time law: P(W > x) = C * exp(-(c mu - lambda) x)."""
 
     params: QueueParams
-    rho: float
     c_prob: float
     decay: float
 
@@ -164,7 +162,6 @@ def erlang_c(params: QueueParams) -> ErlangCSolution:
         raise Unstable(f"lambda/(c*mu) = {lam / (c * mu):.6g} >= 1")
     return ErlangCSolution(
         params=params,
-        rho=lam / (c * mu),
         c_prob=erlang_c_prob(c, lam / mu),
         decay=c * mu - lam,
     )

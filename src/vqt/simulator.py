@@ -49,6 +49,7 @@ _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
 
 _BATCHES = 32
+_WARMUP = 0.1                   # share of each run's arrivals discarded before counting
 _Z95 = 1.96
 _CHUNK = 1 << 15                # arrivals per block: a block's arrays stay in cache
 
@@ -102,7 +103,6 @@ def _check_count(name: str, value) -> None:
 @dataclass(frozen=True)
 class SimConfig:
     num_arrivals: int
-    warmup_fraction: float = 0.1
     seed: int = 0
     grid: tuple[float, ...] = ()
     replications: int = 1
@@ -111,9 +111,6 @@ class SimConfig:
         _check_count("num_arrivals", self.num_arrivals)
         # splitmix64 masks the seed as a Python int; a numpy int overflows there
         object.__setattr__(self, "seed", _integer("seed", self.seed))
-        object.__setattr__(self, "warmup_fraction", _real("warmup_fraction", self.warmup_fraction))
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
         try:
             points = tuple(self.grid)
         except TypeError:
@@ -133,7 +130,6 @@ class SimEstimate:
     cdf_points: tuple[Estimate, ...]
     mean_wait: Estimate
     class2_fraction: float
-    seed_used: int
     num_used: int
     queue_len_seen: Estimate        # waiting count sampled at arrival epochs
     arrival_rate_measured: float
@@ -166,7 +162,8 @@ def _indicator_estimate(batch_sums: np.ndarray, batch_counts: np.ndarray) -> Est
 
 
 def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
-    """Single event-driven FCFS run; statistics by batch means (32 batches).
+    """Single event-driven FCFS run; statistics by batch means (32 batches)
+    over the arrivals after the first ``_WARMUP`` share of them.
 
     Per arrival the loop reads the earliest server free time, starts the
     customer at max(t_i, earliest), classifies the delay against k for the
@@ -202,7 +199,7 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     if not params.stable:
         warnings.append("unstable: statistics are meaningless")
 
-    warmup = int(config.warmup_fraction * n)
+    warmup = int(_WARMUP * n)
     used = n - warmup
     batch_size = max(used // _BATCHES, 1)
     # live-index bounds of the batches; the last takes the remainder
@@ -279,7 +276,6 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
                          for g in np.searchsorted(levels, config.grid)),
         mean_wait=_batch_estimate(sum_w, counts),
         class2_fraction=(used - int(at_or_below[:, at_k].sum())) / used,
-        seed_used=config.seed,
         num_used=used,
         queue_len_seen=_batch_estimate(sum_q, counts),
         arrival_rate_measured=used / horizon,
@@ -294,7 +290,7 @@ def _pool(values: list[Estimate]) -> Estimate:
     return Estimate(value, max(hw, 1e-15 * abs(value)) or 1e-15)  # as _batch_estimate
 
 
-def pool_estimates(runs: list[SimEstimate], base_seed: int) -> SimEstimate:
+def pool_estimates(runs: list[SimEstimate]) -> SimEstimate:
     """Deterministic pooling: plain averages, half-widths combined in quadrature."""
     r = len(runs)
     return SimEstimate(
@@ -304,7 +300,6 @@ def pool_estimates(runs: list[SimEstimate], base_seed: int) -> SimEstimate:
         ),
         mean_wait=_pool([e.mean_wait for e in runs]),
         class2_fraction=sum(e.class2_fraction for e in runs) / r,
-        seed_used=base_seed,
         num_used=sum(e.num_used for e in runs),
         queue_len_seen=_pool([e.queue_len_seen for e in runs]),
         arrival_rate_measured=sum(e.arrival_rate_measured for e in runs) / r,
@@ -318,4 +313,4 @@ def simulate_replicated(params: QueueParams, config: SimConfig) -> SimEstimate:
     seeds = [int(s) for s in splitmix64(config.seed, config.replications)]
     runs = [simulate(params, dataclasses.replace(config, seed=s, replications=1))
             for s in seeds]
-    return pool_estimates(runs, config.seed)
+    return pool_estimates(runs)

@@ -487,15 +487,13 @@ def eval_density(sol: StationarySolution, x) -> np.ndarray:
 
 
 def _moment(th: float, k: float) -> float:
-    """int_0^k th x e^(th x) dx.  Below |th| k = 1e-6, where the closed form
-    cancels, five terms of its series about th = 0 stay far below 1e-12."""
-    if abs(th) * k < 1e-6:
-        acc = 0.0
-        for n, denom in enumerate((2.0, 3.0, 8.0, 30.0, 144.0)):
-            acc += th ** (n + 1) * k ** (n + 2) / denom
-        return acc
-    eb = np.exp(th * k)
-    return k * eb - (eb - 1.0) / th
+    """int_0^k th x e^(th x) dx by five terms of its series about th = 0.
+    ``mean_wait`` takes it below |th| k = 1e-6, where the closed form cancels
+    and the series stays far below 1e-12."""
+    acc = 0.0
+    for n, denom in enumerate((2.0, 3.0, 8.0, 30.0, 144.0)):
+        acc += th ** (n + 1) * k ** (n + 2) / denom
+    return acc
 
 
 def mean_wait(sol: StationarySolution) -> float:

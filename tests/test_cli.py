@@ -308,6 +308,15 @@ class TestValidate:
 
         assert z_scores(50) == z_scores(0)
 
+    def test_nan_z_exits_4(self, capsys, monkeypatch):
+        # max(worst, abs(z)) keeps worst when z is NaN: an analytic mean of
+        # NaN used to print z=+nan at exit 0
+        monkeypatch.setattr(solver, "mean_wait", lambda sol: math.nan)
+        code, out, _ = run(capsys, ["validate", *GOLDEN[1:], "--events", "20000",
+                                    "--replications", "1", "--seed", "11"])
+        assert code == 4
+        assert out.splitlines()[-1].endswith(" z=+nan")
+
     def test_equal_rate_input_compares_with_erlang_c(self, capsys):
         # mu1 == mu2 routes to the Erlang C law: its CDF and mean are the
         # analytic column
@@ -324,6 +333,20 @@ class TestValidate:
         assert [r[1] for r in rows] == [cli._fmt(ref.cdf(x)) for x in (0.0, 0.5, 1.0, 2.0)]
         assert lines[5].startswith(f"# mean analytic={cli._fmt(ref.mean())} ")
         assert len(lines) == 6
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--mean"],
+    ["sweep", "--sweep", "lambda=900:950:3", "--metrics", "mean,p_wait,cdf@1"],
+    ["validate", "--events", "200000", "--replications", "2", "--seed", "7"],
+], ids=["solve", "sweep", "validate"])
+def test_erlang_route_is_finite_at_many_servers(capsys, command):
+    # a^n/n! overflows past a ~ 715: C(1000, 950) printed nan at exit 0.  The
+    # simulation starts empty, so validate runs long enough to reach load 0.95.
+    code, out, err = run(capsys, [command[0], "--c", "1000", "--lambda", "950", "--mu1", "1",
+                                  "--mu2", "1", "--k", "1", *command[1:]])
+    assert (code, err) == (0, "")
+    assert "nan" not in out
 
 
 class TestBadInput:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from vqt import numerics
 from vqt.errors import RowErrors, Singular
 from vqt.model import build_matrices, validate_params
 from vqt.numerics import inv
-from vqt.solver import _moment
+from vqt.solver import ScalarMixture, _moment, mean_wait, solve
 from vqt.spectral import _assemble_u, build_spectral
 
 from conftest import solvent_expm as _expm
@@ -372,21 +374,34 @@ class TestMatFunc:
 
 
 class TestIKernel:
-    """The moment kernel int_0^k th x e^(th x) dx of mean_wait (solver._moment)."""
+    """The moment kernel int_0^k th x e^(th x) dx of mean_wait: its closed
+    form, read through mean_wait of a one-term mixture, and the series
+    below |th| k = 1e-6 (solver._moment)."""
+
+    @staticmethod
+    def closed_form(theta):
+        # lower branch: one term of rate theta and weight 1 on [0, 1]; one
+        # upper term of weight 0 adds (1/r - k) * 0 = -0.0 to the moment
+        sol = solve(validate_params(1, 0.5, 0.8, 1.0, 1.0))
+        mix = ScalarMixture(k=1.0, lower_rates=np.array([theta]),
+                            lower_weights=np.array([[1.0]]), lower_constant=np.array([-1.0]),
+                            upper_rates=np.array([-1.0]), upper_weights=np.array([[0.0]]),
+                            upper_constant=np.array([1.0]))
+        return mean_wait(dataclasses.replace(sol, mixture=mix))
 
     def test_zero_matrix_gives_zero(self):
         assert _moment(0.0, 2.0) == 0.0
 
     def test_scalar_one_integration_by_parts(self):
         # int_0^1 x e^x dx = 1
-        assert abs(_moment(1.0, 1.0) - 1.0) < 1e-12
+        assert abs(self.closed_form(1.0) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("theta", [0.8e-6, 1.2e-6, -0.8e-6, -1.2e-6])
     def test_taylor_switchover_vs_quadrature(self, theta):
         # both sides of the 1e-6 switch agree with direct quadrature; the
         # closed form just above it cancels to ~1e-10 absolute, the series
         # below it is exact to machine precision
-        got = _moment(theta, 1.0)
+        got = _moment(theta, 1.0) if abs(theta) < 1e-6 else self.closed_form(theta)
         ref = quad(lambda x: theta * x * np.exp(theta * x), 0.0, 1.0,
                    epsabs=1e-16, epsrel=1e-13)[0]
         tol = 1e-13 if abs(theta) < 1e-6 else 1e-9

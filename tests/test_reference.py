@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vqt.errors import PoleParameter, Unstable
+from vqt.errors import NumericalError, PoleParameter, Unstable
 from vqt.model import inspect_params, validate_params
 from vqt.reference import erlang_c, erlang_c_prob, single_server
 from vqt.solver import eval_cdf, solve
@@ -36,7 +36,12 @@ class TestSingleServer:
     def test_total_mass_analytic(self):
         for lam, mu1, mu2, k in [(1, 2, 4, 1), (0.7, 1.1, 0.9, 2.0), (1, 3, 1.4, 0.3)]:
             p = inspect_params(1, lam, mu1, mu2, k)
-            assert single_server(p).total_mass() == pytest.approx(1.0, abs=1e-12)
+            assert single_server(p).cdf(math.inf) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_growth_is_a_numerical_error(self):
+        # (lambda - mu1) k = 7000: exp overflows, as in solve's growth check
+        with pytest.raises(NumericalError, match="growth exponent"):
+            single_server(inspect_params(1, 0.9, 0.2, 1.0, 1e4))
 
     def test_pole_rejected(self):
         with pytest.raises(PoleParameter):
@@ -87,6 +92,16 @@ def test_erlang_c_prob_matches_direct_formula():
         top = a**c / math.factorial(c) / (1 - rho)
         acc = sum(a**n / math.factorial(n) for n in range(c))
         assert erlang_c_prob(c, a) == pytest.approx(top / (acc + top), rel=1e-12)
+
+
+def test_erlang_c_prob_is_finite_at_many_servers():
+    # a^n/n! overflows past a ~ 715; C(1000, 950) to 60 digits is 0.06825341537714143...
+    assert erlang_c_prob(1000, 950.0) == pytest.approx(0.06825341537714143, rel=1e-13)
+    for c in (746, 893, 1428, 2000):
+        for rho in (0.5, 0.8, 0.95, 0.999):
+            assert 0.0 < erlang_c_prob(c, rho * c) < 1.0
+    # the sum of ratios overflows where C is below the smallest double: C = 0
+    assert erlang_c_prob(2000, 10.0) == 0.0
 
 
 @pytest.mark.parametrize("law", [

@@ -57,18 +57,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="finite"):
             SimConfig(num_arrivals=100, grid=grid)
 
-    def test_rejects_bad_warmup(self):
-        with pytest.raises(ValueError):
-            SimConfig(num_arrivals=100, warmup_fraction=1.0)
-
+    # the ids are the ones these cases had while three warm-up cases led the list
     @pytest.mark.parametrize("field, value", [
-        ("warmup_fraction", "0.1"),     # used to raise TypeError
-        ("warmup_fraction", None),
-        ("warmup_fraction", False),     # used to be taken as 0
         ("grid", ("1",)),
         ("grid", (0.5, True)),
         ("grid", None),
-    ])
+    ], ids=["grid-value3", "grid-value4", "grid-None"])
     def test_rejects_non_real_fields(self, field, value):
         with pytest.raises(ValueError, match="must be a real number|must be a sequence"):
             SimConfig(**{"num_arrivals": 100, field: value})
@@ -76,15 +70,11 @@ class TestSimConfig:
     def test_real_fields_stored_as_floats(self, two_server_params):
         # a list grid used to be stored as a list, and the frozen config
         # then failed to hash
-        cfg = SimConfig(num_arrivals=1000, warmup_fraction=np.float64(0.25), seed=3,
-                        grid=[np.float64(0.1), 1])
+        cfg = SimConfig(num_arrivals=1000, seed=3, grid=[np.float64(0.1), 1])
         assert cfg.grid == (0.1, 1.0) and type(cfg.grid[1]) is float
-        assert type(cfg.warmup_fraction) is float
-        assert hash(cfg) == hash(SimConfig(num_arrivals=1000, warmup_fraction=0.25, seed=3,
-                                           grid=(0.1, 1.0)))
+        assert hash(cfg) == hash(SimConfig(num_arrivals=1000, seed=3, grid=(0.1, 1.0)))
         assert simulate_replicated(two_server_params, cfg) == simulate_replicated(
-            two_server_params, SimConfig(num_arrivals=1000, warmup_fraction=0.25, seed=3,
-                                         grid=(0.1, 1.0)))
+            two_server_params, SimConfig(num_arrivals=1000, seed=3, grid=(0.1, 1.0)))
 
     @pytest.mark.parametrize("field, value", [
         ("num_arrivals", 1000.0),       # used to run the whole loop, then raise TypeError
@@ -199,7 +189,7 @@ class TestReplication:
         runs = [simulate(two_server_params,
                          SimConfig(num_arrivals=40_000, seed=s, grid=(0.5,)))
                 for s in seeds]
-        again = pool_estimates(runs, 101)
+        again = pool_estimates(runs)
         assert pooled == again
         assert pooled.mean_wait.value == pytest.approx(
             np.mean([r.mean_wait.value for r in runs]), abs=0)
@@ -227,11 +217,12 @@ class TestReplication:
         assert abs(z_score(est.mean_wait, mean_wait(sol))) < 4.0
 
 
-def reference_simulate(params, config):
+def reference_simulate(params, config, warmup_fraction=simulator._WARMUP):
     """The simulator as first written, in one pass over all arrivals: a
     sorted list of server free times (pop + insort), a deque of pending start
     epochs for the queue length, and one float bincount per indicator.
-    ``simulate`` must match it bit for bit.
+    ``simulate`` with ``simulator._WARMUP = warmup_fraction`` must match it
+    bit for bit.
     """
     n = config.num_arrivals
     lam, k, c = params.lam, params.k, params.c
@@ -239,7 +230,7 @@ def reference_simulate(params, config):
     if not params.stable:
         warnings.append("unstable: statistics are meaningless")
 
-    warmup = int(config.warmup_fraction * n)
+    warmup = int(warmup_fraction * n)
     used = n - warmup
     batch_size = max(used // _BATCHES, 1)
     grid = np.asarray(config.grid, dtype=float)
@@ -299,7 +290,6 @@ def reference_simulate(params, config):
         cdf_points=tuple(_indicator_estimate(sum_le[g], counts) for g in range(len(grid))),
         mean_wait=_batch_estimate(sum_w, counts),
         class2_fraction=n_class2 / used,
-        seed_used=config.seed,
         num_used=used,
         queue_len_seen=_batch_estimate(sum_q, counts),
         arrival_rate_measured=used / horizon,
@@ -331,27 +321,30 @@ class TestBitIdenticalToReference:
         assert est.warnings and est == reference_simulate(params, cfg)
 
     @pytest.mark.parametrize("n", [1, 7, 31, 33, 5_000])
-    def test_no_warmup(self, n):
+    def test_no_warmup(self, monkeypatch, n):
+        monkeypatch.setattr(simulator, "_WARMUP", 0.0)
         params = inspect_params(2, 1.6, 0.8, 1.0, 0.5)
-        cfg = SimConfig(num_arrivals=n, warmup_fraction=0.0, seed=n, grid=self.GRID)
-        assert simulate(params, cfg) == reference_simulate(params, cfg)
+        cfg = SimConfig(num_arrivals=n, seed=n, grid=self.GRID)
+        assert simulate(params, cfg) == reference_simulate(params, cfg, 0.0)
 
-    def test_empty_grid(self):
+    def test_empty_grid(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_WARMUP", 0.3)
         params = inspect_params(4, 3.0, 0.7, 1.0, 1.5)
-        cfg = SimConfig(num_arrivals=20_000, warmup_fraction=0.3, seed=77)
-        assert simulate(params, cfg) == reference_simulate(params, cfg)
+        cfg = SimConfig(num_arrivals=20_000, seed=77)
+        assert simulate(params, cfg) == reference_simulate(params, cfg, 0.3)
 
     @pytest.mark.parametrize("warmup", [0.1, 0.9])
-    def test_queue_carried_across_chunks(self, warmup):
+    def test_queue_carried_across_chunks(self, monkeypatch, warmup):
         # rho = 0.95 keeps customers queued at the block boundaries; with
         # warmup 0.9 the first counted arrival falls in a later block
         n = 600_000
         assert n > simulator._CHUNK
+        monkeypatch.setattr(simulator, "_WARMUP", warmup)
         params = inspect_params(3, 2.85, 0.9, 1.0, 1.0)
-        cfg = SimConfig(num_arrivals=n, warmup_fraction=warmup, seed=2024, grid=self.GRID)
+        cfg = SimConfig(num_arrivals=n, seed=2024, grid=self.GRID)
         est = simulate(params, cfg)
         assert est.queue_len_seen.value > 1.0
-        assert est == reference_simulate(params, cfg)
+        assert est == reference_simulate(params, cfg, warmup)
 
     def test_replicated_pools_reference_runs(self):
         params = inspect_params(2, 1.4, 0.8, 1.0, 0.5)
@@ -359,7 +352,7 @@ class TestBitIdenticalToReference:
         runs = [reference_simulate(params, SimConfig(num_arrivals=20_000, seed=int(s),
                                                      grid=self.GRID))
                 for s in splitmix64(404, 3)]
-        assert simulate_replicated(params, cfg) == pool_estimates(runs, 404)
+        assert simulate_replicated(params, cfg) == pool_estimates(runs)
 
 
 class TestBlockInvariance:
@@ -368,22 +361,23 @@ class TestBlockInvariance:
 
     CHUNKS = (1, 7, 4096, simulator._CHUNK, 1 << 20)
 
-    @pytest.mark.parametrize("params, cfg", [
+    @pytest.mark.parametrize("params, cfg, warmup", [
         # warmup 1110 ends inside a block for every block size but 1
         (inspect_params(2, 1.6, 0.8, 1.0, 0.5),
-         SimConfig(num_arrivals=3_000, warmup_fraction=0.37, seed=41, grid=(0.1, 0.5, 2.0))),
+         SimConfig(num_arrivals=3_000, seed=41, grid=(0.1, 0.5, 2.0)), 0.37),
         # batches of 140: live arrival 3596 (block boundary 4096) is inside batch 25
         (inspect_params(4, 3.0, 0.7, 1.0, 1.5),
-         SimConfig(num_arrivals=5_000, seed=42, grid=(0.25, 1.0, 4.0))),
+         SimConfig(num_arrivals=5_000, seed=42, grid=(0.25, 1.0, 4.0)), 0.1),
         # rho = 0.95: arrivals see 17 waiting on average, so queues cross the
         # block boundaries; the grid holds 0.0
         (inspect_params(3, 2.85, 0.9, 1.0, 1.0),
-         SimConfig(num_arrivals=4_000, warmup_fraction=0.2, seed=43, grid=(0.0, 1.0, 6.0))),
+         SimConfig(num_arrivals=4_000, seed=43, grid=(0.0, 1.0, 6.0)), 0.2),
         (inspect_params(1, 0.8, 0.9, 1.0, 0.3),
-         SimConfig(num_arrivals=2_000, seed=44)),
+         SimConfig(num_arrivals=2_000, seed=44), 0.1),
     ], ids=["warmup-mid-block", "batch-straddles-block", "queue-carried", "empty-grid"])
-    def test_same_estimate_for_every_block_size(self, monkeypatch, params, cfg):
-        expected = reference_simulate(params, cfg)
+    def test_same_estimate_for_every_block_size(self, monkeypatch, params, cfg, warmup):
+        monkeypatch.setattr(simulator, "_WARMUP", warmup)
+        expected = reference_simulate(params, cfg, warmup)
         for chunk in self.CHUNKS:
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
             assert simulate(params, cfg) == expected, chunk

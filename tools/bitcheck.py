@@ -27,8 +27,18 @@ inputs are
   mixture's own evaluators and ``eval_cdf`` are also asked at x = -1 and NaN,
   and the two light-load inputs whose mean and components are roundoff
   below 0 (c = 8, lambda = 0.000896 and c = 12, lambda = 0.01344, with
-  mu1 = 0.75, mu2 = 1.12, k = 0.45);
-* lambda, mu1 and k stacks through ``solve_rows``, with rows that fail;
+  mu1 = 0.75, mu2 = 1.12, k = 0.45), and the input (3, 2.0, 0.6, 0.8, 1e-7),
+  whose lower rates all take ``mean_wait``'s series (``solver._moment``);
+* lambda, mu1 and k stacks through ``solve_rows``, with rows that fail, and
+  the k stack geomspace(1e-7, 3, 9) at c = 3, lambda = 1.5, mu1 = 0.8,
+  mu2 = 1, whose smallest k take the series;
+* the reference laws: ``single_server``'s cdf and density at x in {0, 0.1,
+  0.45, 1, 3, inf} on three c = 1 inputs, and ``erlang_c``'s c_prob,
+  decay, p_wait_zero, mean, cdf and density (the same x) on two equal-rate
+  inputs;
+* every ``SimEstimate`` field (but ``seed_used``, which older trees have)
+  of two ``simulate`` runs, one of them unstable, and of one
+  three-replication ``simulate_replicated``;
 * a fixed list of ``vqt solve``/``sweep``/``validate`` calls, run in process:
   exit code, stdout and stderr.  Two of them change the time unit: the
   README's worked example as ``solve --format json --mean`` with rates x 2^40
@@ -74,6 +84,7 @@ NAMED = [
     (16, 11.2, 0.8, 1.0, 0.5),
     (8, 0.000896, 0.75, 1.12, 0.45),
     (12, 0.01344, 0.75, 1.12, 0.45),
+    (3, 2.0, 0.6, 0.8, 1e-7),
 ]
 
 # (label, c, {parameter: values}, the other parameters)
@@ -86,6 +97,19 @@ STACKS = [
     ("k", 3, {"k": np.linspace(0.5, 480.0, 12).tolist()}, dict(lam=2.0, mu1=0.3, mu2=0.8)),
     ("k-mean", 8, {"k": [100.0, 6638.120385302224, 1000.0]},
      dict(lam=0.11411819831714975, mu1=0.01696416629872374, mu2=0.01658295957743674)),
+    ("k-series", 3, {"k": np.geomspace(1e-7, 3.0, 9).tolist()}, dict(lam=1.5, mu1=0.8, mu2=1.0)),
+]
+
+SINGLE_SERVER = [(1, 1.0, 2.0, 4.0, 1.0), (1, 0.7, 1.1, 0.9, 2.0), (1, 1.0, 3.0, 1.4, 0.3)]
+ERLANG_C = [(2, 1.4, 1.0, 1.0, 0.5), (8, 6.0, 0.8, 0.8, 0.5)]
+REFERENCE_X = [0.0, 0.1, 0.45, 1.0, 3.0, float("inf")]
+# (label, the queue's five inputs, SimConfig's fields)
+SIMULATIONS = [
+    ("simulate", (2, 1.4, 0.8, 1.0, 0.5), dict(num_arrivals=20_000, seed=5, grid=(0.25, 0.5, 1.0))),
+    ("simulate unstable", (3, 3.5, 0.9, 1.1, 0.7),
+     dict(num_arrivals=20_000, seed=6, grid=(0.5, 2.0))),
+    ("simulate_replicated", (2, 1.4, 0.8, 1.0, 0.5),
+     dict(num_arrivals=20_000, seed=404, grid=(0.0, 0.5, 2.5), replications=3)),
 ]
 
 GOLDEN = ["--c", "2", "--lambda", "2", "--mu1", "0.75", "--mu2", "1.12", "--k", "0.45"]
@@ -256,6 +280,29 @@ def _dump(emit) -> None:
         emit(label + " solve_rows", (sol is not None, live, errors, caught))
         if sol is not None:
             solution(label, sol, max(p.k for p in points))
+
+    for args in SINGLE_SERVER:
+        law, caught = _run(lambda: vqt.single_server(vqt.inspect_params(*args)))
+        emit(f"single_server {args}", (law if isinstance(law, Exception) else "ok", caught))
+        for name in ("cdf", "density"):
+            emit(f"single_server {args} {name}",
+                 _run(lambda: [getattr(law, name)(x) for x in REFERENCE_X]))
+    for args in ERLANG_C:
+        law, caught = _run(lambda: vqt.erlang_c(vqt.inspect_params(*args)))
+        emit(f"erlang_c {args}", (law if isinstance(law, Exception) else "ok", caught))
+        for name in ("c_prob", "decay", "p_wait_zero"):
+            emit(f"erlang_c {args} {name}", _run(lambda: getattr(law, name)))
+        emit(f"erlang_c {args} mean", _run(lambda: law.mean()))
+        for name in ("cdf", "density"):
+            emit(f"erlang_c {args} {name}",
+                 _run(lambda: [getattr(law, name)(x) for x in REFERENCE_X]))
+
+    for label, args, config in SIMULATIONS:
+        run = vqt.simulate if config.get("replications", 1) == 1 else vqt.simulate_replicated
+        est, caught = _run(lambda: run(vqt.inspect_params(*args), vqt.SimConfig(**config)))
+        emit(f"{label} {args}", (est if isinstance(est, Exception) else "ok", caught))
+        if not isinstance(est, Exception):
+            fields(f"{label} {args} estimate", est, ("seed_used",))
 
     for argv in CLI_CALLS:
         out, err = io.StringIO(), io.StringIO()
