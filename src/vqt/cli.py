@@ -361,8 +361,6 @@ def run_validate(args) -> int:
     zs.append(zm)
     lines.append(f"# mean analytic={_fmt(mean)} sim={_fmt(est.mean_wait.value)} "
                  f"half_width={_fmt(est.mean_wait.half_width)} z={zm:+.3f}")
-    for w in est.warnings:
-        lines.append(f"# warning,{w}")
     _emit("\n".join(lines) + "\n", args.out)
     _warn(sol.warnings if model == "threshold" else ())
     # a NaN z fails too: it compares false

@@ -86,11 +86,11 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
     anchored at k, so only the bounded e^{U1- k} and e^{-U1+ k} appear.
     Every quantity solve stores is linear in x and b_c.  ``terms`` gives
     them for row blocks (..., r, c) of pi_{c-1} and q: on the blocks [I; 0]
-    and [0; I] their 2c x c matrices, which make the system's columns, and
-    on a solution row their values.  The columns are the definition of w,
-    w (U1+ - U1-) = F'(0) + alpha0 M0 U1-, and the slope glue
-    F'(k-) = F'(k+).  slope_0 takes pi_{c-1} to F'(0) (con4).  Returns
-    (x, F(inf) / b_c, terms, dm2 = (D_tilde_1 - D_tilde_2) M2).
+    and [0; I] their 2c x c matrices, which make the system's columns; ``at``
+    their values, and the lower coefficient row, on a solution row (..., 2c).
+    The columns are the definition of w, w (U1+ - U1-) = F'(0) + alpha0 M0
+    U1-, and the slope glue F'(k-) = F'(k+).  slope_0 takes pi_{c-1} to F'(0)
+    (con4).  Returns (x, F(inf) / b_c, at, dm2 = (D_tilde_1 - D_tilde_2) M2).
     """
     c, k, lam = params.c, per_row(params.k, 1), per_row(params.lam, 2)
     m, sp = matrices, spectral
@@ -114,10 +114,14 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
         # = F'(0) - lam pi_{c-1} B1 D1^-1 spares F'(0) the round trip through D1
         t["alpha1"] = t["f_prime_0"] @ d2 - lam * (pi + f_k) @ bridge + lam * f_k @ m.b2
         t["alpha2"] = t["alpha1"] @ d2_inv - t["f_prime_at_k"] + lam * f_k @ stay
-        # the coefficients of the 2c theta roots, the growing ones (q phi+^-1) e^{-theta+ k}
-        t["lower"] = _concat((-w - a0m0) @ sp.phi_minus_inv,
-                             q @ sp.phi_plus_inv * decay[..., None, :])
         return t
+
+    def at(x: np.ndarray) -> dict[str, np.ndarray]:
+        t = terms(x[..., None, :c], x[..., None, c:])
+        # the coefficients of the 2c theta roots, the growing ones (q phi+^-1) e^{-theta+ k}
+        t["lower"] = _concat((-t["w"] - t["alpha0_m0"]) @ sp.phi_minus_inv,
+                             x[..., None, c:] @ sp.phi_plus_inv * decay[..., None, :])
+        return {name: value[..., 0, :] for name, value in t.items()}
 
     # The first c columns hold w (U1+ - U1-), whose rows are the columns of
     # U1+ - U1-.  Where those fail the scaled pivot test, the eigenbases behind
@@ -133,7 +137,7 @@ def _boundary(params: QueueParams, matrices: ModelMatrices, spectral: SpectralDa
     system = _concat(t["w"] @ (u1p - u1m) - t["f_prime_0"] - t["alpha0_m0"] @ u1m, glue)
     rhs = _concat(np.zeros(c), u2m[..., 0, :])
     x = _row_solve(system, rhs[..., None, :], "boundary system")[..., 0, :]
-    return x, vec_mat(vec_mat(x, t["alpha1"]), m1) - eye(c)[0], terms, dm2
+    return x, vec_mat(vec_mat(x, t["alpha1"]), m1) - eye(c)[0], at, dm2
 
 
 def _row_solve(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
@@ -367,7 +371,7 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
     slope_0 = lam * eye(c) + matrices.delta[c - 1]
     if c > 1:
         slope_0[..., 1:] -= lam * c_hat[c - 2]
-    x, f_infinity, terms, dm2 = _boundary(params, matrices, spectral, m0, m1, m2, slope_0)
+    x, f_infinity, at, dm2 = _boundary(params, matrices, spectral, m0, m1, m2, slope_0)
 
     # Normalise: rows[n] = pi_n / b_c, and F(inf) / b_c.
     rows = [x[..., :c]]
@@ -387,9 +391,7 @@ def solve(params: QueueParams, levels: dict | None = None) -> StationarySolution
         f"pi entry {floor[i]:.3e} below "
         + np.format_float_scientific(-PI_FLOOR, exp_digits=1, trim="-")))
 
-    x = b_c1 * x
-    v = terms(x[..., None, :c], x[..., None, c:])
-    v = {name: value[..., 0, :] for name, value in v.items()}
+    v = at(b_c1 * x)
     f_infinity = vec_mat(v["alpha1"], m1) - b_c1 * eye(c)[0]
     mixture = _expand(params, matrices, spectral, v["lower"], v["alpha0_m0"], v["f_at_k"],
                       f_infinity, v["alpha2"], dm2)

@@ -172,16 +172,16 @@ def null_right_vectors(matrices: ModelMatrices, scale) -> tuple[np.ndarray, np.n
     return phi_star_right, psi_c_right
 
 
-def _warnings(conds: list, rows: tuple) -> tuple:
-    """The warnings of one point (rows ()), or a tuple of them for each row
-    of a stack (rows (R,)): one per basis whose condition passes 1e10."""
-    if not rows:
-        return tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond:.3e}"
-                     for label, cond in conds if cond > _COND_WARN)
-    conds = [(label, np.broadcast_to(cond, rows)) for label, cond in conds]
-    return tuple(tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond[i]:.3e}"
-                       for label, cond in conds if cond[i] > _COND_WARN)
-                 for i in range(rows[0]))
+def _warnings(conds: np.ndarray, rows: tuple) -> tuple:
+    """The warnings of one point (rows ()), or a tuple of them for each row of a
+    stack (rows (R,)): one per condition conds[..., j] of U1-, U1+, U2- past 1e10."""
+    table = np.empty(rows + (3,))
+    table[...] = conds              # a k stack shares one point's conditions
+    each = tuple(tuple(f"{ILL_CONDITIONED}: {label} eigenbasis condition {cond:.3e}"
+                       for label, cond in zip(("u1_minus", "u1_plus", "u2_minus"), row)
+                       if cond > _COND_WARN)
+                 for row in table.reshape(-1, 3).tolist())
+    return each if rows else each[0]
 
 
 def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData:
@@ -199,8 +199,7 @@ def build_spectral(params: QueueParams, matrices: ModelMatrices) -> SpectralData
     u2_minus, psi_minus_inv, cond_2 = _assemble_u(beta[..., :c], psi, "lower")
     rows = max(getattr(x, "shape", ()) for x in (params.lam, params.mu1, params.mu2,
                                                  params.k))  # () or (R,)
-    warnings = _warnings([("u1_minus", cond_1[..., 0]), ("u1_plus", cond_1[..., 1]),
-                          ("u2_minus", cond_2)], rows)
+    warnings = _warnings(np.concatenate((cond_1, cond_2[..., None]), axis=-1), rows)
     phi_star_right, psi_c_right = null_right_vectors(matrices, params.scale)
     return SpectralData(
         theta=theta,

@@ -516,12 +516,14 @@ class TestBadInput:
         ["solve", "--mean", "--format", "json"],
         ["solve", "--mean", "--format", "csv"],
         ["sweep", "--sweep", "k=100:6638.120385302224:2", "--metrics", "p_wait,mean"],
+        ["sweep", "--sweep", "c=8:8:1", "--metrics", "mean"],
         ["validate", "--events", "1000", "--replications", "1"],
-    ], ids=["solve-json", "solve-csv", "sweep", "validate"])
+    ], ids=["solve-json", "solve-csv", "sweep", "sweep-one-point", "validate"])
     def test_non_finite_mean_exits_3(self, capsys, tmp_path, command):
         # k e^{theta k} overflows before its weight scales it (ROADMAP item
         # 1): JSON printed "mean": NaN, CSV # mean=nan, the sweep nan and
-        # validate analytic=nan, each at exit 0
+        # validate analytic=nan, each at exit 0.  A sweep chunk of one point
+        # raises the metric's error itself, not RowErrors
         for out in (None, tmp_path / "new.out"):
             extra = [] if out is None else ["--out", str(out)]
             code, stdout, err = run(capsys, [*command[:1], *self.NONFINITE_MEAN,

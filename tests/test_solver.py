@@ -201,7 +201,7 @@ def _matrix_chain_route(p):
     slope_0 = lam * np.eye(c) + m.delta[c - 1]
     if c > 1:
         slope_0 = slope_0 - lam * c_hat[c - 2] @ _hat_i(c - 1)
-    x, f_infinity, terms, dm2 = _boundary(p, m, sp, m0, m1, m2, slope_0)
+    x, f_infinity, at, dm2 = _boundary(p, m, sp, m0, m1, m2, slope_0)
     level_product = [None] * c
     level_product[c - 1] = np.eye(c)
     for n in range(c - 2, -1, -1):
@@ -211,7 +211,7 @@ def _matrix_chain_route(p):
     pi_levels = [b_c * row for row in rows]
 
     x = b_c * x
-    v = {name: value[0] for name, value in terms(x[None, :c], x[None, c:]).items()}
+    v = at(x)
     w = x[c:] @ _expm(-sp.theta[c:], sp.phi[c:], sp.phi_plus_inv, p.k)
     a0m0 = v["alpha0_m0"]
     lower = np.concatenate([(-w - a0m0) @ sp.phi_minus_inv, w @ sp.phi_plus_inv])

@@ -13,15 +13,12 @@ record matches).
 
 The records cover, for every input below: the outcome of ``solve`` (or the
 type and message of its error), every field of the solution, of its
-matrices and of its spectral data, the mixture's arrays (read through
-whichever name the tree has: the field ``mixture`` or the older field
-``expansion``), ``eval_cdf`` and ``eval_density`` on 41 points of [0, 4k],
-``mean_wait`` and ``verify_solution(rng=0)``, each with the Python warnings
-it emitted.  A value's digest covers its type, dtype, shape and bytes.  The
-inputs are
+matrices and of its spectral data, the mixture's arrays, ``eval_cdf`` and
+``eval_density`` on 41 points of [0, 4k], ``mean_wait`` and
+``verify_solution(rng=0)``, each with the Python warnings it emitted.  A
+value's digest covers its type, dtype, shape and bytes.  The inputs are
 
-* aim 3's draw set (ROADMAP, "Aim 3's draw set": seeds 0/1/2, c <= 8/12/16,
-  400/800/400 valid draws);
+* aim 3's draw set (``draws``);
 * the scan lambda = 0.7c, mu1 = 0.8, mu2 = 1, k = 0.5 for c = 1..32;
 * the named inputs of ROADMAP item 1 and the README's examples, where the
   mixture's own evaluators and ``eval_cdf`` are also asked at x = -1 and NaN,
@@ -36,9 +33,8 @@ inputs are
   0.45, 1, 3, inf} on three c = 1 inputs, and ``erlang_c``'s c_prob,
   decay, p_wait_zero, mean, cdf and density (the same x) on two equal-rate
   inputs;
-* every ``SimEstimate`` field (but ``seed_used``, which older trees have)
-  of two ``simulate`` runs, one of them unstable, and of one
-  three-replication ``simulate_replicated``;
+* every ``SimEstimate`` field of two ``simulate`` runs, one of them
+  unstable, and of one three-replication ``simulate_replicated``;
 * a fixed list of ``vqt solve``/``sweep``/``validate`` calls, run in process:
   exit code, stdout and stderr.  Two of them change the time unit: the
   README's worked example as ``solve --format json --mean`` with rates x 2^40
@@ -186,6 +182,28 @@ def _update(h, value) -> None:
     h.update(b";")
 
 
+def draws():
+    """Aim 3's draw set (ROADMAP, "Aim 3's draw set"): (seed, i, the five
+    inputs) of each of the 400/800/400 valid draws of seeds 0/1/2, at
+    c <= 8/12/16, in order, from the vqt on sys.path."""
+    import vqt
+    from vqt.errors import ValidationError
+    for seed, c_max, n in ((0, 8, 400), (1, 12, 800), (2, 16, 400)):
+        rng, i = np.random.default_rng(seed), 0
+        while i < n:
+            c = int(rng.integers(1, c_max + 1))
+            mu1, mu2 = rng.uniform(0.2, 3, 2)
+            lam = rng.uniform(0.05, 0.97) * c * mu2
+            k = 10 ** rng.uniform(-2, 2)
+            args = (c, float(lam), float(mu1), float(mu2), float(k))
+            try:
+                vqt.validate_params(*args)
+            except ValidationError:
+                continue
+            yield seed, i, args
+            i += 1
+
+
 def _run(call):
     """(the result or the exception of call(), the warnings it emitted)."""
     with warnings.catch_warnings(record=True) as caught:
@@ -205,22 +223,18 @@ def _dump(emit) -> None:
     from vqt.solver import (eval_cdf, eval_density, mean_wait, solve, solve_rows,
                             verify_solution)
 
-    def mixture(sol):
-        return sol.expansion if hasattr(sol, "expansion") else sol.mixture
-
     def fields(prefix, obj, skip=()):
         for f in dataclasses.fields(obj):
             if f.name not in skip:
                 emit(f"{prefix}.{f.name}", getattr(obj, f.name))
 
     def solution(label, sol, k_max):
-        fields(label + " solution", sol, ("params", "matrices", "spectral", "expansion",
-                                          "mixture"))
+        fields(label + " solution", sol, ("params", "matrices", "spectral", "mixture"))
         for name in ("f_infinity", "p_wait_zero", "warnings"):
             emit(f"{label} solution.{name}", getattr(sol, name))
         fields(label + " matrices", sol.matrices)
         fields(label + " spectral", sol.spectral)
-        fields(label + " mixture", mixture(sol))
+        fields(label + " mixture", sol.mixture)
         xs = np.linspace(0.0, 4.0 * k_max, 41)
         emit(label + " eval_cdf", _run(lambda: eval_cdf(sol, xs)))
         emit(label + " eval_density", _run(lambda: eval_density(sol, xs)))
@@ -241,27 +255,15 @@ def _dump(emit) -> None:
             return
         solution(label, sol, params.k)
         if probe:       # the mixture's own evaluators and the functions off their domain
-            mix = mixture(sol)
+            mix = sol.mixture
             for x in (-1.0, float("nan")):
                 emit(f"{label} mixture.components({x})", _run(lambda: mix.components(x)))
                 emit(f"{label} mixture.density({x})", _run(lambda: mix.density(x)))
                 emit(f"{label} eval_cdf({x})", _run(lambda: eval_cdf(sol, x)))
                 emit(f"{label} eval_density({x})", _run(lambda: eval_density(sol, x)))
 
-    for seed, c_max, n in ((0, 8, 400), (1, 12, 800), (2, 16, 400)):
-        rng, i = np.random.default_rng(seed), 0
-        while i < n:
-            c = int(rng.integers(1, c_max + 1))
-            mu1, mu2 = rng.uniform(0.2, 3, 2)
-            lam = rng.uniform(0.05, 0.97) * c * mu2
-            k = 10 ** rng.uniform(-2, 2)
-            args = (c, float(lam), float(mu1), float(mu2), float(k))
-            try:
-                vqt.validate_params(*args)
-            except ValidationError:
-                continue
-            point(f"draw {seed}/{i}", args)
-            i += 1
+    for seed, i, args in draws():
+        point(f"draw {seed}/{i}", args)
     for c in range(1, 33):
         point(f"scan c={c}", (c, 0.7 * c, 0.8, 1.0, 0.5))
     for args in NAMED:
@@ -302,7 +304,7 @@ def _dump(emit) -> None:
         est, caught = _run(lambda: run(vqt.inspect_params(*args), vqt.SimConfig(**config)))
         emit(f"{label} {args}", (est if isinstance(est, Exception) else "ok", caught))
         if not isinstance(est, Exception):
-            fields(f"{label} {args} estimate", est, ("seed_used",))
+            fields(f"{label} {args} estimate", est)
 
     for argv in CLI_CALLS:
         out, err = io.StringIO(), io.StringIO()
