@@ -248,7 +248,7 @@ def inv(a: np.ndarray) -> np.ndarray:
             else:
                 rows = lu_factor(rows)
             return np.array(_back_substitute_rows(rows))
-    ab = np.concatenate((a, np.broadcast_to(eye(n), a.shape)), -1)
+    ab = np.concatenate((a, eye(n) if a.ndim == 2 else np.broadcast_to(eye(n), a.shape)), -1)
     if a.ndim == 3:
         ab = np.moveaxis(ab, 0, -1).copy()     # the stack axis last
     if np.count_nonzero(ab[_strict_lower(n)]) or not np.isfinite(ab).all():

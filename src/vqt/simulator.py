@@ -47,6 +47,7 @@ __all__ = [
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
+_ONE = np.uint64(1)
 
 _BATCHES = 32
 _WARMUP = 0.1                   # share of each run's arrivals discarded before counting
@@ -60,16 +61,28 @@ def splitmix64(seed: int, n: int, start: int = 0) -> np.ndarray:
     Output i is mix(seed + (start + i + 1) * gamma): a counter-based form of
     the usual state-advancing generator.
     """
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SM_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM_M2
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= _SM_GAMMA
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    shifted = np.empty_like(z)      # the mix works in place: one scratch array
+    np.right_shift(z, np.uint64(30), out=shifted)
+    z ^= shifted
+    z *= _SM_M1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _SM_M2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
-def _uniforms(seed: int, n: int, start: int) -> np.ndarray:
-    """Uniforms in [0, 1) from the top 53 bits of the stream."""
-    return (splitmix64(seed, n, start) >> np.uint64(11)) * 2.0 ** -53
+def _uniforms(seed: int, n: int, start: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of the stream, written to
+    ``out`` when given."""
+    z = splitmix64(seed, n, start)
+    z >>= np.uint64(11)
+    # below 2^53 the int64 view holds the same value and converts faster
+    return np.multiply(z.view(np.int64), 2.0 ** -53, out=out)
 
 
 class Estimate(NamedTuple):
@@ -173,22 +186,33 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     is set once and for all.
 
     Arrivals stream through in blocks of ``_CHUNK``, and no result depends
-    on the block size.  The arrival epochs are one running sum carried
-    across blocks.  After the loop, per block: the wait is start - t_i, the
-    same subtraction the loop classified.  The queue length seen at arrival
-    i counts the earlier customers who waited and have not started by t_i.
-    FCFS start epochs never decrease (each is the minimum free time, and the
-    minimum never falls), so those who started by t_i form a prefix of the
-    waiters' starts and one ``searchsorted`` counts them exactly; a customer
-    who does not wait finds no queue.  Starts still after a block's last
-    arrival carry into the next block.
+    on the block size.  Each stream's uniforms, its -log1p(-u) transform
+    and, for the arrivals, the running sum of the epochs (carried across
+    blocks) are formed in place in one buffer per stream.  After the loop,
+    per block, only the customers who waited are looked at: the loop's own
+    test start > t_i finds them, and a wait is start - t_i, the same
+    subtraction the loop classified.  A customer who does not wait adds a
+    zero wait and sees no queue, so it is only counted.  The
+    queue length seen at arrival i counts the earlier customers who waited
+    and have not started by t_i.  FCFS start epochs never decrease (each is
+    the minimum free time, and the minimum never falls), so those who
+    started by t_i form a prefix of the waiters' starts, and one merge of
+    the sorted starts with the sorted arrivals counts them exactly.  The
+    merge sorts the epochs' bits, which order as the epochs do for
+    nonnegative floats, shifted left with the low bit set on the arrivals,
+    so an arrival sorts after a start equal to it.  Starts still after a
+    block's last arrival carry into the next block; the block's other
+    arrays are freed before the next block's draws are made.
 
-    Each batch's wait sum is one sequential sum: the partial sum carried in
-    from earlier blocks goes in front of the block's ``bincount`` weights.
-    Queue-length sums are integer-valued, so exact in any order.  So are the
-    counts of waits at or below each level (0, k and the grid points): one
-    ``searchsorted`` places each wait among the levels, one ``bincount``
-    tallies batch x level codes, and a cumulative sum over the levels at the
+    Each batch's wait sum is one sequential sum over its waits in arrival
+    order (a zero wait adds nothing): the partial sum carried in from
+    earlier blocks is added to the block's first wait of the open batch,
+    ahead of the ``bincount``.  Queue-length sums are integer counts,
+    summed per batch from one running sum, so exact in any order.  So are
+    the counts of waits at or below each level (0, k and the grid points):
+    one ``searchsorted`` places each wait among the levels, one
+    ``bincount`` tallies batch x level codes, the customers who did not
+    wait go to the zero column, and a cumulative sum over the levels at the
     end turns the tallies into counts.
     """
     if config.replications != 1:
@@ -212,8 +236,15 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     sum_q = np.zeros(_BATCHES)
     # tally[j, g]: batch j's waits in (levels[g-1], levels[g]]; last column: above all
     tally = np.zeros((_BATCHES, width), dtype=np.int64)
+    rows = np.arange(_BATCHES) * width      # where each batch's row starts in the flat tally
+    zero = np.searchsorted(levels, 0.0)     # the column of a zero wait
     t_first = t_last = 0.0
 
+    size = min(_CHUNK, n)
+    # the block's arrival epochs and service draws; spent after the loop,
+    # the buffer takes the merge of starts and arrivals
+    block = np.empty(2 * size)
+    epochs, services = block[:size], block[size:]
     free = [0.0] * c                # heap of server free times
     queued = np.zeros(0)            # waiters' start epochs after the last arrival
     t = 0.0
@@ -223,11 +254,18 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        gaps = -np.log1p(-_uniforms(config.seed, m, done)) / lam
-        gaps[0] += t                # the epochs are one running sum across blocks
-        arrivals = np.cumsum(gaps)
+        # gaps -log1p(-u) / lam, the first one carrying the last epoch, summed in place
+        arrivals = _uniforms(config.seed, m, done, epochs[:m])
+        np.negative(arrivals, out=arrivals)
+        np.log1p(arrivals, out=arrivals)
+        np.divide(arrivals, -lam, out=arrivals)         # (-x) / lam, the same bits
+        arrivals[0] += t
+        np.cumsum(arrivals, out=arrivals)
         t = float(arrivals[-1])
-        draws = -np.log1p(-_uniforms(config.seed, m, n + done))
+        draws = _uniforms(config.seed, m, n + done, services[:m])
+        np.negative(draws, out=draws)
+        np.log1p(draws, out=draws)
+        np.negative(draws, out=draws)
         starts = array("d")
         put = starts.append
         for ti, d in zip(memoryview(arrivals), memoryview(draws)):
@@ -239,12 +277,8 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
                 put(ti)
                 replace(free, ti + d * inv_idle)
         starts = np.frombuffer(starts)
-        waits = starts - arrivals       # +0.0 for a customer who did not wait
-        waited = waits > 0.0
-        queued = np.concatenate((queued, starts[waited]))
-        qlen = np.zeros(m, dtype=np.int64)
-        qlen[waited] = (np.arange(len(queued) - np.count_nonzero(waited), len(queued))
-                        - np.searchsorted(queued, arrivals[waited], side="right"))
+        waiters = np.flatnonzero(starts > arrivals)     # the loop's test: wait > 0.0
+        queued = np.concatenate((queued, starts[waiters]))
 
         lo = max(warmup - done, 0)
         if lo < m:
@@ -252,23 +286,54 @@ def simulate(params: QueueParams, config: SimConfig) -> SimEstimate:
                 t_first = float(arrivals[lo])
             t_last = t
             bounds = np.clip(edges + (warmup - done), 0, m)
-            b = np.repeat(np.arange(_BATCHES), np.diff(bounds))
-            # batch j is open at the block's first live arrival; its partial
-            # sum goes in front, so each batch's wait sum is one sequential sum
-            j = b[0]
-            sum_w[j:] = np.bincount(np.concatenate(((j,), b)),
-                                    weights=np.concatenate((sum_w[j:j + 1], waits[lo:])),
-                                    minlength=_BATCHES)[j:]
-            sum_q += np.bincount(b, weights=qlen[lo:], minlength=_BATCHES)
-            tally += np.bincount(b * width + np.searchsorted(levels, waits[lo:]),
-                                 minlength=tally.size).reshape(tally.shape)
+            cut = np.searchsorted(waiters, bounds)  # batch j's waiters: waiters[cut[j]:cut[j + 1]]
+            first, per_batch = cut[0], np.diff(cut)
+            tally[:, zero] += np.diff(bounds) - per_batch    # the live non-waiters
+            arrived = arrivals[waiters[first:]]
+            # the same subtraction the loop classified
+            waits = queued[len(queued) - len(waiters) + first:] - arrived
+            row = np.repeat(rows, per_batch)        # each live waiter's tally row
+            codes = np.searchsorted(levels, waits)
+            codes += row
+            tally += np.bincount(codes, minlength=tally.size).reshape(tally.shape)
+            if len(waits):
+                # batch j is open at the block's first live waiter; its partial
+                # sum goes in front, so each batch's wait sum is one sequential
+                # sum (a zero wait adds nothing to it)
+                j = row[0] // width
+                waits[0] += sum_w[j]
+                sum_w[j:] = np.bincount(row, weights=waits, minlength=tally.size)[rows[j:]]
+
+            # the queue seen: one merge of the sorted starts and arrivals (see above)
+            total = len(queued) + len(arrived)
+            keys = block.view(np.uint64) if total <= len(block) else np.empty(total, np.uint64)
+            merged = keys[:total]
+            np.left_shift(queued.view(np.uint64), _ONE, out=merged[:len(queued)])
+            np.left_shift(arrived.view(np.uint64), _ONE, out=merged[len(queued):])
+            merged[len(queued):] |= _ONE
+            merged.sort(kind="stable")      # two sorted runs: one merge pass
+            merged &= _ONE
+            place = np.flatnonzero(merged.astype(bool))     # arrival r's place
+            # before arrival r sit r arrivals and the starts by t_r, so waiter r
+            # sees len(queued) - len(waiters) + first + 2r - place[r] waiters;
+            # over a batch's waiters r in [a, b) the 2r sum to (a + b - 1)(b - a)
+            running = keys[:len(place) + 1].view(np.int64)  # the merge is done
+            running[0] = 0
+            np.cumsum(place, out=running[1:])
+            a, b = cut[:-1] - first, cut[1:] - first
+            sum_q += ((len(queued) - len(waiters) + first + a + b - 1) * per_batch
+                      - (running[b] - running[a]))
+            del arrived, waits, row, codes, place
         queued = queued[np.searchsorted(queued, t, side="right"):]
+        # the block's arrays go before the next block's draws are made, so
+        # the working set is one block's
+        del starts, waiters
         done += m
 
     # at_or_below[j, g]: batch j's waits <= levels[g]; last column: all of them
     at_or_below = tally.cumsum(axis=1)
     counts = at_or_below[:, -1].astype(float)
-    zero, at_k = np.searchsorted(levels, (0.0, k))
+    at_k = np.searchsorted(levels, k)
     horizon = max(t_last - t_first, 1e-300)
     return SimEstimate(
         p_wait_zero=_indicator_estimate(at_or_below[:, zero].astype(float), counts),

@@ -505,15 +505,16 @@ def mean_wait(sol: StationarySolution) -> float:
     mix = sol.mixture
     fail(np.maximum.reduce(mix.upper_rates, axis=-1) >= 0.0,
          lambda i: DivergentIntegral("tail matrix has a nonnegative eigenvalue"))
-    k = per_row(mix.k, 1)
-    th, th_k = np.broadcast_arrays(mix.lower_rates, k)
-    small = np.abs(th) * th_k < 1e-6
-    eb = np.exp(th * th_k)
+    k, th = per_row(mix.k, 1), mix.lower_rates
+    small = np.abs(th) * k < 1e-6
+    eb = np.exp(th * k)
     # _moment(+-0.0, k) is +0.0, and every solve has a zero rate: only the
     # other small roots take the series
-    moments = np.where(small, 0.0, th_k * eb - (eb - 1.0) / np.where(small, 1.0, th))
+    moments = np.where(small, 0.0, k * eb - (eb - 1.0) / np.where(small, 1.0, th))
     for idx in zip(*np.nonzero(small & (th != 0.0))):
-        moments[idx] = _moment(float(th[idx]), float(th_k[idx]))
+        # a k stack shares one point's rates: th and k broadcast only here
+        th_i, k_i = (float(np.broadcast_to(v, small.shape)[idx]) for v in (th, k))
+        moments[idx] = _moment(th_i, k_i)
     below, terms = 0.0, moments * np.add.reduce(mix.lower_weights, axis=-1)
     for term in terms.T:
         below = below + term            # the order of a sum over the terms

@@ -314,6 +314,15 @@ class TestBitIdenticalToReference:
         cfg = SimConfig(num_arrivals=n, seed=c, grid=self.GRID)
         assert simulate(params, cfg) == reference_simulate(params, cfg)
 
+    def test_light_load(self):
+        # about 6 % of arrivals wait: long runs of arrivals with no waiter,
+        # which every case above, at load 0.7 or more, lacks
+        params = inspect_params(16, 8.0, 0.8, 1.0, 0.5)
+        cfg = SimConfig(num_arrivals=60_000, seed=16, grid=self.GRID)
+        est = simulate(params, cfg)
+        assert est.p_wait_zero.value > 0.9
+        assert est == reference_simulate(params, cfg)
+
     def test_unstable(self):
         params = inspect_params(3, 3.5, 0.9, 1.1, 0.7)
         cfg = SimConfig(num_arrivals=30_000, seed=5, grid=self.GRID)

@@ -33,8 +33,11 @@ value's digest covers its type, dtype, shape and bytes.  The inputs are
   0.45, 1, 3, inf} on three c = 1 inputs, and ``erlang_c``'s c_prob,
   decay, p_wait_zero, mean, cdf and density (the same x) on two equal-rate
   inputs;
-* every ``SimEstimate`` field of two ``simulate`` runs, one of them
-  unstable, and of one three-replication ``simulate_replicated``;
+* every ``SimEstimate`` field of three ``simulate`` runs, one of them
+  unstable and one at light load (c = 16, lambda = 8, mu1 = 0.8, mu2 = 1,
+  k = 0.5: about 6 % of arrivals wait), and of two ``simulate_replicated``
+  runs, one with three replications and one with two at c = 8,
+  lambda = 7.2 (about 88 % wait);
 * a fixed list of ``vqt solve``/``sweep``/``validate`` calls, run in process:
   exit code, stdout and stderr.  Two of them change the time unit: the
   README's worked example as ``solve --format json --mean`` with rates x 2^40
@@ -99,6 +102,8 @@ STACKS = [
 SINGLE_SERVER = [(1, 1.0, 2.0, 4.0, 1.0), (1, 0.7, 1.1, 0.9, 2.0), (1, 1.0, 3.0, 1.4, 0.3)]
 ERLANG_C = [(2, 1.4, 1.0, 1.0, 0.5), (8, 6.0, 0.8, 0.8, 0.5)]
 REFERENCE_X = [0.0, 0.1, 0.45, 1.0, 3.0, float("inf")]
+# validate's default grid at k = 0.5
+VALIDATE_GRID = tuple(0.5 * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0))
 # (label, the queue's five inputs, SimConfig's fields)
 SIMULATIONS = [
     ("simulate", (2, 1.4, 0.8, 1.0, 0.5), dict(num_arrivals=20_000, seed=5, grid=(0.25, 0.5, 1.0))),
@@ -106,6 +111,11 @@ SIMULATIONS = [
      dict(num_arrivals=20_000, seed=6, grid=(0.5, 2.0))),
     ("simulate_replicated", (2, 1.4, 0.8, 1.0, 0.5),
      dict(num_arrivals=20_000, seed=404, grid=(0.0, 0.5, 2.5), replications=3)),
+    # the benchmark's validate inputs at both ends of the waiting share
+    ("simulate light load", (16, 8.0, 0.8, 1.0, 0.5),
+     dict(num_arrivals=60_000, seed=1002, grid=VALIDATE_GRID)),
+    ("simulate_replicated", (8, 7.2, 0.8, 1.0, 0.5),
+     dict(num_arrivals=60_000, seed=1001, grid=VALIDATE_GRID, replications=2)),
 ]
 
 GOLDEN = ["--c", "2", "--lambda", "2", "--mu1", "0.75", "--mu2", "1.12", "--k", "0.45"]
