@@ -273,11 +273,12 @@ def run_solve(args) -> int:
         lines += [row % tuple(values) for values in table.tolist()]
         if mean is not None:
             lines.append(f"# mean={_fmt(mean)}")
+        weights = ";".join(["%.15g"] * args.c)
         for branch, part in (mixture or {}).items():
             for t in part["terms"]:
-                w = ";".join(map(_fmt, t["weights"].tolist()))
+                w = weights % tuple(t["weights"].tolist())
                 lines.append(f"# mixture,{branch},rate={_fmt(t['rate'])},weights={w}")
-            w = ";".join(map(_fmt, part["constant"].tolist()))
+            w = weights % tuple(part["constant"].tolist())
             lines.append(f"# mixture,{branch},constant,weights={w}")
         if report is not None:
             for name, value in report.residuals.items():
@@ -453,8 +454,10 @@ def _sweep_rows(base: dict, name: str, values: list[float],
                 raise errors[i]
             chunk[i]["status"] = type(errors[i]).__name__.lower()
         stacked = bool(live) and np.ndim(sol.b_c) > 0      # else one point for all rows
-        for j, i in enumerate(live):      # one value for all when the rows are one point
-            chunk[i].update((m, v[j] if np.ndim(v) else v) for m, v in got.items())
+        for m, v in got.items():          # one value for all when the rows are one point
+            for i, x in zip(live, v.tolist() if stacked else [v] * len(live)):
+                chunk[i][m] = x
+        for j, i in enumerate(live):
             chunk[i]["warnings"] = sol.warnings[j] if stacked else sol.warnings
     return rows
 
@@ -471,10 +474,16 @@ def run_sweep(args) -> int:
         raise ValidationError("every sweep point is invalid")
 
     lines = [f"{name},status," + ",".join(metrics)]
+    # "%.15g" % v renders exactly as _fmt(v)
+    complete = "%.15g,%s" + ",%.15g" * len(metrics)
     for row in rows:
-        cells = [_fmt(row["value"]), row["status"]]
-        cells += ["" if row[m] is None else _fmt(row[m]) for m in metrics]
-        lines.append(",".join(cells))
+        got = [row[m] for m in metrics]
+        if None in got:
+            cells = [_fmt(row["value"]), row["status"]]
+            cells += ["" if v is None else _fmt(v) for v in got]
+            lines.append(",".join(cells))
+        else:
+            lines.append(complete % (row["value"], row["status"], *got))
     _emit("\n".join(lines) + "\n", args.out)
     for row in rows:
         if row["warnings"]:

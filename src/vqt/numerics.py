@@ -7,7 +7,12 @@ by substitution, and the 1-norm condition of a basis.  Matrix functions
 need no kernel: every matrix exponential the pipeline forms is of a solvent
 V^-1 diag(roots) V whose roots and bases are known in closed form (see
 ``spectral``).  Each operation also takes a stack (a leading axis), each
-matrix getting its own call's bits.
+matrix getting its own call's bits.  Stacks come from solver.solve_rows,
+whose rows carry the points of a sweep: the B1/B2 pair of a mu1 or mu2
+stack and the M0/M1/M2 arguments of a lambda, mu1 or mu2 stack, each family
+inverted in one inv call by inv_family (a point's family takes one call per
+matrix), and the eigenvector bases of every stack but a k stack, which
+shares one point's.
 
 inv keeps its scaled pivot test everywhere, because that test is what
 rejects ill-conditioned inputs.  It eliminates the augmented matrix [A | I]
@@ -45,11 +50,12 @@ from functools import cache
 
 import numpy as np
 
-from .errors import Singular, fail
+from .errors import RowErrors, Singular, fail
 
 __all__ = [
     "lu_factor",
     "inv",
+    "inv_family",
     "unitri_inv",
     "cond_1norm",
 ]
@@ -261,6 +267,30 @@ def inv(a: np.ndarray) -> np.ndarray:
         if j:
             x[:j] -= lu[:j, j, None] * x[j]
     return np.ascontiguousarray(np.moveaxis(x, -1, 0)) if ab.ndim == 3 else x
+
+
+def inv_family(*mats: np.ndarray) -> list[np.ndarray]:
+    """inv of each of a family of matrices of one order, (n, n) or stacks
+    (N, n, n): one call per matrix when all are single ones, where the list
+    executor is faster, else one call on their concatenation, each
+    broadcast to the stack's shape, split afterwards.  Every inverse keeps
+    the bits of its own call: an upper-triangular B1 or M0 argument that is
+    eliminated beside the others gets the shortcut's bits, since scaled
+    pivoting keeps its pivots on the diagonal.  A RowErrors maps each
+    failing row to the error of its first failing matrix in the order
+    given: the error that the row raises when the matrices are inverted one
+    by one."""
+    if all(m.ndim == 2 for m in mats):
+        return [inv(m) for m in mats]
+    shape = np.broadcast_shapes(*(m.shape for m in mats))
+    try:
+        out = inv(np.concatenate([np.broadcast_to(m, shape) for m in mats]))
+    except RowErrors as exc:
+        first = {}
+        for i in sorted(exc.errors):        # matrix by matrix, in the order given
+            first.setdefault(i % shape[0], exc.errors[i])
+        raise RowErrors(dict(sorted(first.items()))) from None
+    return list(out.reshape(len(mats), *shape))
 
 
 def unitri_inv(v: np.ndarray, orientation: str) -> np.ndarray:

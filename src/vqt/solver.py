@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (DivergentIntegral, NegativeProbability, NumericalError, RowErrors,
                      Singular, VqtError, fail)
 from .model import ModelMatrices, QueueParams, build_matrices, per_row, tilde_q
-from .numerics import _check_diagonal, eye, inv, vec_dot, vec_mat
+from .numerics import _check_diagonal, eye, inv_family, vec_dot, vec_mat
 from .spectral import SpectralData, build_spectral
 
 __all__ = [
@@ -61,11 +61,10 @@ def particular_matrices(
     c, lam, mu1 = params.c, per_row(params.lam, 2), per_row(params.mu1, 2)
     # the null modes' left vectors are e_{c-1} (B1 - D_tilde_1) and e_0 (B2 - D_tilde_2)
     null = per_row(params.scale, 2) ** 2
-    m0 = inv(lam * (matrices.b1 - matrices.d_tilde_1) + null * np.diag(eye(c)[c - 1]))
-    m1 = inv(lam * (matrices.b2 - matrices.d_tilde_2) + null * np.diag(eye(c)[0]))
-    m2 = inv((c * mu1 + lam) * (c * mu1 * eye(c) - matrices.d_tilde_2)
-             + lam * matrices.b2)
-    return m0, m1, m2
+    return tuple(inv_family(
+        lam * (matrices.b1 - matrices.d_tilde_1) + null * np.diag(eye(c)[c - 1]),
+        lam * (matrices.b2 - matrices.d_tilde_2) + null * np.diag(eye(c)[0]),
+        (c * mu1 + lam) * (c * mu1 * eye(c) - matrices.d_tilde_2) + lam * matrices.b2))
 
 
 # A boundary probability below -PI_FLOOR means the pipeline broke down

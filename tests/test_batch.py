@@ -280,6 +280,10 @@ def per_point_sweep(c, lam, mu1, mu2, k, name, values, metrics):
     # equal rates: every row is erlang_c
     (["--c", "2", "--lambda", "0.7", "--mu1", "0.8", "--mu2", "0.8", "--k", "1",
       "--sweep", "c=1:9:9"], "c", np.linspace(1, 9, 9)),
+    # unstable, unstable, erlang_c, ok, degenerate (lambda = c*(mu2 - mu1)), ok:
+    # rows with and without metrics, and the two ok rows one mu2 stack
+    (["--c", "2", "--lambda", "1", "--mu1", "0.75", "--mu2", "1", "--k", "1",
+      "--sweep", "mu2=0.25:1.5:6"], "mu2", np.linspace(0.25, 1.5, 6)),
 ])
 def test_cli_sweep_rows_match_per_point(argv, name, values):
     metrics = ["mean", "p_wait", "cdf@3"]
@@ -361,6 +365,69 @@ def test_stacked_lu_matches_single_solves(n):
             x = numerics.inv(sign * stack)
             for i in range(len(stack)):
                 same(x[i], numerics.inv(sign * stack[i]))
+
+
+def test_inv_family_gives_each_row_its_first_failing_matrix():
+    rng = np.random.default_rng(11)
+    n = 4
+    good = rng.normal(size=(3, 3, n, n)) + 4 * np.eye(n)      # matrix, row, n, n
+    good[1, 0, 0] = 0.0                     # row 0: the second matrix has a zero row
+    good[1, 2, 2] = 1e-16 * good[1, 2, 1]   # row 2: the second and the third fail
+    good[2, 2, 3] = 1e-16 * good[2, 2, 0]
+    with pytest.raises(RowErrors) as got:
+        numerics.inv_family(*good)
+    assert list(got.value.errors) == [0, 2]
+    for i in (0, 2):
+        with pytest.raises(Singular) as own:
+            for m in good[:, i]:
+                numerics.inv(m)
+        assert str(got.value.errors[i]) == str(own.value)
+    assert str(got.value.errors[0]) == "matrix has a zero row"
+    # a single matrix broadcasts against the stacks; each inverse is its own call's
+    shared = good[0, 1]
+    for x, want in zip(numerics.inv_family(shared, good[2, :2]),
+                       (np.broadcast_to(shared, (2, n, n)), good[2, :2])):
+        for j in range(2):
+            same(x[j], numerics.inv(want[j]))
+
+
+# A lambda stack whose row 1 (draw 1/432 of the draw set) fails in the M2
+# inverse, and a mu1 stack whose row 1 (from draw 2/91) fails in inv(B2):
+# both fail inside a merged inv call, beside rows that solve.
+FAILING_STACKS = {
+    "lam": [(9, lam, 0.44602347063574416, 2.0907912281981478, 0.014634839008286443)
+            for lam in (13.082818911783928, 14.536465457537698, 15.263288730414583)],
+    "mu1": [(16, 0.4085163980408143, mu1, 0.2694780105568362, 4.2465091753503845)
+            for mu1 in (1.0, 2.287726273808432, 2.0)],
+}
+
+
+@pytest.mark.parametrize("name, column, caller", [("lam", 8, "particular_matrices"),
+                                                  ("mu1", 15, "build_matrices")])
+def test_rows_failing_in_a_merged_inverse_fail_alone(name, column, caller):
+    points = valid(FAILING_STACKS[name])
+    assert len(points) == 3
+    with pytest.raises(Singular, match=f"at column {column}$") as own:
+        solve(points[1])
+    assert caller in [entry.name for entry in own.traceback]
+    assert check_rows(points) == (2, 1)
+
+
+@pytest.mark.parametrize("points, calls", [
+    (valid(FAILING_STACKS["lam"][:1]), 5),
+    (valid(FAILING_STACKS["lam"][::2]), 3),   # B1 and B2 are shared: one point each
+    (valid(FAILING_STACKS["mu1"][::2]), 2),
+])
+def test_inv_calls_per_pass(monkeypatch, points, calls):
+    real, count = numerics.inv, []
+
+    def counted(a):
+        count.append(a.shape)
+        return real(a)
+    monkeypatch.setattr(numerics, "inv", counted)
+    sol, live, errors = solve_rows(points)
+    assert (live, errors) == (list(range(len(points))), {})
+    assert len(count) == calls
 
 
 def same_solution(got, want):

@@ -9,7 +9,9 @@ from its own SRC only, and compares what they print: one record per line,
 a name and the SHA-256 digest of a value.  It reports the first record whose
 digest differs, the records present in one tree only, and a count of the
 differing records by kind, and exits 1 on any difference (0 when every
-record matches).
+record matches).  Given one tree twice (``bitcheck.py src src``) it checks
+that the dump itself is deterministic: the two dumpers run under different
+hash seeds unless PYTHONHASHSEED is set.
 
 The records cover, for every input below: the outcome of ``solve`` (or the
 type and message of its error), every field of the solution, of its
@@ -26,9 +28,10 @@ value's digest covers its type, dtype, shape and bytes.  The inputs are
   below 0 (c = 8, lambda = 0.000896 and c = 12, lambda = 0.01344, with
   mu1 = 0.75, mu2 = 1.12, k = 0.45), and the input (3, 2.0, 0.6, 0.8, 1e-7),
   whose lower rates all take ``mean_wait``'s series (``solver._moment``);
-* lambda, mu1 and k stacks through ``solve_rows``, with rows that fail, and
-  the k stack geomspace(1e-7, 3, 9) at c = 3, lambda = 1.5, mu1 = 0.8,
-  mu2 = 1, whose smallest k take the series;
+* lambda, mu1, mu2 and k stacks through ``solve_rows``, with rows that
+  fail, among them two that fail inside a merged inverse (in M2 at c = 9,
+  in B2 at c = 16), and the k stack geomspace(1e-7, 3, 9) at c = 3,
+  lambda = 1.5, mu1 = 0.8, mu2 = 1, whose smallest k take the series;
 * the reference laws: ``single_server``'s cdf and density at x in {0, 0.1,
   0.45, 1, 3, inf} on three c = 1 inputs, and ``erlang_c``'s c_prob,
   decay, p_wait_zero, mean, cdf and density (the same x) on two equal-rate
@@ -97,6 +100,12 @@ STACKS = [
     ("k-mean", 8, {"k": [100.0, 6638.120385302224, 1000.0]},
      dict(lam=0.11411819831714975, mu1=0.01696416629872374, mu2=0.01658295957743674)),
     ("k-series", 3, {"k": np.geomspace(1e-7, 3.0, 9).tolist()}, dict(lam=1.5, mu1=0.8, mu2=1.0)),
+    ("mu2", 4, {"mu2": np.linspace(0.9, 1.6, 8).tolist()}, dict(lam=2.5, mu1=0.8, k=0.5)),
+    # rows that fail inside the merged inverses: in M2 (draw 1/432), in B2 (draw 2/91)
+    ("lam-m2", 9, {"lam": [13.082818911783928, 14.536465457537698, 15.263288730414583]},
+     dict(mu1=0.44602347063574416, mu2=2.0907912281981478, k=0.014634839008286443)),
+    ("mu1-b2", 16, {"mu1": [1.0, 2.287726273808432, 2.0]},
+     dict(lam=0.4085163980408143, mu2=0.2694780105568362, k=4.2465091753503845)),
 ]
 
 SINGLE_SERVER = [(1, 1.0, 2.0, 4.0, 1.0), (1, 0.7, 1.1, 0.9, 2.0), (1, 1.0, 3.0, 1.4, 0.3)]
@@ -152,6 +161,8 @@ CLI_CALLS = [
      "--sweep", "lambda=0.2:3.0:600", "--metrics", "mean,p_wait,cdf@5"],
     ["sweep", "--c", "16", "--lambda", "11.2", "--mu1", "0.8", "--mu2", "1", "--k", "0.5",
      "--sweep", "c=15:16:2", "--metrics", "mean"],
+    ["sweep", "--c", "2", "--lambda", "1", "--mu1", "0.75", "--mu2", "1", "--k", "1",
+     "--sweep", "mu2=0.25:1.5:6", "--metrics", "mean,p_wait,cdf@3"],
     ["validate", *GOLDEN, "--events", "20000", "--replications", "2", "--seed", "11"],
     ["validate", "--c", "16", "--lambda", "8", "--mu1", "0.8", "--mu2", "1", "--k", "0.5",
      "--events", "20000", "--replications", "2", "--seed", "3"],
