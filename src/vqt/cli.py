@@ -474,16 +474,10 @@ def run_sweep(args) -> int:
         raise ValidationError("every sweep point is invalid")
 
     lines = [f"{name},status," + ",".join(metrics)]
-    # "%.15g" % v renders exactly as _fmt(v)
-    complete = "%.15g,%s" + ",%.15g" * len(metrics)
     for row in rows:
-        got = [row[m] for m in metrics]
-        if None in got:
-            cells = [_fmt(row["value"]), row["status"]]
-            cells += ["" if v is None else _fmt(v) for v in got]
-            lines.append(",".join(cells))
-        else:
-            lines.append(complete % (row["value"], row["status"], *got))
+        cells = [_fmt(row["value"]), row["status"]]
+        cells += ["" if row[m] is None else _fmt(row[m]) for m in metrics]
+        lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
     for row in rows:
         if row["warnings"]:

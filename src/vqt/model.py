@@ -16,7 +16,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import Degenerate, NonPositive, Unstable
-from .numerics import eye, inv_family
+from .numerics import eye, inv
 
 __all__ = [
     "QueueParams",
@@ -159,8 +159,8 @@ def build_matrices(params: QueueParams) -> ModelMatrices:
     b1, b2, *rest = (k[0] * mu1 + k[1] * mu2 for k in _coefficients(c))
     delta, b_hat = tuple(rest[:c]), tuple(rest[c:])
 
-    # B1 is triangular with a positive diagonal, always invertible
-    b1_inv, b2_inv = inv_family(b1, b2)
+    b1_inv = inv(b1)  # triangular with positive diagonal, always invertible
+    b2_inv = inv(b2)
     d_tilde_1 = mu1 * eye(c) + b1_inv @ delta[c - 1] @ b1
     d_tilde_2 = mu2 * eye(c) + b2_inv @ delta[c - 1] @ b2
     rates = delta[c - 1].diagonal(axis1=-2, axis2=-1)

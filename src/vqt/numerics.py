@@ -8,11 +8,11 @@ need no kernel: every matrix exponential the pipeline forms is of a solvent
 V^-1 diag(roots) V whose roots and bases are known in closed form (see
 ``spectral``).  Each operation also takes a stack (a leading axis), each
 matrix getting its own call's bits.  Stacks come from solver.solve_rows,
-whose rows carry the points of a sweep: the B1/B2 pair of a mu1 or mu2
-stack and the M0/M1/M2 arguments of a lambda, mu1 or mu2 stack, each family
-inverted in one inv call by inv_family (a point's family takes one call per
-matrix), and the eigenvector bases of every stack but a k stack, which
-shares one point's.
+whose rows carry the points of a sweep: B1 and B2 of a mu1 or mu2 stack,
+one inv call each; the M0/M1/M2 arguments of a lambda, mu1 or mu2 stack,
+all three in one inv call by inv_family (a point's take one call each);
+and the eigenvector bases of every stack but a k stack, which shares one
+point's.
 
 inv keeps its scaled pivot test everywhere, because that test is what
 rejects ill-conditioned inputs.  It eliminates the augmented matrix [A | I]
@@ -274,7 +274,7 @@ def inv_family(*mats: np.ndarray) -> list[np.ndarray]:
     (N, n, n): one call per matrix when all are single ones, where the list
     executor is faster, else one call on their concatenation, each
     broadcast to the stack's shape, split afterwards.  Every inverse keeps
-    the bits of its own call: an upper-triangular B1 or M0 argument that is
+    the bits of its own call: an upper-triangular M0 argument that is
     eliminated beside the others gets the shortcut's bits, since scaled
     pivoting keeps its pivots on the diagonal.  A RowErrors maps each
     failing row to the error of its first failing matrix in the order

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from vqt import cli, numerics, solver
+from vqt import cli, model, numerics, solver
 from vqt.errors import (Degenerate, NullSpaceDimension, NumericalError, RowErrors, Singular,
                         ValidationError, VqtError)
 from vqt.model import per_row, validate_params
@@ -392,8 +392,8 @@ def test_inv_family_gives_each_row_its_first_failing_matrix():
 
 
 # A lambda stack whose row 1 (draw 1/432 of the draw set) fails in the M2
-# inverse, and a mu1 stack whose row 1 (from draw 2/91) fails in inv(B2):
-# both fail inside a merged inv call, beside rows that solve.
+# inverse, inside the merged M0/M1/M2 call, and a mu1 stack whose row 1
+# (from draw 2/91) fails in the stacked inv(B2); beside rows that solve.
 FAILING_STACKS = {
     "lam": [(9, lam, 0.44602347063574416, 2.0907912281981478, 0.014634839008286443)
             for lam in (13.082818911783928, 14.536465457537698, 15.263288730414583)],
@@ -404,7 +404,7 @@ FAILING_STACKS = {
 
 @pytest.mark.parametrize("name, column, caller", [("lam", 8, "particular_matrices"),
                                                   ("mu1", 15, "build_matrices")])
-def test_rows_failing_in_a_merged_inverse_fail_alone(name, column, caller):
+def test_rows_failing_in_a_stacked_inverse_fail_alone(name, column, caller):
     points = valid(FAILING_STACKS[name])
     assert len(points) == 3
     with pytest.raises(Singular, match=f"at column {column}$") as own:
@@ -413,21 +413,24 @@ def test_rows_failing_in_a_merged_inverse_fail_alone(name, column, caller):
     assert check_rows(points) == (2, 1)
 
 
-@pytest.mark.parametrize("points, calls", [
-    (valid(FAILING_STACKS["lam"][:1]), 5),
-    (valid(FAILING_STACKS["lam"][::2]), 3),   # B1 and B2 are shared: one point each
-    (valid(FAILING_STACKS["mu1"][::2]), 2),
+# the shape of each inv call: B1, B2, then the particular matrices, which a
+# stack inverts in one call on their concatenation
+@pytest.mark.parametrize("points, shapes", [
+    (valid(FAILING_STACKS["lam"][:1]), [(9, 9)] * 5),
+    (valid(FAILING_STACKS["lam"][::2]), [(9, 9)] * 2 + [(6, 9, 9)]),   # B1, B2 shared
+    (valid(FAILING_STACKS["mu1"][::2]), [(2, 16, 16)] * 2 + [(6, 16, 16)]),
 ])
-def test_inv_calls_per_pass(monkeypatch, points, calls):
+def test_inv_calls_per_pass(monkeypatch, points, shapes):
     real, count = numerics.inv, []
 
     def counted(a):
         count.append(a.shape)
         return real(a)
-    monkeypatch.setattr(numerics, "inv", counted)
+    for module in (model, numerics):        # model binds inv; inv_family calls it
+        monkeypatch.setattr(module, "inv", counted)
     sol, live, errors = solve_rows(points)
     assert (live, errors) == (list(range(len(points))), {})
-    assert len(count) == calls
+    assert count == shapes
 
 
 def same_solution(got, want):

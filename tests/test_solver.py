@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vqt import numerics, solver
+from vqt import model, numerics, solver
 from vqt.errors import NumericalError, RowErrors, Singular, VqtError
 from vqt.model import build_matrices, per_row, tilde_q, validate_params
 from vqt.numerics import cond_1norm, inv
@@ -320,8 +320,10 @@ class TestSolve:
                 return f(*args)
             return call
 
-        # model and solver invert through numerics.inv_family, which calls inv
-        monkeypatch.setattr(numerics, "inv", counted("inv"))
+        counted_inv = counted("inv")
+        # model binds inv; solver inverts through numerics.inv_family, which calls it
+        for module in (model, numerics):
+            monkeypatch.setattr(module, "inv", counted_inv)
         monkeypatch.setattr(numerics, "lu_factor", counted("lu_factor"))
         s = solve(validate_params(c, 0.7 * c, 0.8, 1.0, 0.5))
         assert (calls["inv"], calls["lu_factor"]) == (lu_solves, lu_factors)

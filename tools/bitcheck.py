@@ -29,8 +29,8 @@ value's digest covers its type, dtype, shape and bytes.  The inputs are
   mu1 = 0.75, mu2 = 1.12, k = 0.45), and the input (3, 2.0, 0.6, 0.8, 1e-7),
   whose lower rates all take ``mean_wait``'s series (``solver._moment``);
 * lambda, mu1, mu2 and k stacks through ``solve_rows``, with rows that
-  fail, among them two that fail inside a merged inverse (in M2 at c = 9,
-  in B2 at c = 16), and the k stack geomspace(1e-7, 3, 9) at c = 3,
+  fail, among them one in the merged M inverse (M2, c = 9) and one in the
+  stacked inv(B2) (c = 16), and the k stack geomspace(1e-7, 3, 9) at c = 3,
   lambda = 1.5, mu1 = 0.8, mu2 = 1, whose smallest k take the series;
 * the reference laws: ``single_server``'s cdf and density at x in {0, 0.1,
   0.45, 1, 3, inf} on three c = 1 inputs, and ``erlang_c``'s c_prob,
@@ -101,7 +101,7 @@ STACKS = [
      dict(lam=0.11411819831714975, mu1=0.01696416629872374, mu2=0.01658295957743674)),
     ("k-series", 3, {"k": np.geomspace(1e-7, 3.0, 9).tolist()}, dict(lam=1.5, mu1=0.8, mu2=1.0)),
     ("mu2", 4, {"mu2": np.linspace(0.9, 1.6, 8).tolist()}, dict(lam=2.5, mu1=0.8, k=0.5)),
-    # rows that fail inside the merged inverses: in M2 (draw 1/432), in B2 (draw 2/91)
+    # a row failing in the merged M inverse (M2, draw 1/432), one in inv(B2) (draw 2/91)
     ("lam-m2", 9, {"lam": [13.082818911783928, 14.536465457537698, 15.263288730414583]},
      dict(mu1=0.44602347063574416, mu2=2.0907912281981478, k=0.014634839008286443)),
     ("mu1-b2", 16, {"mu1": [1.0, 2.287726273808432, 2.0]},
