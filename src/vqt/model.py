@@ -143,20 +143,41 @@ class ModelMatrices:
 
 
 @cache
-def _coefficients(c: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(k1, k2) with B1, B2, Delta_0..c-1 and B_hat_0..c-2 each k1 mu1 + k2 mu2,
-    entry by entry the model's own sums (a lone term plus 0.0 is itself)."""
+def _coefficients(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, tuple]:
+    """(at, k1, k2, size, plan): B1, B2, Delta_0..c-1 and B_hat_0..c-2 are
+    each k1 mu1 + k2 mu2, entry by entry the model's own sums (a lone term
+    plus 0.0 is itself).  Laid out flat one after another they fill size
+    entries; plan gives each matrix's (start, stop, shape) there, and at
+    the positions of the entries with a term, whose coefficients are k1
+    and k2 (all three read-only).  Every other entry is 0 mu1 + 0 mu2 = 0.0."""
     d, r = np.diag, np.arange(c + 1.0)[:, None]
-    return ((d(r[1:, 0]), d(r[c - 1:0:-1, 0], 1)), (d(r[1:c, 0], -1), d(r[c:0:-1, 0])),
-            *((d(r[:n + 1, 0]), d(n - r[:n + 1, 0])) for n in range(c)),
-            *((np.eye(n + 2, n + 1, -1) * r[:n + 2], np.eye(n + 2, n + 1) * (n + 1 - r[:n + 2]))
-              for n in range(c - 1)))
+    pairs = ((d(r[1:, 0]), d(r[c - 1:0:-1, 0], 1)), (d(r[1:c, 0], -1), d(r[c:0:-1, 0])),
+             *((d(r[:n + 1, 0]), d(n - r[:n + 1, 0])) for n in range(c)),
+             *((np.eye(n + 2, n + 1, -1) * r[:n + 2], np.eye(n + 2, n + 1) * (n + 1 - r[:n + 2]))
+               for n in range(c - 1)))
+    stops = np.cumsum([a.size for a, _ in pairs]).tolist()
+    plan = tuple((stop - a.size, stop, a.shape) for (a, _), stop in zip(pairs, stops))
+    k1, k2 = (np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
+    at = np.flatnonzero(k1 + k2)
+    out = at, k1[at], k2[at]
+    for a in out:
+        a.flags.writeable = False
+    return *out, stops[-1], plan
 
 
 def build_matrices(params: QueueParams) -> ModelMatrices:
     c = params.c
     mu1, mu2 = per_row(params.mu1, 2), per_row(params.mu2, 2)
-    b1, b2, *rest = (k[0] * mu1 + k[1] * mu2 for k in _coefficients(c))
+    at, k1, k2, size, plan = _coefficients(c)
+    # all 2c + 1 coefficient matrices in one pass over the entries with a
+    # term, as read-only views of one array: no matrix can be written
+    # through into its neighbours
+    terms = k1 * per_row(params.mu1, 1) + k2 * per_row(params.mu2, 1)
+    lead = terms.shape[:-1]
+    flat = np.zeros(lead + (size,))
+    flat[..., at] = terms
+    flat.flags.writeable = False
+    b1, b2, *rest = (flat[..., start:stop].reshape(lead + shape) for start, stop, shape in plan)
     delta, b_hat = tuple(rest[:c]), tuple(rest[c:])
 
     b1_inv = inv(b1)  # triangular with positive diagonal, always invertible

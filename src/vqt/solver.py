@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -561,6 +561,19 @@ def _balance_index(c: int) -> tuple[np.ndarray, ...]:
 _ZERO = np.zeros(1)
 _ZERO.flags.writeable = False
 
+# Seeds whose unit points stay cached; seeds are unbounded, the cache is not.
+_POINT_SEEDS = 64
+
+
+@lru_cache(maxsize=_POINT_SEEDS)
+def _unit_points(seed: int) -> np.ndarray:
+    """The ten unit draws of ``np.random.default_rng(seed)``, read-only.
+    ``uniform(0.0, k)`` returns 0.0 + k * u for each, which is k * u to the
+    bit.  An invalid seed raises on every call (the cache keeps no error)."""
+    u = np.random.default_rng(seed).random(10)
+    u.flags.writeable = False
+    return u
+
 
 def _balance_residual(sol: StationarySolution) -> float:
     """max |lhs - rhs| of the balance equation of every interior state, each
@@ -641,14 +654,21 @@ def verify_solution(sol: StationarySolution, rng=None) -> ResidualReport:
     interior balance equations, normalization, the null-vector orthogonality
     of the particular terms, and the integro-differential equation below the
     threshold at ten interior points drawn uniformly on [0, k) from
-    ``np.random.default_rng(rng)``.  F and F' are evaluated in one pass at
-    all twelve points it reads, 0, k and those ten, each on the lower branch
-    with the values of a one-point ``eval_cdf``/``eval_density`` call.  It
-    takes one point, not a stack.
+    ``np.random.default_rng(rng)``.  For a Python int seed the points are k
+    times ten unit draws that are made once per seed and cached, with the
+    bits of that draw; every other rng (None, a Generator, which advances, a
+    SeedSequence, a numpy integer) goes through ``default_rng`` on every
+    call.  F and F' are evaluated in one pass at all twelve points it reads,
+    0, k and those ten, each on the lower branch with the values of a
+    one-point ``eval_cdf``/``eval_density`` call.  It takes one point, not a
+    stack.
     """
     if getattr(sol.b_c, "ndim", 0):
         raise ValueError("verify_solution takes one point: verify solve(points[i]) for row i")
-    xs = np.random.default_rng(rng).uniform(0.0, sol.params.k, size=10)
+    if type(rng) is int:                # not bool, not a numpy integer
+        xs = sol.params.k * _unit_points(rng)
+    else:
+        xs = np.random.default_rng(rng).uniform(0.0, sol.params.k, size=10)
     p, m, sp = sol.params, sol.matrices, sol.spectral
     mix = sol.mixture
     rates, weights = mix.lower_rates, mix.lower_weights

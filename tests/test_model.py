@@ -116,6 +116,52 @@ class TestBuildMatrices:
         assert np.allclose(m.b_hat[1], [[1.4, 0.0], [0.8, 0.7], [0.0, 1.6]])
 
 
+def _rate_coefficients(c):
+    """(k1, k2) of B1, B2, Delta_0..c-1 and B_hat_0..c-2, entry by entry from
+    the rates out of each state (i class-1, j class-2 services in progress)."""
+    def matrix(shape, entries):
+        k = np.zeros((2, *shape))
+        for (row, col), pair in entries:
+            k[:, row, col] = pair
+        return k
+
+    b1 = matrix((c, c), [((i, i), (i + 1, 0)) for i in range(c)]
+                + [((i, i + 1), (0, c - 1 - i)) for i in range(c - 1)])
+    b2 = matrix((c, c), [((i, i), (0, c - i)) for i in range(c)]
+                + [((i, i - 1), (i, 0)) for i in range(1, c)])
+    delta = [matrix((n + 1, n + 1), [((i, i), (i, n - i)) for i in range(n + 1)])
+             for n in range(c)]
+    b_hat = [matrix((n + 2, n + 1), [((i, i - 1), (i, 0)) for i in range(1, n + 2)]
+                    + [((i, i), (0, n + 1 - i)) for i in range(n + 1)])
+             for n in range(c - 1)]
+    return [b1, b2, *delta, *b_hat]
+
+
+class TestCoefficientMatrices:
+    """build_matrices forms B1, B2, Delta_n and B_hat_n in one pass over
+    their entries; each keeps the bits of its own sum k1 mu1 + k2 mu2, and
+    none can be written, as they share one buffer."""
+
+    @pytest.mark.parametrize("c", [1, 2, 9])
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_one_pass_keeps_each_sum_and_is_read_only(self, c, stack):
+        mu1 = np.array([0.3, 0.77, 1.9]) if stack else 0.77
+        mu2 = 1.12
+        params = QueueParams(c, 0.5, mu1, mu2, 0.45)
+        m = build_matrices(params)
+        got = [m.b1, m.b2, *m.delta, *m.b_hat]
+        assert len(got) == 2 * c + 1
+        mu1 = mu1[:, None, None] if stack else mu1
+        for a, (k1, k2) in zip(got, _rate_coefficients(c)):
+            want = k1 * mu1 + k2 * mu2
+            assert a.shape == want.shape and a.dtype == want.dtype
+            assert a.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+
 class TestClassSwap:
     def test_identity_holds(self):
         rng = np.random.default_rng(13)

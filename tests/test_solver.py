@@ -893,6 +893,13 @@ def _seeded_draws(n, seed=2017):
         yield s
 
 
+def _same_report(got, want, *context):
+    """Every residual with the same bits (``==``) and the same Python type."""
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert got[name] == value and type(got[name]) is type(value), (name, *context)
+
+
 class TestVerifyMatchesReference:
     """``verify_solution`` evaluates the mixture once for all its points and
     the balance equations in one pass; every residual keeps the bits of the
@@ -906,9 +913,7 @@ class TestVerifyMatchesReference:
                 want = reference_verify(s, rng=np.random.default_rng(99))
             else:
                 got, want = verify_solution(s, rng=rng).residuals, reference_verify(s, rng=rng)
-            assert list(got) == list(want)
-            for name, value in want.items():
-                assert got[name] == value and type(got[name]) is type(value), (name, rng)
+            _same_report(got, want, rng)
 
     @pytest.mark.parametrize("c", range(1, 25))
     def test_load_scan(self, c):
@@ -927,6 +932,53 @@ class TestVerifyMatchesReference:
         verify_solution(two_server_solution, rng=a)
         reference_verify(two_server_solution, rng=b)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestVerifyPoints:
+    """A Python int seed's ten unit draws are made once and cached; the
+    points k * u keep the bits of ``default_rng(seed).uniform(0, k, 10)``.
+    Every other rng goes through ``default_rng`` as before, errors included."""
+
+    def test_one_seed_across_solutions(self):
+        seed = 20_261
+        before = solver._unit_points.cache_info().hits
+        for args in [(2, 2.0, 0.75, 1.12, 0.45), (3, 2.0, 0.3, 0.8, 5.0),
+                     (8, 5.6, 0.8, 1.0, 0.5), (1, 0.6, 1.3, 0.9, 12.0)]:
+            s = solve(validate_params(*args))
+            _same_report(verify_solution(s, rng=seed).residuals, reference_verify(s, rng=seed))
+        assert solver._unit_points.cache_info().hits - before >= 3     # calls 2, 3 and 4
+
+    def test_numpy_integer_seed_gives_the_int_report(self, two_server_solution):
+        s = two_server_solution
+        _same_report(verify_solution(s, rng=np.int64(7)).residuals,
+                     verify_solution(s, rng=7).residuals)
+
+    def test_huge_seed_matches_reference(self, three_server_solution):
+        s = three_server_solution
+        for _ in range(2):
+            _same_report(verify_solution(s, rng=2**64).residuals, reference_verify(s, rng=2**64))
+
+    def test_bad_seeds_raise_as_default_rng_does(self, two_server_solution):
+        with pytest.raises(TypeError) as want:
+            np.random.default_rng(np.True_)
+        with pytest.raises(TypeError) as got:
+            verify_solution(two_server_solution, rng=np.True_)
+        assert str(got.value) == str(want.value)
+        for _ in range(2):          # no error is cached
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                verify_solution(two_server_solution, rng=-1)
+
+    def test_no_seed_runs_twice(self, two_server_solution):
+        for _ in range(2):
+            report = verify_solution(two_server_solution, rng=None)
+            assert report.max_residual < 1e-8
+
+    def test_cached_points_are_read_only(self):
+        u = solver._unit_points(3)
+        assert solver._unit_points(3) is u
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 0.5
+        assert u.tobytes() == np.random.default_rng(3).random(10).tobytes()
 
 
 # the c = 8 growth input: theta_max*k = 194.5

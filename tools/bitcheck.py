@@ -22,8 +22,10 @@ value's digest covers its type, dtype, shape and bytes.  The inputs are
 
 * aim 3's draw set (``draws``);
 * the scan lambda = 0.7c, mu1 = 0.8, mu2 = 1, k = 0.5 for c = 1..32;
-* the named inputs of ROADMAP item 1 and the README's examples, where the
-  mixture's own evaluators and ``eval_cdf`` are also asked at x = -1 and NaN,
+* the named inputs of ROADMAP item 1 and the README's examples, where
+  ``verify_solution`` also runs at rng = 7, 2**64 and np.int64(7) (and once,
+  on the first, with ``np.random.default_rng(99)``), and the mixture's own
+  evaluators and ``eval_cdf`` are also asked at x = -1 and NaN,
   and the two light-load inputs whose mean and components are roundoff
   below 0 (c = 8, lambda = 0.000896 and c = 12, lambda = 0.01344, with
   mu1 = 0.75, mu2 = 1.12, k = 0.45), and the input (3, 2.0, 0.6, 0.8, 1e-7),
@@ -260,10 +262,13 @@ def _dump(emit) -> None:
         emit(label + " eval_cdf", _run(lambda: eval_cdf(sol, xs)))
         emit(label + " eval_density", _run(lambda: eval_density(sol, xs)))
         emit(label + " mean_wait", _run(lambda: mean_wait(sol)))
-        report = _run(lambda: verify_solution(sol, rng=0))
+        emit(label + " verify_solution", verify(sol, 0))
+
+    def verify(sol, rng):
+        report = _run(lambda: verify_solution(sol, rng=rng))
         if not isinstance(report[0], Exception):
             report = ((report[0].residuals, report[0].warnings), report[1])
-        emit(label + " verify_solution", report)
+        return report
 
     def point(label, args, probe=False):
         params, caught = _run(lambda: vqt.validate_params(*args))
@@ -275,7 +280,9 @@ def _dump(emit) -> None:
         if isinstance(sol, Exception):
             return
         solution(label, sol, params.k)
-        if probe:       # the mixture's own evaluators and the functions off their domain
+        if probe:       # more seeds, the mixture's own evaluators, off-domain calls
+            for rng in (7, 2**64, np.int64(7)):
+                emit(f"{label} verify_solution(rng={rng!r})", verify(sol, rng))
             mix = sol.mixture
             for x in (-1.0, float("nan")):
                 emit(f"{label} mixture.components({x})", _run(lambda: mix.components(x)))
@@ -289,6 +296,9 @@ def _dump(emit) -> None:
         point(f"scan c={c}", (c, 0.7 * c, 0.8, 1.0, 0.5))
     for args in NAMED:
         point(f"named {args}", args, probe=True)
+    sol = solve(vqt.validate_params(*NAMED[0]))
+    emit(f"named {NAMED[0]} verify_solution(rng=default_rng(99))",
+         verify(sol, np.random.default_rng(99)))
 
     for label, c, varied, base in STACKS:
         (name, values), = varied.items()
